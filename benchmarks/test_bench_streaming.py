@@ -2,11 +2,12 @@
 
 The streaming trace engine's whole claim is that scenario *length* costs
 time, never memory. This bench runs the same sampled scenario streaming
-in fresh subprocesses at 100k and at 10M instructions — a 100x growth —
-and asserts the children's peak RSS (``ru_maxrss``) stays flat. A
-materialized 10M-instruction trace alone would occupy well over a
-gigabyte; under streaming the large run must fit in a small multiple of
-the small run's footprint (interpreter + model + a few resident
+through the per-instruction walk (pinned: the batch kernel ignores
+``streaming``) in fresh subprocesses at 100k and at 10M instructions — a
+100x growth — and asserts the children's peak RSS (``ru_maxrss``) stays
+flat. A materialized 10M-instruction trace alone would occupy well over
+a gigabyte; under streaming the large run must fit in a small multiple
+of the small run's footprint (interpreter + model + a few resident
 chunks).
 
 Runs in subprocesses on purpose: ``ru_maxrss`` is a process-lifetime
@@ -43,7 +44,7 @@ from repro.scenarios import sample_scenarios
 
 n = int(sys.argv[1])
 scenario = sample_scenarios(1, seed=5, families=["ilp_rich"])[0]
-result = Simulator(scenario.profile, streaming=True).run(
+result = Simulator(scenario.profile, streaming=True, kernel="walk").run(
     n, record_sequences=False
 )
 assert result.stats.committed_instructions == n

@@ -21,13 +21,16 @@ bounded-memory chunked trace delivery (default: automatic by trace
 length; results are float-for-float identical either way), which is
 what lets ``repro robustness --instructions 10000000`` run
 10M+-instruction scenarios without materializing their traces.
-``--kernel walk|batch`` selects the simulation engine: ``walk`` is the
-per-instruction reference pipeline, ``batch`` the array-batched C
-kernel (~10x faster on long traces, compiled on first use). The two
-are float-for-float identical — the kernel-equivalence CI gate asserts
-``==`` across the benchmark suite — so the knob changes speed only,
-never results or cache keys. ``repro --version`` reports the installed
-package version.
+``--kernel walk|batch`` overrides the simulation engine: ``walk`` is
+the per-instruction reference pipeline, ``batch`` the array-batched C
+kernel (~10x faster on long traces, compiled on first use). Without the
+flag, simulations run on ``batch`` whenever it builds and on the walk
+otherwise (``-v`` says which ran, and why it fell back); an explicit
+``--kernel batch`` without a C compiler fails with the build error. The
+two are float-for-float identical — the kernel-equivalence CI gate
+asserts ``==`` across the benchmark suite — so the knob changes speed
+only, never results or cache keys. ``repro --version`` reports the
+installed package version.
 
 ``--backend serial|pool[:N]|ssh:host,...`` selects *where* simulation
 batches execute (in-process, local worker processes, or an SSH fleet
@@ -37,7 +40,8 @@ local|shared:DIR|layered:DIR`` selects the persistent result store —
 so a fleet deduplicates globally. Both are outcome-neutral: the
 backend-equivalence CI gate asserts byte-identical reports across
 backends and stores. ``--verbose`` prints per-backend
-hit/miss/executed/failed counters to stderr after any subcommand.
+hit/miss/executed/failed counters, and the simulations run per kernel,
+to stderr after any subcommand.
 
 ``repro cache [stats|verify|gc]`` inspects and maintains the configured
 store tier by tier: ``stats`` reports entry counts and bytes,

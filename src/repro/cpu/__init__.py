@@ -19,9 +19,11 @@ that machine from scratch:
 * :mod:`repro.cpu.sleep` — the closed-loop sleep-controller runtime
   (per-unit power states, wakeup latency, energy-state tallies),
 * :mod:`repro.cpu.pipeline` — fetch/rename/issue/execute/commit timing,
-* :mod:`repro.cpu.kernel` — the array-batched C engine behind
-  ``--kernel batch`` (walk-exact; built lazily by
-  :mod:`repro.cpu._kernel_build` from ``_pipeline_kernel.c``),
+* :mod:`repro.cpu.kernel` — the array-batched C engine that runs every
+  simulation by default whenever it builds, with the walk as the
+  fallback and ``--kernel walk|batch`` as the override (walk-exact;
+  built lazily by :mod:`repro.cpu._kernel_build` from
+  ``_pipeline_kernel.c``),
 * :mod:`repro.cpu.simulator` — the façade the experiments drive.
 """
 

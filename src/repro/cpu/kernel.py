@@ -1,6 +1,7 @@
 """The array-batched pipeline kernel: chunk-fed C engine, walk-exact.
 
-This is the ``batch`` side of the ``--kernel walk|batch`` knob. The
+This is the ``batch`` side of the ``--kernel walk|batch`` knob, and the
+default whenever it builds. The
 per-instruction walk in :mod:`repro.cpu.pipeline` stays the reference
 implementation; this module replaces its hot loop with a compiled C
 engine (built lazily by :mod:`repro.cpu._kernel_build`) that consumes
@@ -41,7 +42,12 @@ large memory latency.
 Process-wide default plumbing mirrors the streaming knob in
 :mod:`repro.cpu.stream`: the CLIs set a default, the execution engine
 stamps it into jobs shipped to workers, and ``None`` means "use the
-process default, else the walk".
+process default, else choose automatically": the batch kernel when it
+builds and loads, the walk otherwise. The automatic choice is made on
+the first simulation, so a run that simulates nothing never compiles or
+loads the kernel. Every simulation counts itself per kernel in the
+metrics registry (:func:`count_run`), which is where the ``-v`` kernel
+line and run manifests read which kernel actually ran.
 """
 
 from __future__ import annotations
@@ -70,6 +76,7 @@ from repro.cpu.pipeline import DeadlockError
 from repro.cpu.sleep import SleepRuntimeSpec, price_stateless_outcomes
 from repro.cpu.stats import FunctionalUnitUsage, SimulationStats
 from repro.cpu.stream import TraceChunk
+from repro.obs import metrics
 from repro.util import stagetime
 from repro.util.intervals import IntervalHistogram
 
@@ -77,13 +84,16 @@ __all__ = [
     "KERNEL_WALK",
     "KERNEL_BATCH",
     "KERNELS",
+    "RUNS_PREFIX",
     "BatchPipeline",
     "batch_kernel_available",
     "batch_kernel_unavailable_reason",
     "check_kernel",
+    "count_run",
     "get_default_kernel",
     "resolve_kernel",
     "set_default_kernel",
+    "telemetry_line",
 ]
 
 #: The per-instruction reference implementation (repro.cpu.pipeline).
@@ -110,10 +120,11 @@ _default_kernel: Optional[str] = None
 def set_default_kernel(kernel: Optional[str]) -> None:
     """Set the process-wide kernel used when callers pass None.
 
-    ``None`` restores the built-in default (the walked reference path).
-    Set by the CLIs' ``--kernel`` flag; the execution engine stamps the
-    resolved value into jobs it ships to worker processes, which do not
-    share this state.
+    ``None`` restores the built-in default: the automatic choice (batch
+    when it builds and loads, else the walk). Set by the CLIs'
+    ``--kernel`` flag; the execution engine stamps an explicit value
+    into jobs it ships to worker processes, which do not share this
+    state (under the automatic default each worker chooses for itself).
     """
     global _default_kernel
     if kernel is not None:
@@ -122,15 +133,18 @@ def set_default_kernel(kernel: Optional[str]) -> None:
 
 
 def get_default_kernel() -> Optional[str]:
-    """The process-wide kernel override (None = walk)."""
+    """The process-wide kernel override (None = choose automatically)."""
     return _default_kernel
 
 
 def resolve_kernel(kernel: Optional[str]) -> str:
-    """Decide which kernel a run should use.
+    """Decide which kernel a run should use: always ``walk`` or ``batch``.
 
     Explicit requests win; ``None`` consults the process default, then
-    falls back to the walk. Because the two kernels are float-for-float
+    chooses automatically: the batch kernel when it builds and loads,
+    the walk otherwise. The first automatic call compiles (or loads the
+    cached build of) the kernel, and the outcome is cached for the life
+    of the process. Because the two kernels are float-for-float
     identical (the equivalence gate), this choice affects speed only —
     never results, and never cache keys.
     """
@@ -138,7 +152,41 @@ def resolve_kernel(kernel: Optional[str]) -> str:
         return check_kernel(kernel)
     if _default_kernel is not None:
         return _default_kernel
-    return KERNEL_WALK
+    return KERNEL_BATCH if batch_kernel_available() else KERNEL_WALK
+
+
+# -- which kernel ran -----------------------------------------------------------
+
+#: Registry counters of simulations per kernel: ``sim.kernel_batch`` and
+#: ``sim.kernel_walk``. Pool and SSH workers relay theirs with the
+#: generic metrics delta, so the coordinator's registry (and every run
+#: manifest) counts the whole run.
+RUNS_PREFIX = "sim.kernel_"
+
+
+def count_run(kernel: str) -> None:
+    """Record that one simulation ran on ``kernel`` (a resolved name)."""
+    metrics.registry().counter(RUNS_PREFIX + kernel).inc()
+
+
+def telemetry_line() -> Optional[str]:
+    """The ``-v`` kernel line, or None when nothing was simulated.
+
+    ``[repro] kernel: batch=N walk=M``. When the automatic choice ran
+    the walk because the batch kernel is unavailable here, the line
+    ends with the reason.
+    """
+    counters = metrics.registry().snapshot()["counters"]
+    batch = int(counters.get(RUNS_PREFIX + KERNEL_BATCH, 0))
+    walk = int(counters.get(RUNS_PREFIX + KERNEL_WALK, 0))
+    if not batch and not walk:
+        return None
+    line = f"[repro] kernel: batch={batch} walk={walk}"
+    if walk and _default_kernel is None:
+        reason = batch_kernel_unavailable_reason()
+        if reason is not None:
+            line += f" (automatic choice fell back to the walk: {reason})"
+    return line
 
 
 # -- structure-of-arrays chunk decode -------------------------------------------

@@ -28,6 +28,7 @@ from repro.cpu.kernel import (
     KERNEL_BATCH,
     BatchPipeline,
     batch_kernel_unavailable_reason,
+    count_run,
     resolve_kernel,
 )
 from repro.cpu.pipeline import Pipeline
@@ -79,12 +80,13 @@ class Simulator:
     ``kernel`` selects the simulation engine: ``"walk"`` is the
     per-instruction reference pipeline, ``"batch"`` the array-batched C
     kernel of :mod:`repro.cpu.kernel`, and ``None`` defers to the
-    process default (see :func:`repro.cpu.kernel.resolve_kernel`). The
+    process default, which chooses the batch kernel whenever it builds
+    (see :func:`repro.cpu.kernel.resolve_kernel`). The
     kernels are float-for-float identical (the kernel-equivalence CI
     gate), so — exactly like ``streaming`` — the knob affects speed
     only, never results or cache keys. The batch kernel always consumes
     the trace chunk by chunk, so it is bounded-memory regardless of the
-    ``streaming`` setting.
+    ``streaming`` setting, which only the walk reads.
     """
 
     def __init__(
@@ -122,7 +124,8 @@ class Simulator:
         lists grow with the run).
         """
         total = num_instructions + warmup_instructions
-        if resolve_kernel(self.kernel) == KERNEL_BATCH:
+        kernel = resolve_kernel(self.kernel)
+        if kernel == KERNEL_BATCH:
             reason = batch_kernel_unavailable_reason()
             if reason is not None:
                 raise RuntimeError(
@@ -141,16 +144,24 @@ class Simulator:
                 record_sequences=record_sequences,
                 sleep_spec=self.sleep,
             ).run(warmup_instructions=warmup_instructions)
-            return SimulationResult(
-                workload_name=self.profile.name,
-                num_instructions=num_instructions,
-                warmup_instructions=warmup_instructions,
-                seed=self.seed,
-                config=self.config,
-                stats=stats,
-                sleep=self.sleep,
-                record_sequences=record_sequences,
-            )
+        else:
+            stats = self._run_walk(total, warmup_instructions, record_sequences)
+        count_run(kernel)
+        return SimulationResult(
+            workload_name=self.profile.name,
+            num_instructions=num_instructions,
+            warmup_instructions=warmup_instructions,
+            seed=self.seed,
+            config=self.config,
+            stats=stats,
+            sleep=self.sleep,
+            record_sequences=record_sequences,
+        )
+
+    def _run_walk(
+        self, total: int, warmup_instructions: int, record_sequences: bool
+    ) -> SimulationStats:
+        """The per-instruction reference walk, streamed or materialized."""
         if resolve_streaming(self.streaming, total):
             # Generation happens lazily inside the pipeline's pulls; the
             # timed iterator attributes it, and the walk's own time is
@@ -182,16 +193,7 @@ class Simulator:
         elapsed = time.perf_counter() - run_start
         nested = sum(stagetime.delta_since(before_run).values())
         stagetime.add("kernel", max(0.0, elapsed - nested))
-        return SimulationResult(
-            workload_name=self.profile.name,
-            num_instructions=num_instructions,
-            warmup_instructions=warmup_instructions,
-            seed=self.seed,
-            config=self.config,
-            stats=stats,
-            sleep=self.sleep,
-            record_sequences=record_sequences,
-        )
+        return stats
 
 
 _MEMO: Dict[Tuple, SimulationResult] = {}

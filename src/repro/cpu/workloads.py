@@ -19,10 +19,11 @@ dataflow and locality models.
 
 from __future__ import annotations
 
+import functools
 import os
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
 from repro.cpu import _trace_build
 from repro.cpu.isa import OpClass
@@ -599,23 +600,36 @@ def _trace_kernel_usable(profile: WorkloadProfile) -> bool:
     return _trace_build.trace_kernel_available()
 
 
-def _drain_walk_c(
-    program: _StaticProgram,
-    profile: WorkloadProfile,
-    walk_rng: DeterministicRng,
-    data_rng: DeterministicRng,
-    num_instructions: int,
-    chunk_size: int,
-) -> Iterator[TraceChunk]:
-    """Drain the dynamic walk through the compiled trace walker.
+class _ProgramTables(NamedTuple):
+    """A static program flattened into the C trace walker's tables.
 
-    Packs the static program into flat tables, transplants the walk and
-    data generators' MT19937 states (``Random.getstate()`` — the C side
-    has no seeding logic to diverge), and pulls column-backed chunks
-    straight out of C buffers. Emits exactly the chunks the Python
-    drain would.
+    Immutable once packed: ``repro_trace_create`` copies every table
+    and keeps the walk's mutable state (loop trip counters, the current
+    indirect targets) on its own side. The tables depend only on
+    (profile, seed), because the structure RNG is its own child stream,
+    so one packing serves every trace length and chunk size.
     """
-    lib = _trace_build.trace_library()
+
+    cfg_f: array
+    start_pc: array
+    term_pc: array
+    terminator: array
+    call_target: array
+    body_off: array
+    body_len: array
+    body_ops: array
+    br_is_loop: array
+    br_trip_mean: array
+    br_fixed: array
+    br_taken_prob: array
+    br_target: array
+    br_indirect: array
+    br_has_ind: array
+
+
+def _pack_program(program: _StaticProgram) -> _ProgramTables:
+    """Flatten a freshly built static program into the walker's tables."""
+    profile = program.profile
     blocks = program.blocks
     nblocks = len(blocks)
 
@@ -671,15 +685,66 @@ def _drain_walk_c(
             has_ind.append(0)
             indirect += [0] * _trace_build.INDIRECT_TARGETS
 
-    cfg_f = array("d", [
-        profile.first_source_prob,
-        profile.second_source_prob,
-        profile.mean_dep_distance,
-        profile.load_chain_prob,
-        profile.stack_prob,
-        profile.stack_prob + profile.stream_prob,
-        profile.heap_hot_prob,
-    ])
+    return _ProgramTables(
+        cfg_f=array("d", [
+            profile.first_source_prob,
+            profile.second_source_prob,
+            profile.mean_dep_distance,
+            profile.load_chain_prob,
+            profile.stack_prob,
+            profile.stack_prob + profile.stream_prob,
+            profile.heap_hot_prob,
+        ]),
+        start_pc=start_pc,
+        term_pc=term_pc,
+        terminator=terminator,
+        call_target=call_target,
+        body_off=body_off,
+        body_len=body_len,
+        body_ops=body_ops,
+        br_is_loop=array("B", is_loop),
+        br_trip_mean=array("d", trip_mean),
+        br_fixed=array("q", fixed),
+        br_taken_prob=array("d", taken_prob),
+        br_target=array("i", target0),
+        br_indirect=array("i", indirect),
+        br_has_ind=array("B", has_ind),
+    )
+
+
+@functools.lru_cache(maxsize=16)
+def _program_tables(profile: WorkloadProfile, seed: int) -> _ProgramTables:
+    """The packed static program for (profile, seed), built at most once
+    while it stays among the 16 most recently used.
+
+    The quick suite's 81 simulations share 9 programs; the nine
+    benchmarks' tables total ~313 KB (11-78 KB each). Keyed on the whole
+    frozen profile, like the simulation memo, so two profiles sharing a
+    name cannot collide. ``lru_cache`` is thread-safe (``repro serve``
+    runs batches on several threads) and builds outside its lock; two
+    threads racing on one key build identical tables.
+    """
+    structure_rng = DeterministicRng(seed).child(profile.name, "structure")
+    return _pack_program(_StaticProgram(profile, structure_rng))
+
+
+def _drain_walk_c(
+    tables: _ProgramTables,
+    profile: WorkloadProfile,
+    walk_rng: DeterministicRng,
+    data_rng: DeterministicRng,
+    num_instructions: int,
+    chunk_size: int,
+) -> Iterator[TraceChunk]:
+    """Drain the dynamic walk through the compiled trace walker.
+
+    Hands the packed static program to the walker, transplants the walk
+    and data generators' MT19937 states (``Random.getstate()`` — the C
+    side has no seeding logic to diverge), and pulls column-backed
+    chunks straight out of C buffers sized to the rows still to come.
+    Emits exactly the chunks the Python drain would.
+    """
+    lib = _trace_build.trace_library()
     cfg_i = array("q", [
         num_instructions,
         profile.num_blocks,
@@ -693,20 +758,11 @@ def _drain_walk_c(
         _HEAP_BASE,
     ])
 
-    # The raw generator states: 624 words + the cursor, per stream.
+    # The raw generator states: 624 words + the cursor, per stream. The
+    # pointer casts do NOT keep their source buffers alive, so every
+    # array must outlive the create call (the tables live in ``tables``).
     mt_walk = array("I", walk_rng._random.getstate()[1])
     mt_data = array("I", data_rng._random.getstate()[1])
-
-    # Freeze the branch tables into typed arrays bound to locals: the
-    # pointer casts do NOT keep their source buffers alive, so every
-    # array must outlive the create call.
-    br_is_loop = array("B", is_loop)
-    br_trip_mean = array("d", trip_mean)
-    br_fixed = array("q", fixed)
-    br_taken_prob = array("d", taken_prob)
-    br_target = array("i", target0)
-    br_indirect = array("i", indirect)
-    br_has_ind = array("B", has_ind)
 
     f64, i64, i32, u8, u32 = (
         _trace_build.f64_ptr,
@@ -716,36 +772,38 @@ def _drain_walk_c(
         _trace_build.u32_ptr,
     )
     handle = lib.repro_trace_create(
-        f64(cfg_f), i64(cfg_i), u32(mt_walk), u32(mt_data),
-        nblocks, i64(start_pc), i64(term_pc),
-        u8(terminator), i32(call_target),
-        i32(body_off), i32(body_len), u8(body_ops), len(body_ops),
-        u8(br_is_loop), f64(br_trip_mean),
-        i64(br_fixed), f64(br_taken_prob),
-        i32(br_target), i32(br_indirect),
-        u8(br_has_ind),
+        f64(tables.cfg_f), i64(cfg_i), u32(mt_walk), u32(mt_data),
+        len(tables.start_pc), i64(tables.start_pc), i64(tables.term_pc),
+        u8(tables.terminator), i32(tables.call_target),
+        i32(tables.body_off), i32(tables.body_len),
+        u8(tables.body_ops), len(tables.body_ops),
+        u8(tables.br_is_loop), f64(tables.br_trip_mean),
+        i64(tables.br_fixed), f64(tables.br_taken_prob),
+        i32(tables.br_target), i32(tables.br_indirect),
+        u8(tables.br_has_ind),
     )
     if not handle:
         raise MemoryError("trace kernel allocation failed")
     try:
         emitted = 0
-        while True:
-            op = array("B", bytes(chunk_size))
-            pc = array("q", bytes(8 * chunk_size))
-            dep1 = array("q", bytes(8 * chunk_size))
-            dep2 = array("q", bytes(8 * chunk_size))
-            address = array("q", bytes(8 * chunk_size))
-            taken = array("B", bytes(chunk_size))
-            target = array("q", bytes(8 * chunk_size))
+        while emitted < num_instructions:
+            want = min(chunk_size, num_instructions - emitted)
+            op = array("B", bytes(want))
+            pc = array("q", bytes(8 * want))
+            dep1 = array("q", bytes(8 * want))
+            dep2 = array("q", bytes(8 * want))
+            address = array("q", bytes(8 * want))
+            taken = array("B", bytes(want))
+            target = array("q", bytes(8 * want))
             rows = lib.repro_trace_fill(
-                handle, chunk_size, u8(op), i64(pc), i64(dep1), i64(dep2),
+                handle, want, u8(op), i64(pc), i64(dep1), i64(dep2),
                 i64(address), u8(taken), i64(target),
             )
             if rows < 0:
                 raise MemoryError("trace kernel ran out of memory")
             if rows == 0:
                 break
-            if rows < chunk_size:
+            if rows < want:
                 op = op[:rows]
                 pc = pc[:rows]
                 dep1 = dep1[:rows]
@@ -757,7 +815,7 @@ def _drain_walk_c(
                 emitted, (op, pc, dep1, dep2, address, taken, target)
             )
             emitted += rows
-            if rows < chunk_size:
+            if rows < want:
                 break
     finally:
         lib.repro_trace_destroy(handle)
@@ -787,22 +845,24 @@ def _walk_trace_columns(
     enforce it, and :func:`_walk_trace` stays as the executable
     reference. Any behavior change lands in both or neither.
     """
-    structure_rng = DeterministicRng(seed).child(profile.name, "structure")
     walk_rng = DeterministicRng(seed).child(profile.name, "walk")
     data_rng = DeterministicRng(seed).child(profile.name, "data")
 
-    program = _StaticProgram(profile, structure_rng)
-
     # The compiled walker (bit-exact CPython-random replay, see
-    # _trace_kernel.c) drains 1-2 orders of magnitude faster; the Python
-    # drain below is its always-available twin. Same chunks either way.
+    # _trace_kernel.c) drains 1-2 orders of magnitude faster and reuses
+    # the packed static program across traces; the Python drain below
+    # is its always-available twin. Same chunks either way.
     if _trace_kernel_usable(profile):
         yield from _drain_walk_c(
-            program, profile, walk_rng, data_rng, num_instructions,
-            chunk_size,
+            _program_tables(profile, seed), profile, walk_rng, data_rng,
+            num_instructions, chunk_size,
         )
         return
 
+    # This drain mutates the program's branch state as it walks, so it
+    # always builds its own.
+    structure_rng = DeterministicRng(seed).child(profile.name, "structure")
+    program = _StaticProgram(profile, structure_rng)
     blocks = program.blocks
     call_targets = program.call_targets
 

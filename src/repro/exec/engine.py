@@ -139,11 +139,6 @@ class BatchReport:
     latency_quantiles: Dict[str, float] = field(default_factory=dict)
 
 
-def _stamp_defaults(job: SimulationJob) -> SimulationJob:
-    """Back-compat alias for :meth:`SimulationJob.with_stamped_defaults`."""
-    return job.with_stamped_defaults()
-
-
 # -- per-backend telemetry -----------------------------------------------------
 
 #: Process-wide counters, one aggregate per backend name (plus "(warm)"

@@ -120,15 +120,16 @@ class SimulationJob:
         Worker processes — spawned pool workers and remote SSH workers
         alike — do not share this process's
         :func:`repro.cpu.stream.set_default_streaming` or
-        :func:`repro.cpu.kernel.set_default_kernel` state, so jobs that
-        left the mode, chunk size, or kernel to the defaults must carry
-        the resolved values across the process boundary. The streaming
-        mode stays unstamped under auto (``None`` resolves identically
-        by length in any process), but a non-default chunk size is
-        stamped even then — auto-streamed jobs in workers must honor the
-        user's ``--chunk-size``. None of these fields are part of the
-        cache key, so the stamped copy addresses the same cache entries
-        as the original.
+        :func:`repro.cpu.kernel.set_default_kernel` state, so an explicit
+        process-wide ``--streaming``, ``--chunk-size`` or ``--kernel``
+        must travel inside the job. The automatic defaults stay
+        unstamped (``None``): the streaming mode resolves identically by
+        length in any process, and each worker chooses its own kernel
+        (batch when it builds there, else the walk). A non-default chunk
+        size is stamped even under auto streaming — auto-streamed jobs
+        in workers must honor the user's ``--chunk-size``. None of these
+        fields are part of the cache key, so the stamped copy addresses
+        the same cache entries as the original.
         """
         streaming = self.streaming
         if streaming is None:

@@ -172,7 +172,8 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         action=argparse.BooleanOptionalAction,
         default=None,
         help="force bounded-memory chunked trace streaming on "
-        "(--streaming) or off (--no-streaming); default: automatic — "
+        "(--streaming) or off (--no-streaming) for the walk kernel (the "
+        "batch kernel always streams); default: automatic — "
         f"runs of >= {stream.STREAMING_THRESHOLD:,} total instructions "
         "stream. Results are float-for-float identical either way",
     )
@@ -190,9 +191,10 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="simulation engine: 'walk' is the per-instruction reference "
         "pipeline, 'batch' the array-batched C kernel (compiled on first "
-        "use; needs a C compiler). The kernels are float-for-float "
-        "identical — the choice affects speed only, never results or "
-        "cache keys (default: walk)",
+        "use; needs a C compiler, and fails with the build error without "
+        "one). The kernels are float-for-float identical — the choice "
+        "affects speed only, never results or cache keys (default: "
+        "batch when it builds, else walk; -v reports which ran and why)",
     )
     parser.add_argument(
         "--backend",
@@ -241,7 +243,8 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         "--verbose",
         action="store_true",
         help="print per-backend execution counters "
-        "(submitted/hits/misses/executed/failed) to stderr after the run",
+        "(submitted/hits/misses/executed/failed) and the simulations run "
+        "per kernel to stderr after the run",
     )
 
 
@@ -290,13 +293,17 @@ def finalize_observability(
 def print_telemetry(file=None) -> None:
     """Print the per-backend execution counters (the ``--verbose`` report).
 
-    Goes to stderr by default so rendered experiment output on stdout
-    stays byte-identical with and without ``--verbose``.
+    Followed by the per-kernel simulation counts when anything was
+    simulated. Goes to stderr by default so rendered experiment output
+    on stdout stays byte-identical with and without ``--verbose``.
     """
     out = file if file is not None else sys.stderr
     lines = engine.telemetry_lines()
     if not lines:
         print("[repro] no simulation batches were submitted", file=out)
+    kernel_line = kernel_mod.telemetry_line()
+    if kernel_line is not None:
+        lines.append(kernel_line)
     for line in lines:
         print(line, file=out)
 

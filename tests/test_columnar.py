@@ -17,6 +17,10 @@ reference, open- and closed-loop, streaming on and off, across chunk
 sizes including the degenerate ones (1 and 7, via re-chunking) the
 streaming generators themselves refuse.
 
+The C walker packs each (profile, seed) static program once and reuses
+it across trace lengths and threads; the cache tests pin that reuse to
+the same digests and the Python drain's fresh builds.
+
 The unit half covers the dual-representation :class:`TraceChunk`
 itself: ``from_columns`` validation, lazy instruction materialization,
 object->column projection round-trips, and ``is_columnar`` provenance
@@ -24,10 +28,14 @@ object->column projection round-trips, and ``is_columnar`` provenance
 fast-path guard depends on it).
 """
 
+import dataclasses
+import sys
+import threading
 from array import array
 
 import pytest
 
+from repro.cpu import workloads
 from repro.cpu._trace_build import (
     trace_kernel_available,
     trace_kernel_unavailable_reason,
@@ -152,6 +160,96 @@ class TestColumnarDigestGate:
             assert 0 < sizes[-1] <= chunk_size
             columnar = _drain(chunks)
             assert trace_digest(columnar) == trace_digest(reference)
+
+
+# -- the compiled walker's static-program cache ---------------------------------
+
+
+@pytest.mark.skipif(
+    not trace_kernel_available(),
+    reason=f"no trace kernel: {trace_kernel_unavailable_reason()}",
+)
+class TestStaticProgramCache:
+    """The C walker packs each (profile, seed) program once and reuses it,
+    without changing a single digest."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_cache(self):
+        workloads._program_tables.cache_clear()
+        yield
+        workloads._program_tables.cache_clear()
+
+    @staticmethod
+    def _cached():
+        return workloads._program_tables.cache_info().currsize
+
+    @staticmethod
+    def _probe(name="program-cache-probe", **changes):
+        return dataclasses.replace(get_benchmark("gcc"), name=name, **changes)
+
+    @staticmethod
+    def _reference(profile, length, seed):
+        return trace_digest(list(_walk_trace(profile, length, seed)))
+
+    def test_one_program_serves_two_lengths(self, monkeypatch):
+        profile = self._probe()
+        short = _drain(iter_trace(profile, 3_000, seed=4))
+        assert self._cached() == 1
+
+        def rebuilt(program):
+            raise AssertionError("static program rebuilt on a cache hit")
+
+        monkeypatch.setattr(workloads, "_pack_program", rebuilt)
+        long = _drain(iter_trace(profile, 7_000, seed=4))
+        assert trace_digest(short) == self._reference(profile, 3_000, 4)
+        assert trace_digest(long) == self._reference(profile, 7_000, 4)
+
+    def test_threads_generating_one_trace_agree(self):
+        """Eight threads over two programs race to build and share them;
+        every trace must still match."""
+        profiles = (self._probe(), self._probe("program-cache-rival"))
+        expected = {p: self._reference(p, 4_000, 2) for p in profiles}
+        barrier = threading.Barrier(8, timeout=60)
+        digests = []
+
+        def generate(profile):
+            barrier.wait()
+            for _ in range(3):
+                chunks = iter_trace(profile, 4_000, seed=2, chunk_size=512)
+                digests.append((profile, trace_digest(_drain(chunks))))
+
+        threads = [
+            threading.Thread(target=generate, args=(profiles[index % 2],))
+            for index in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(digests) == 24
+        assert all(digest == expected[profile] for profile, digest in digests)
+        assert self._cached() == 2
+
+    def test_profiles_sharing_a_name_do_not_collide(self):
+        first = self._probe()
+        second = self._probe(num_blocks=first.num_blocks + 50)
+        for profile in (first, second):
+            columnar = _drain(iter_trace(profile, 3_000, seed=1))
+            assert trace_digest(columnar) == self._reference(profile, 3_000, 1)
+        assert self._cached() == 2
+
+    def test_python_drain_builds_its_own_program(self, monkeypatch):
+        """The Python drain mutates branch state while it walks, so it
+        never shares a program through the cache."""
+        monkeypatch.setenv("REPRO_TRACE_ENGINE", "python")
+        _drain(iter_trace(self._probe(), 500, seed=1))
+        assert self._cached() == 0
 
 
 # -- the simulation gate --------------------------------------------------------

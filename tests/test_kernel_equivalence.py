@@ -46,8 +46,8 @@ from repro.cpu.sleep import SleepRuntimeSpec
 from repro.cpu.stream import TraceChunk
 from repro.cpu.trace import TraceInstruction
 from repro.cpu.workloads import benchmark_names, generate_trace, get_benchmark
-from repro.exec.engine import _stamp_defaults
 from repro.exec.jobs import SimulationJob
+from repro.obs import metrics as obs_metrics
 from repro.scenarios import sample_scenarios
 
 pytestmark = pytest.mark.skipif(
@@ -65,7 +65,7 @@ CLOSED_LOOP = SleepRuntimeSpec(policy="MaxSleep", wakeup_latency=2)
 
 @pytest.fixture(autouse=True)
 def _reset_kernel_default():
-    """Tests may set the process-wide kernel; always restore the walk."""
+    """Tests may set the process-wide kernel; always restore automatic."""
     yield
     set_default_kernel(None)
 
@@ -249,17 +249,20 @@ class TestOverflowRegression:
 class TestKernelKnob:
     """Resolution rules, cache-key exclusion, and worker stamping."""
 
-    def test_check_and_resolve(self):
+    def test_check_and_resolve(self, monkeypatch):
         assert check_kernel("walk") == KERNEL_WALK
         with pytest.raises(ValueError, match="unknown kernel"):
             check_kernel("vectorized")
-        assert resolve_kernel(None) == KERNEL_WALK
-        assert resolve_kernel("batch") == KERNEL_BATCH
-        set_default_kernel("batch")
+        # Automatic: the batch kernel whenever it is available.
         assert resolve_kernel(None) == KERNEL_BATCH
         assert resolve_kernel("walk") == KERNEL_WALK  # explicit wins
-        set_default_kernel(None)
+        set_default_kernel("walk")
         assert resolve_kernel(None) == KERNEL_WALK
+        assert resolve_kernel("batch") == KERNEL_BATCH  # explicit wins
+        set_default_kernel(None)
+        monkeypatch.setattr(kernel_mod, "batch_kernel_available", lambda: False)
+        assert resolve_kernel(None) == KERNEL_WALK
+        assert resolve_kernel("batch") == KERNEL_BATCH  # explicit wins
 
     def test_kernel_excluded_from_cache_key(self):
         job = SimulationJob(profile=get_benchmark("gzip"), num_instructions=1_000)
@@ -268,18 +271,25 @@ class TestKernelKnob:
 
     def test_engine_stamps_default_kernel_into_jobs(self):
         job = SimulationJob(profile=get_benchmark("gzip"), num_instructions=1_000)
-        assert _stamp_defaults(job) is job
-        set_default_kernel("batch")
-        assert _stamp_defaults(job).kernel == KERNEL_BATCH
-        explicit = dataclasses.replace(job, kernel=KERNEL_WALK)
-        assert _stamp_defaults(explicit).kernel == KERNEL_WALK
+        # Automatic stays unstamped: each worker chooses for itself.
+        assert job.with_stamped_defaults() is job
+        set_default_kernel("walk")
+        assert job.with_stamped_defaults().kernel == KERNEL_WALK
+        explicit = dataclasses.replace(job, kernel=KERNEL_BATCH)
+        assert explicit.with_stamped_defaults().kernel == KERNEL_BATCH
 
     def test_simulator_default_follows_process_default(self):
         profile = get_benchmark("vortex")
+        registry = obs_metrics.registry()
+        before = registry.snapshot()
+        set_default_kernel("walk")
         walk = Simulator(profile, seed=6).run(1_500)
-        set_default_kernel("batch")
+        set_default_kernel(None)
         batch = Simulator(profile, seed=6).run(1_500)
         assert batch.stats == walk.stats
+        ran = registry.delta_since(before)["counters"]
+        assert ran["sim.kernel_walk"] == 1
+        assert ran["sim.kernel_batch"] == 1
 
 
 class TestErrorParity:

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.cpu.kernel import KERNEL_BATCH, KERNEL_WALK, batch_kernel_available
 from repro.cpu.simulator import Simulator
 from repro.cpu.workloads import get_benchmark
 from repro.exec.engine import (
@@ -93,16 +94,30 @@ class TestAccumulator:
 
 class TestSimulationStageCapture:
     def test_walk_run_accrues_generate_and_kernel(self):
-        Simulator(get_benchmark("gzip"), seed=3).run(2_000)
+        Simulator(
+            get_benchmark("gzip"), seed=3, streaming=False, kernel=KERNEL_WALK
+        ).run(2_000)
         totals = stagetime.totals()
         assert totals.get("generate", 0.0) > 0.0
         assert "kernel" in totals
 
     def test_streaming_walk_attributes_generation(self):
-        Simulator(get_benchmark("gzip"), seed=3, streaming=True).run(2_000)
+        Simulator(
+            get_benchmark("gzip"), seed=3, streaming=True, kernel=KERNEL_WALK
+        ).run(2_000)
         totals = stagetime.totals()
         assert totals.get("generate", 0.0) > 0.0
         assert "kernel" in totals
+
+    @pytest.mark.skipif(
+        not batch_kernel_available(),
+        reason="no C compiler: the batch kernel cannot be built",
+    )
+    def test_batch_run_splits_generate_decode_kernel_pricing(self):
+        Simulator(get_benchmark("gzip"), seed=3, kernel=KERNEL_BATCH).run(2_000)
+        totals = stagetime.totals()
+        assert totals.get("generate", 0.0) > 0.0
+        assert {"decode", "kernel", "pricing"} <= set(totals)
 
     def test_run_jobs_attributes_stages_to_the_batch(self):
         reset_telemetry()

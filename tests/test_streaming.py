@@ -18,6 +18,7 @@ import dataclasses
 import pytest
 
 from repro.cpu import stream
+from repro.cpu.kernel import KERNEL_WALK
 from repro.cpu.pipeline import Pipeline
 from repro.cpu.simulator import Simulator, cached_result, simulate_workload
 from repro.cpu.sleep import SleepRuntimeSpec
@@ -33,8 +34,8 @@ from repro.cpu.stream import (
 )
 from repro.cpu.trace import trace_digest
 from repro.cpu.workloads import benchmark_names, generate_trace, get_benchmark, iter_trace
-from repro.exec.engine import _stamp_defaults
 from repro.exec.jobs import SimulationJob
+from repro.obs import metrics
 from repro.scenarios import sample_scenarios
 
 #: Small enough to exercise many chunk boundaries in short test windows.
@@ -53,12 +54,18 @@ def _reset_streaming_default():
 
 
 def _run(profile, streaming, sleep=None, window=2_500, warmup=500):
-    """One uncached simulation in the requested trace-delivery mode."""
+    """One uncached walk simulation in the requested trace-delivery mode.
+
+    Pinned to the walk: the batch kernel always consumes chunks and
+    ignores ``streaming``, so on it this gate would compare batch with
+    batch and test nothing.
+    """
     return Simulator(
         profile,
         sleep=sleep,
         streaming=streaming,
         chunk_size=TINY_CHUNK if streaming else None,
+        kernel=KERNEL_WALK,
     ).run(window, warmup_instructions=warmup)
 
 
@@ -114,9 +121,16 @@ class TestStreamingEquivalence:
         reference = _run(profile, streaming=False)
         for chunk_size in (MIN_CHUNK_SIZE, 257, 1024):
             streamed = Simulator(
-                profile, streaming=True, chunk_size=chunk_size
+                profile, streaming=True, chunk_size=chunk_size, kernel=KERNEL_WALK
             ).run(2_500, warmup_instructions=500)
             assert streamed.stats == reference.stats
+
+    def test_gate_runs_the_walk(self):
+        before = metrics.registry().snapshot()
+        _run(get_benchmark("gzip"), streaming=True, window=600, warmup=100)
+        ran = metrics.registry().delta_since(before)["counters"]
+        assert ran.get("sim.kernel_walk") == 1
+        assert "sim.kernel_batch" not in ran
 
 
 # -- trace-level invariants ----------------------------------------------------
@@ -289,19 +303,19 @@ class TestModeResolution:
 
     def test_engine_stamps_default_into_jobs(self):
         job = SimulationJob(profile=get_benchmark("gzip"), num_instructions=1_000)
-        assert _stamp_defaults(job) is job  # auto resolves anywhere
+        assert job.with_stamped_defaults() is job  # auto resolves anywhere
         stream.set_default_streaming(True, chunk_size=8_192)
-        stamped = _stamp_defaults(job)
+        stamped = job.with_stamped_defaults()
         assert stamped.streaming is True
         assert stamped.chunk_size == 8_192
         explicit = dataclasses.replace(job, streaming=False)
-        assert _stamp_defaults(explicit).streaming is False
+        assert explicit.with_stamped_defaults().streaming is False
 
     def test_engine_stamps_chunk_size_even_under_auto_mode(self):
         """A user --chunk-size must reach auto-streamed worker jobs."""
         job = SimulationJob(profile=get_benchmark("gzip"), num_instructions=1_000)
         stream.set_default_streaming(None, chunk_size=1_024)
-        stamped = _stamp_defaults(job)
+        stamped = job.with_stamped_defaults()
         assert stamped.streaming is None  # mode stays auto
         assert stamped.chunk_size == 1_024
 

@@ -43,11 +43,13 @@ streaming = spec["streaming"]
 sleep = (
     SleepRuntimeSpec(**spec["sleep"]) if spec["sleep"] is not None else None
 )
+# The walk: the batch kernel ignores ``streaming``.
 result = Simulator(
     profile,
     sleep=sleep,
     streaming=streaming,
     chunk_size=MIN_CHUNK_SIZE if streaming else None,
+    kernel="walk",
 ).run(spec["window"], warmup_instructions=spec["warmup"])
 
 total = spec["window"] + spec["warmup"]
