@@ -32,12 +32,12 @@ import time
 import pytest
 
 from repro.cpu.kernel import (
+    BatchPipeline,
     batch_kernel_available,
     batch_kernel_unavailable_reason,
-    chunk_trace,
-    run_batch,
 )
 from repro.cpu.pipeline import Pipeline
+from repro.cpu.stream import chunk_instructions
 from repro.cpu.workloads import generate_trace, get_benchmark, iter_trace
 
 #: Instructions in the timed trace — long enough that per-run constant
@@ -77,9 +77,9 @@ def test_bench_batch_kernel_speedup(bench_record):
     batch_seconds = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        batch_stats = run_batch(
-            chunk_trace(trace, CHUNK_SIZE), TRACE_LENGTH
-        )
+        batch_stats = BatchPipeline(
+            chunk_instructions(trace, CHUNK_SIZE), TRACE_LENGTH
+        ).run()
         batch_seconds = min(batch_seconds, time.perf_counter() - start)
 
     assert batch_stats == walk_stats
@@ -118,10 +118,10 @@ def test_bench_cold_batch_end_to_end(bench_record):
     cold_seconds = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        cold_stats = run_batch(
+        cold_stats = BatchPipeline(
             iter_trace(profile, TRACE_LENGTH, seed=11, chunk_size=CHUNK_SIZE),
             TRACE_LENGTH,
-        )
+        ).run()
         cold_seconds = min(cold_seconds, time.perf_counter() - start)
 
     assert cold_stats == walk_stats

@@ -22,7 +22,7 @@
  * Plain C99 + libc only (no Python.h), same contract as
  * _pipeline_kernel.c: the lazy ctypes build needs nothing beyond cc.
  *
- * Draw-order contract (mirrors _walk_trace / _walk_trace_columns):
+ * Draw-order contract (mirrors _walk_trace, the reference walk):
  *   body op:     dep1 draw, second-source chance, [dep2 draw],
  *                [address roll (+offset draw) for load/store],
  *                [load-chain chance iff a load has retired]

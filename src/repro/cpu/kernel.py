@@ -6,14 +6,15 @@ per-instruction walk in :mod:`repro.cpu.pipeline` stays the reference
 implementation; this module replaces its hot loop with a compiled C
 engine (built lazily by :mod:`repro.cpu._kernel_build`) that consumes
 the trace as structure-of-arrays :class:`~repro.cpu.stream.TraceChunk`
-blocks: the trace generators emit column-backed chunks, so per chunk the
-feed is zero-copy — the chunk's own typed arrays go straight to the
-engine (which copies them into its ring), and the engine runs the cycle
-loop — issue-slot assignment, fetch/mispredict/memory stall attribution,
-FU busy/idle-interval updates, and closed-loop wakeup-stall accounting —
-until it needs the next chunk. Legacy object-backed chunks still work:
+blocks: the compiled trace walker emits column-backed chunks, so per
+chunk the feed is zero-copy — the chunk's own typed arrays go straight
+to the engine (which copies them into its ring), and the engine runs
+the cycle loop — issue-slot assignment, fetch/mispredict/memory stall
+attribution, FU busy/idle-interval updates, and closed-loop wakeup-stall
+accounting — until it needs the next chunk. Object-backed chunks (the
+reference walk's, where the walker cannot run) work too:
 :meth:`TraceChunk.columns` projects them into arrays on first access,
-which is the only remaining per-instruction Python cost on that path.
+which is the only per-instruction Python cost on that path.
 
 Exactness contract
     The kernel reproduces the walk float-for-float: every integer
@@ -189,7 +190,7 @@ def telemetry_line() -> Optional[str]:
     return line
 
 
-# -- structure-of-arrays chunk decode -------------------------------------------
+# -- array.array -> ctypes pointer casts ----------------------------------------
 
 _P_I64 = ctypes.POINTER(ctypes.c_int64)
 _P_U8 = ctypes.POINTER(ctypes.c_uint8)
@@ -201,20 +202,6 @@ def _i64_ptr(column: array) -> "ctypes._Pointer":
 
 def _u8_ptr(column: array) -> "ctypes._Pointer":
     return ctypes.cast(column.buffer_info()[0], _P_U8)
-
-
-def decode_chunk(chunk: TraceChunk) -> tuple:
-    """One :class:`TraceChunk` as the kernel's per-field typed arrays.
-
-    For column-backed chunks (everything the columnar trace generators
-    emit) this is a zero-copy pass-through: the chunk's own arrays are
-    returned, which is safe because ``repro_feed`` copies the window
-    into its ring before returning. Object-backed chunks (hand-built
-    tests, legacy composites) pay one attribute-projection pass via
-    :meth:`~repro.cpu.stream.TraceChunk.columns` — the last remaining
-    per-instruction Python cost on the batch path.
-    """
-    return chunk.columns
 
 
 # -- the batched pipeline -------------------------------------------------------
@@ -359,7 +346,8 @@ class BatchPipeline:
         status = ST_NEED_DATA
         # Lazy generators do their work inside next(), which the timed
         # iterator charges to "generate"; the feed loop's own time below
-        # lands on "decode" (projection, ~zero when column-backed) and
+        # lands on "decode" (column projection, ~zero when column-backed:
+        # repro_feed copies the chunk's own arrays into its ring) and
         # "kernel" (the C cycle loop).
         for chunk in stagetime.timed_iterator("generate", self._chunks):
             if chunk.start != fed:
@@ -373,7 +361,7 @@ class BatchPipeline:
                     f"declared length {total}"
                 )
             with stagetime.timed("decode"):
-                op, pc, dep1, dep2, addr, taken, target = decode_chunk(chunk)
+                op, pc, dep1, dep2, addr, taken, target = chunk.columns
             with stagetime.timed("kernel"):
                 status = lib.repro_feed(
                     sim,
@@ -480,31 +468,3 @@ class BatchPipeline:
                 "DTLB": out[18] - out[30],
             },
         )
-
-
-def chunk_trace(trace, chunk_size: int) -> Iterable[TraceChunk]:
-    """Re-chunk a materialized trace list into contiguous blocks."""
-    for start in range(0, len(trace), chunk_size):
-        yield TraceChunk(start, trace[start : start + chunk_size])
-
-
-def run_batch(
-    chunks: Iterable[TraceChunk],
-    total_instructions: int,
-    config: Optional[MachineConfig] = None,
-    warmup_instructions: int = 0,
-    record_sequences: bool = True,
-    sleep_spec: Optional[SleepRuntimeSpec] = None,
-    max_cycles: Optional[int] = None,
-) -> SimulationStats:
-    """Convenience wrapper: one batched run over a chunk stream."""
-    pipeline = BatchPipeline(
-        chunks,
-        total_instructions,
-        config=config,
-        record_sequences=record_sequences,
-        sleep_spec=sleep_spec,
-    )
-    return pipeline.run(
-        max_cycles=max_cycles, warmup_instructions=warmup_instructions
-    )

@@ -16,14 +16,15 @@ streaming counterparts:
   few chunks is sufficient — and accesses behind the window raise
   rather than silently re-generating.
 
-A chunk's *native* representation is structure-of-arrays: seven
-per-field typed arrays (:data:`COLUMN_FIELDS`), which the array-batched
-C kernel (:mod:`repro.cpu.kernel`) consumes zero-copy. Instruction
-objects are a lazy view materialized on demand for the per-instruction
-walk engine, golden files, and :func:`repro.cpu.trace.trace_digest` —
-not the source of truth. Chunks built the legacy way (from an
-instruction list) project their columns lazily instead, so both
-directions interoperate.
+A chunk holds one of two representations and derives the other on
+demand. The compiled trace walker emits structure-of-arrays chunks:
+seven per-field typed arrays (:data:`COLUMN_FIELDS`), which the
+array-batched C kernel (:mod:`repro.cpu.kernel`) consumes zero-copy,
+while instruction objects are a lazy view for the per-instruction walk
+engine, golden files, and :func:`repro.cpu.trace.trace_digest`. The
+reference walk, which runs where the walker cannot, emits object-backed
+chunks (:func:`chunk_instructions`) whose columns are projected on
+first access instead.
 
 The streaming path is *observationally identical* to the materialized
 one: the same walk produces the same instructions in the same order,
@@ -31,7 +32,7 @@ and the pipeline code consuming them is unchanged. That float-for-float
 equivalence is enforced by ``tests/test_streaming.py`` (the CI gate)
 and is what licenses streaming's absence from simulation cache keys;
 ``tests/test_columnar.py`` enforces the stronger digest-identity of the
-columnar and object walks.
+compiled walker and the reference walk.
 
 Process-wide defaults (set by the CLI's ``--streaming``/``--chunk-size``
 flags) live here so the simulator facade and the execution engine share
@@ -96,15 +97,15 @@ class TraceChunk:
     A chunk holds one of two representations and derives the other
     lazily:
 
-    * **column-backed** (:meth:`from_columns`, the native form emitted
-      by the columnar walk): seven typed arrays in
-      :data:`COLUMN_FIELDS` order. :attr:`instructions` materializes
+    * **column-backed** (:meth:`from_columns`, the form the compiled
+      trace walker and the phased interleave emit): seven typed arrays
+      in :data:`COLUMN_FIELDS` order. :attr:`instructions` materializes
       equal ``TraceInstruction`` objects on first access — same ops
       (as :class:`~repro.cpu.isa.OpClass`), same ints, same bools — so
       digests, goldens, and the walk engine see an identical trace.
-    * **object-backed** (``TraceChunk(start, instructions)``, the
-      legacy form): a ``TraceInstruction`` list. :attr:`columns`
-      projects the typed arrays on first access.
+    * **object-backed** (``TraceChunk(start, instructions)``, the form
+      the reference walk emits): a ``TraceInstruction`` list.
+      :attr:`columns` projects the typed arrays on first access.
 
     Both derivations are cached on the chunk; neither mutates the
     source representation. Digest-identity between the two directions
@@ -251,14 +252,15 @@ def check_chunk_size(chunk_size: int) -> int:
 def chunk_instructions(
     instructions: Iterable[TraceInstruction],
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    start: int = 0,
 ) -> Iterator[TraceChunk]:
-    """Batch an instruction iterable into contiguous fixed-size chunks.
+    """Batch an instruction iterable into contiguous object-backed chunks.
 
-    The final chunk carries the remainder. Shared by the generic walk
-    path and composite profiles that stream member sources.
+    Every chunk holds ``chunk_size`` instructions except the last, which
+    carries the remainder. Any size >= 1 works: the
+    :data:`MIN_CHUNK_SIZE` floor is for streamed traces, and
+    :func:`~repro.cpu.workloads.iter_trace` enforces it.
     """
-    check_chunk_size(chunk_size)
+    start = 0
     buffer: List[TraceInstruction] = []
     for instruction in instructions:
         buffer.append(instruction)
@@ -268,37 +270,6 @@ def chunk_instructions(
             buffer = []
     if buffer:
         yield TraceChunk(start, buffer)
-
-
-def columns_chunk(
-    start: int,
-    op: Sequence[int],
-    pc: Sequence[int],
-    dep1: Sequence[int],
-    dep2: Sequence[int],
-    address: Sequence[int],
-    taken: Sequence[int],
-    target: Sequence[int],
-) -> TraceChunk:
-    """Freeze parallel row buffers into a column-backed chunk.
-
-    The columnar generators accumulate rows in plain lists (the cheapest
-    thing to append to from a Python loop) and call this at chunk
-    boundaries to convert one chunk's worth into typed arrays. Buffers
-    may be any int sequences; callers pass pre-sliced views.
-    """
-    return TraceChunk.from_columns(
-        start,
-        (
-            array("B", op),
-            array("q", pc),
-            array("q", dep1),
-            array("q", dep2),
-            array("q", address),
-            array("B", taken),
-            array("q", target),
-        ),
-    )
 
 
 class StreamingTrace(Sequence):

@@ -20,7 +20,6 @@ dataflow and locality models.
 from __future__ import annotations
 
 import functools
-import os
 from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional
@@ -32,7 +31,6 @@ from repro.cpu.stream import (
     TraceChunk,
     check_chunk_size,
     chunk_instructions,
-    columns_chunk,
 )
 from repro.cpu.trace import TraceInstruction
 from repro.util.lookup import unknown_name_message
@@ -154,6 +152,14 @@ class WorkloadProfile:
                 f"{self.stream_prob} = {self.stack_prob + self.stream_prob}; "
                 f"the remainder is the heap share)"
             )
+        # A positive stride keeps the C walker and the reference walk on
+        # one stream: on a negative offset Python's % floors where C's
+        # truncates toward zero.
+        if self.stream_stride < 1:
+            raise ValueError(
+                f"{self.name}: stream_stride must be >= 1, "
+                f"got {self.stream_stride}"
+            )
         if self.mean_block_size < 2.0:
             raise ValueError(f"{self.name}: blocks must average >= 2 instructions")
         if self.mean_dep_distance < 1.0:
@@ -181,19 +187,11 @@ _TERM_BRANCH = 0
 _TERM_CALL = 1
 _TERM_RETURN = 2
 
-# Control-op values as plain ints for the columnar drain's row appends.
-_OP_BRANCH = int(OpClass.BRANCH)
-_OP_CALL = int(OpClass.CALL)
-_OP_RETURN = int(OpClass.RETURN)
-
 
 class _Block:
     """A basic block of the static program."""
 
-    __slots__ = (
-        "start_pc", "body", "terminator", "term_pc", "branch",
-        "col_ops", "col_pcs", "col_kinds", "col_zeros",
-    )
+    __slots__ = ("start_pc", "body", "terminator", "term_pc", "branch")
 
     def __init__(self, start_pc: int, body: List[OpClass], terminator: int):
         self.start_pc = start_pc
@@ -201,18 +199,6 @@ class _Block:
         self.terminator = terminator
         self.term_pc = start_pc + 4 * len(body)
         self.branch: Optional[_StaticBranch] = None
-        # Static per-block columns, precomputed once so the columnar
-        # drain bulk-extends its buffers instead of recomputing op
-        # values and PCs on every dynamic visit. kinds: 1 = load,
-        # 2 = store, 0 = everything else (what the address/chain logic
-        # dispatches on).
-        self.col_ops = [int(op) for op in body]
-        self.col_pcs = [start_pc + 4 * i for i in range(len(body))]
-        self.col_kinds = [
-            1 if op is OpClass.LOAD else 2 if op is OpClass.STORE else 0
-            for op in body
-        ]
-        self.col_zeros = [0] * len(body)
 
 
 class _StaticBranch:
@@ -452,11 +438,12 @@ def _walk_trace(
     """The dynamic CFG walk, one instruction at a time.
 
     The *executable reference* for the instruction stream: readable,
-    one draw shape per helper, one yield per instruction. The
-    production paths (:func:`generate_trace`, :func:`iter_trace`) drain
-    :func:`_walk_trace_columns` instead — the same walk inlined into a
-    columnar drain — and the digest-identity gate in
+    one draw shape per helper, one yield per instruction. The C trace
+    walker (``_trace_kernel.c``, driven by :func:`_drain_walk_c`)
+    replays it bit-exactly, and the digest-identity gate in
     ``tests/test_columnar.py`` pins the two together draw for draw.
+    Where the walker cannot run, :func:`iter_trace` chunks this walk
+    directly.
     """
     structure_rng = DeterministicRng(seed).child(profile.name, "structure")
     walk_rng = DeterministicRng(seed).child(profile.name, "walk")
@@ -570,16 +557,11 @@ def _walk_trace(
 def _trace_kernel_usable(profile: WorkloadProfile) -> bool:
     """Should this walk run on the compiled trace walker?
 
-    ``REPRO_TRACE_ENGINE=python`` forces the pure-Python drain (how the
-    equivalence tests compare the two engines). Otherwise the C walker
-    is used whenever it builds and the profile fits its fixed-width
-    assumptions: randbelow spans inside 32 bits, 4-byte ``array``
-    int/uint codes on this platform, and a non-degenerate stream modulus
-    wherever stream accesses can occur (a zero modulus must keep raising
-    in Python, not fault in C).
+    Yes whenever the walker builds and the profile fits its fixed-width
+    assumptions: randbelow spans inside 32 bits and 4-byte ``array``
+    int/uint codes on this platform. Otherwise :func:`iter_trace` falls
+    back to the reference walk, which emits the same stream.
     """
-    if os.environ.get("REPRO_TRACE_ENGINE", "").strip().lower() == "python":
-        return False
     if array("i").itemsize != 4 or array("I").itemsize != 4:
         return False
     limit = 2**32 - 1
@@ -591,11 +573,6 @@ def _trace_kernel_usable(profile: WorkloadProfile) -> bool:
     if any(span >= limit for span in spans):
         return False
     if profile.num_blocks >= 2**31:
-        return False
-    if (
-        profile.stream_prob > 0.0
-        and max(profile.stream_stride, profile.stream_bytes) < 1
-    ):
         return False
     return _trace_build.trace_kernel_available()
 
@@ -649,8 +626,8 @@ def _pack_program(program: _StaticProgram) -> _ProgramTables:
     body_ops_list: List[int] = []
     for block in blocks:
         body_off_list.append(len(body_ops_list))
-        body_len_list.append(len(block.col_ops))
-        body_ops_list += block.col_ops
+        body_len_list.append(len(block.body))
+        body_ops_list += block.body
     body_off = array("i", body_off_list)
     body_len = array("i", body_len_list)
     body_ops = array("B", body_ops_list)
@@ -729,11 +706,9 @@ def _program_tables(profile: WorkloadProfile, seed: int) -> _ProgramTables:
 
 
 def _drain_walk_c(
-    tables: _ProgramTables,
     profile: WorkloadProfile,
-    walk_rng: DeterministicRng,
-    data_rng: DeterministicRng,
     num_instructions: int,
+    seed: int,
     chunk_size: int,
 ) -> Iterator[TraceChunk]:
     """Drain the dynamic walk through the compiled trace walker.
@@ -742,8 +717,12 @@ def _drain_walk_c(
     and data generators' MT19937 states (``Random.getstate()`` — the C
     side has no seeding logic to diverge), and pulls column-backed
     chunks straight out of C buffers sized to the rows still to come.
-    Emits exactly the chunks the Python drain would.
+    Emits the stream of :func:`_walk_trace`, cut every ``chunk_size``
+    rows.
     """
+    tables = _program_tables(profile, seed)
+    walk_rng = DeterministicRng(seed).child(profile.name, "walk")
+    data_rng = DeterministicRng(seed).child(profile.name, "data")
     lib = _trace_build.trace_library()
     cfg_i = array("q", [
         num_instructions,
@@ -821,271 +800,26 @@ def _drain_walk_c(
         lib.repro_trace_destroy(handle)
 
 
-def _walk_trace_columns(
+def _walk_chunks(
     profile: WorkloadProfile,
     num_instructions: int,
     seed: int,
     chunk_size: int,
 ) -> Iterator[TraceChunk]:
-    """The same CFG walk as :func:`_walk_trace`, drained into columns.
+    """A plain profile's walk as contiguous ``chunk_size`` chunks.
 
-    This is the cold-path hot loop of the whole system, so it trades
-    readability for speed: the RNG draw shapes (``chance``,
-    ``geometric``, the dependency draw, the address model) are inlined
-    onto bound ``random.Random`` methods, static per-block columns are
-    bulk-extended, and rows accumulate in plain lists frozen into typed
-    arrays only at chunk boundaries.
-
-    LOCKSTEP CONTRACT: every RNG draw here must mirror
-    :func:`_walk_trace` exactly — same stream, same order, same count,
-    including the no-draw shortcuts (``geometric(1.0)``, the
-    load-chain short-circuit when no load has retired yet, fixed-trip
-    loops). The two walks must stay digest-identical, not merely
-    float-equal; ``tests/test_columnar.py`` and the property suite
-    enforce it, and :func:`_walk_trace` stays as the executable
-    reference. Any behavior change lands in both or neither.
+    The compiled walker drains it 1-2 orders of magnitude faster than
+    the reference and reuses the packed static program across traces;
+    where it cannot run, the reference walk is cut into object-backed
+    chunks. Same stream either way. A generator, so the walker build
+    and the static-program build happen on the first pull, which the
+    batch kernel charges to its ``generate`` stage.
     """
-    walk_rng = DeterministicRng(seed).child(profile.name, "walk")
-    data_rng = DeterministicRng(seed).child(profile.name, "data")
-
-    # The compiled walker (bit-exact CPython-random replay, see
-    # _trace_kernel.c) drains 1-2 orders of magnitude faster and reuses
-    # the packed static program across traces; the Python drain below
-    # is its always-available twin. Same chunks either way.
     if _trace_kernel_usable(profile):
-        yield from _drain_walk_c(
-            _program_tables(profile, seed), profile, walk_rng, data_rng,
-            num_instructions, chunk_size,
-        )
-        return
-
-    # This drain mutates the program's branch state as it walks, so it
-    # always builds its own.
-    structure_rng = DeterministicRng(seed).child(profile.name, "structure")
-    program = _StaticProgram(profile, structure_rng)
-    blocks = program.blocks
-    call_targets = program.call_targets
-
-    # Bound RNG entry points (one attribute lookup instead of three per
-    # draw) and hoisted profile constants.
-    data_random = data_rng._random.random
-    data_randint = data_rng._random.randint
-    first_prob = profile.first_source_prob
-    second_prob = profile.second_source_prob
-    mean_dep = profile.mean_dep_distance
-    dep_is_unit = mean_dep == 1.0
-    dep_success = 0.0 if dep_is_unit else 1.0 / mean_dep
-    chain_prob = profile.load_chain_prob
-    stack_prob = profile.stack_prob
-    stack_or_stream = stack_prob + profile.stream_prob
-    hot_prob = profile.heap_hot_prob
-    stack_span = max(8, profile.stack_bytes) - 8
-    hot_span = max(8, profile.heap_hot_bytes) - 8
-    heap_span = max(8, profile.heap_bytes) - 8
-    stride = profile.stream_stride
-    stream_mod = max(stride, profile.stream_bytes)
-    main_blocks = profile.num_blocks
-
-    def draw_dep(pos: int) -> int:
-        # Mirrors _walk_trace's draw_dep: chance(first_source_prob),
-        # then geometric(mean_dep_distance) capped to the trace prefix.
-        if data_random() >= first_prob:
-            return 0
-        if dep_is_unit:
-            return 1 if pos >= 1 else pos
-        distance = 1
-        while not data_random() < dep_success:
-            distance += 1
-            if distance > 10_000_000:
-                break
-        return distance if distance < pos else pos
-
-    op_buf: List[int] = []
-    pc_buf: List[int] = []
-    dep1_buf: List[int] = []
-    dep2_buf: List[int] = []
-    addr_buf: List[int] = []
-    taken_buf: List[int] = []
-    target_buf: List[int] = []
-    dep1_append = dep1_buf.append
-    dep2_append = dep2_buf.append
-    addr_append = addr_buf.append
-    emitted = 0
-
-    position = 0
-    current = 0
-    call_stack: List[int] = []
-    last_load_index = -1
-    stream_offset = 0
-
-    while position < num_instructions:
-        block = blocks[current]
-        body_len = len(block.col_ops)
-        take = body_len
-        if position + take > num_instructions:
-            take = num_instructions - position
-        if take == body_len:
-            op_buf += block.col_ops
-            pc_buf += block.col_pcs
-            zeros = block.col_zeros
-            kinds = block.col_kinds
-        else:
-            op_buf += block.col_ops[:take]
-            pc_buf += block.col_pcs[:take]
-            zeros = block.col_zeros[:take]
-            kinds = block.col_kinds[:take]
-        taken_buf += zeros
-        target_buf += zeros
-        for kind in kinds:
-            # dep1 = draw_dep(position), inlined.
-            if data_random() < first_prob:
-                if dep_is_unit:
-                    dep1 = 1 if position >= 1 else position
-                else:
-                    distance = 1
-                    while not data_random() < dep_success:
-                        distance += 1
-                        if distance > 10_000_000:
-                            break
-                    dep1 = distance if distance < position else position
-            else:
-                dep1 = 0
-            # dep2 = draw_dep(position) if chance(second_source_prob).
-            if data_random() < second_prob:
-                if data_random() < first_prob:
-                    if dep_is_unit:
-                        dep2 = 1 if position >= 1 else position
-                    else:
-                        distance = 1
-                        while not data_random() < dep_success:
-                            distance += 1
-                            if distance > 10_000_000:
-                                break
-                        dep2 = distance if distance < position else position
-                else:
-                    dep2 = 0
-            else:
-                dep2 = 0
-            if kind:
-                # _AddressGenerator.next_address, inlined: one uniform
-                # roll picks the locality class, then stack/heap draw a
-                # doubleword-aligned offset; streams advance statefully
-                # with no draw.
-                roll = data_random()
-                if roll < stack_prob:
-                    address = _STACK_BASE + (data_randint(0, stack_span) & ~7)
-                elif roll < stack_or_stream:
-                    address = _STREAM_BASE + stream_offset
-                    stream_offset = (stream_offset + stride) % stream_mod
-                elif data_random() < hot_prob:
-                    address = _HEAP_BASE + (data_randint(0, hot_span) & ~7)
-                else:
-                    address = _HEAP_BASE + (data_randint(0, heap_span) & ~7)
-                if kind == 1:
-                    if last_load_index >= 0 and data_random() < chain_prob:
-                        dep1 = position - last_load_index
-                    last_load_index = position
-            else:
-                address = 0
-            dep1_append(dep1)
-            dep2_append(dep2)
-            addr_append(address)
-            position += 1
-
-        if position >= num_instructions:
-            break
-
-        # Terminator (one row appended to every buffer).
-        terminator = block.terminator
-        if terminator == _TERM_CALL:
-            target_entry = call_targets[current]
-            op_buf.append(_OP_CALL)
-            pc_buf.append(block.term_pc)
-            dep1_append(draw_dep(position))
-            dep2_append(0)
-            addr_append(0)
-            taken_buf.append(1)
-            target_buf.append(blocks[target_entry].start_pc)
-            position += 1
-            call_stack.append((current + 1) % main_blocks)
-            current = target_entry
-        elif terminator == _TERM_RETURN:
-            if call_stack:
-                return_block = call_stack.pop()
-            else:
-                return_block = walk_rng.randint(0, main_blocks - 1)
-            op_buf.append(_OP_RETURN)
-            pc_buf.append(block.term_pc)
-            dep1_append(0)
-            dep2_append(0)
-            addr_append(0)
-            taken_buf.append(1)
-            target_buf.append(blocks[return_block].start_pc)
-            position += 1
-            current = return_block
-        else:
-            branch = block.branch
-            taken = branch.next_outcome(walk_rng)
-            if branch.indirect_targets is not None and taken:
-                branch.target_block = branch.indirect_targets[
-                    walk_rng.randint(0, len(branch.indirect_targets) - 1)
-                ]
-            if taken:
-                next_block = branch.target_block
-            else:
-                limit = main_blocks if current < main_blocks else len(blocks)
-                next_block = current + 1
-                if next_block >= limit:
-                    next_block = 0 if current < main_blocks else current
-            op_buf.append(_OP_BRANCH)
-            pc_buf.append(block.term_pc)
-            dep1_append(draw_dep(position))
-            dep2_append(0)
-            addr_append(0)
-            taken_buf.append(1 if taken else 0)
-            target_buf.append(blocks[branch.target_block].start_pc)
-            position += 1
-            current = next_block
-
-        while len(op_buf) >= chunk_size:
-            yield columns_chunk(
-                emitted,
-                op_buf[:chunk_size], pc_buf[:chunk_size],
-                dep1_buf[:chunk_size], dep2_buf[:chunk_size],
-                addr_buf[:chunk_size], taken_buf[:chunk_size],
-                target_buf[:chunk_size],
-            )
-            del op_buf[:chunk_size]
-            del pc_buf[:chunk_size]
-            del dep1_buf[:chunk_size]
-            del dep2_buf[:chunk_size]
-            del addr_buf[:chunk_size]
-            del taken_buf[:chunk_size]
-            del target_buf[:chunk_size]
-            emitted += chunk_size
-
-    # Final flush: the truncation paths above can leave more than one
-    # chunk's worth buffered, so keep boundaries exact here too.
-    while len(op_buf) >= chunk_size:
-        yield columns_chunk(
-            emitted,
-            op_buf[:chunk_size], pc_buf[:chunk_size],
-            dep1_buf[:chunk_size], dep2_buf[:chunk_size],
-            addr_buf[:chunk_size], taken_buf[:chunk_size],
-            target_buf[:chunk_size],
-        )
-        del op_buf[:chunk_size]
-        del pc_buf[:chunk_size]
-        del dep1_buf[:chunk_size]
-        del dep2_buf[:chunk_size]
-        del addr_buf[:chunk_size]
-        del taken_buf[:chunk_size]
-        del target_buf[:chunk_size]
-        emitted += chunk_size
-    if op_buf:
-        yield columns_chunk(
-            emitted, op_buf, pc_buf, dep1_buf, dep2_buf,
-            addr_buf, taken_buf, target_buf,
+        yield from _drain_walk_c(profile, num_instructions, seed, chunk_size)
+    else:
+        yield from chunk_instructions(
+            _walk_trace(profile, num_instructions, seed), chunk_size
         )
 
 
@@ -1101,20 +835,18 @@ def iter_trace(
     at most ``chunk_size`` instructions exist per yielded block, so
     wrapping this in a :class:`~repro.cpu.stream.StreamingTrace` keeps
     peak memory independent of ``num_instructions``. The instruction
-    stream — values and order — is identical to :func:`generate_trace`
-    for every (profile, num_instructions, seed); chunking only decides
-    where the block boundaries fall.
+    stream — values and order — depends only on (profile,
+    num_instructions, seed); chunking only decides where the block
+    boundaries fall.
 
-    Plain profiles drain the columnar walk
-    (:func:`_walk_trace_columns`), so every chunk is column-backed and
-    the batch kernel consumes it zero-copy; the per-instruction object
-    view materializes lazily where a consumer asks for it. Composite
-    workloads provide an
-    ``iter_trace_chunks(num_instructions, seed, chunk_size)`` hook
-    (e.g. :meth:`repro.scenarios.phased.PhasedProfile.iter_trace_chunks`,
-    which streams its member sources); profiles with only the legacy
-    ``build_trace`` hook are materialized and re-chunked, correct but
-    not bounded-memory.
+    Plain profiles come from the compiled trace walker, as
+    column-backed chunks the batch kernel consumes zero-copy; without
+    it (no C compiler, or a profile outside its fixed widths) from the
+    reference walk, as object-backed chunks. Composite workloads
+    provide an ``iter_trace_chunks(num_instructions, seed, chunk_size)``
+    hook (e.g.
+    :meth:`repro.scenarios.phased.PhasedProfile.iter_trace_chunks`,
+    which streams its member sources).
     """
     if num_instructions < 1:
         raise ValueError(
@@ -1123,10 +855,7 @@ def iter_trace(
     chunked = getattr(profile, "iter_trace_chunks", None)
     if chunked is not None:
         return chunked(num_instructions, seed, chunk_size=chunk_size)
-    build = getattr(profile, "build_trace", None)
-    if build is not None:
-        return chunk_instructions(build(num_instructions, seed), chunk_size)
-    return _walk_trace_columns(
+    return _walk_chunks(
         profile, num_instructions, seed, check_chunk_size(chunk_size)
     )
 
@@ -1140,28 +869,11 @@ def generate_trace(
 
     Deterministic in (profile, num_instructions, seed); extending the
     window preserves the prefix's structure (same static program).
-
-    Composite workloads (e.g. :class:`repro.scenarios.phased.PhasedProfile`)
-    provide their own ``build_trace(num_instructions, seed)`` method; the
-    simulator funnels every profile through this function, so the hook is
-    what lets them flow through jobs, caching, and the parallel engine
-    unchanged. For bounded memory on long traces, use :func:`iter_trace`
-    (same stream, chunked) instead of this materializing wrapper.
+    This materializes :func:`iter_trace`'s stream, composite workloads
+    included; for bounded memory on long traces, iterate that instead.
     """
-    if num_instructions < 1:
-        raise ValueError(
-            f"num_instructions must be >= 1, got {num_instructions}"
-        )
-    build = getattr(profile, "build_trace", None)
-    if build is not None:
-        return build(num_instructions, seed)
-    # Drain the columnar walk and materialize: even paying the object
-    # view, this beats the per-instruction reference walk, and it keeps
-    # one generator as the single source for both APIs.
     trace: List[TraceInstruction] = []
-    for chunk in _walk_trace_columns(
-        profile, num_instructions, seed, DEFAULT_CHUNK_SIZE
-    ):
+    for chunk in iter_trace(profile, num_instructions, seed):
         trace += chunk.instructions
     return trace
 

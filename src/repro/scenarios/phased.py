@@ -129,8 +129,9 @@ class PhasedProfile:
         """Member ``index``'s continuous columnar stream, relocated.
 
         Generated lazily through :func:`~repro.cpu.workloads.iter_trace`
-        (which hands back column-backed chunks) so at most one chunk of
-        each member's source exists at a time. The per-member PC offset
+        (column-backed chunks from the compiled walker; object-backed
+        ones project their columns) so at most one chunk of each
+        member's source exists at a time. The per-member PC offset
         is applied as a vectorized shift over the ``pc`` and ``target``
         columns — ``target`` keeps 0 as its "no target" sentinel, so
         only non-zero entries move.
@@ -270,9 +271,11 @@ class PhasedProfile:
     def build_trace(
         self, num_instructions: int, seed: int
     ) -> List[TraceInstruction]:
-        """The composite committed-path trace (the hook
-        :func:`~repro.cpu.workloads.generate_trace` dispatches to).
+        """The composite committed-path trace, built from objects.
 
+        The executable reference for :meth:`iter_trace_chunks`, which
+        :func:`~repro.cpu.workloads.generate_trace` materializes; the
+        columnar equivalence gate checks the two digest-identical.
         Deterministic in (profile, num_instructions, seed). Dependency
         distances are kept verbatim: a distance reaching past a phase
         boundary lands on another member's instructions, which is the

@@ -1,8 +1,8 @@
 """The columnar-equivalence gate (CI) plus TraceChunk machinery units.
 
-The keystone contract of the columnar trace pipeline: the column-backed
-generators — the pure-Python columnar drain and the compiled C trace
-walker — reproduce the per-instruction reference walk *digest-identical*
+The keystone contract of the columnar trace pipeline: the compiled C
+trace walker and the phased composite interleave reproduce the
+per-instruction reference walk *digest-identical*
 (:func:`~repro.cpu.trace.trace_digest` over every field of every slot),
 for every seed benchmark, for sampled scenarios, and for phased
 composites, across chunk sizes. Digest identity is strictly stronger
@@ -19,7 +19,9 @@ streaming generators themselves refuse.
 
 The C walker packs each (profile, seed) static program once and reuses
 it across trace lengths and threads; the cache tests pin that reuse to
-the same digests and the Python drain's fresh builds.
+the same digests. Where the walker cannot run (no compiler, or a
+profile outside its fixed widths), ``iter_trace`` chunks the reference
+walk itself; the fallback tests pin its chunking and its simulations.
 
 The unit half covers the dual-representation :class:`TraceChunk`
 itself: ``from_columns`` validation, lazy instruction materialization,
@@ -35,7 +37,7 @@ from array import array
 
 import pytest
 
-from repro.cpu import workloads
+from repro.cpu import _trace_build, workloads
 from repro.cpu._trace_build import (
     trace_kernel_available,
     trace_kernel_unavailable_reason,
@@ -44,10 +46,8 @@ from repro.cpu.isa import OpClass
 from repro.cpu.kernel import (
     KERNEL_BATCH,
     KERNEL_WALK,
+    BatchPipeline,
     batch_kernel_available,
-    chunk_trace,
-    decode_chunk,
-    run_batch,
 )
 from repro.cpu.pipeline import Pipeline
 from repro.cpu.simulator import Simulator
@@ -55,7 +55,7 @@ from repro.cpu.sleep import SleepRuntimeSpec
 from repro.cpu.stream import (
     COLUMN_TYPECODES,
     TraceChunk,
-    columns_chunk,
+    chunk_instructions,
 )
 from repro.cpu.trace import TraceInstruction, trace_digest
 from repro.cpu.workloads import (
@@ -82,12 +82,23 @@ def _phased(name="columnar-mix"):
 
 
 def _drain(chunks):
-    """Materialize a chunk stream, asserting it is column-backed."""
+    """Materialize a chunk stream, asserting it is column-backed wherever
+    the compiled walker runs (without it, plain profiles' chunks are the
+    reference walk's objects)."""
+    columnar = trace_kernel_available()
     instructions = []
     for chunk in chunks:
-        assert chunk.is_columnar, "generator fell back to object chunks"
+        assert chunk.is_columnar or not columnar, "generator fell back to object chunks"
         instructions.extend(chunk.instructions)
     return instructions
+
+
+def _reference_trace(profile, length, seed):
+    """The reference walk's stream (the object interleave for composites)."""
+    build = getattr(profile, "build_trace", None)
+    if build is not None:
+        return build(length, seed)
+    return list(_walk_trace(profile, length, seed))
 
 
 # -- the digest-identity gate ---------------------------------------------------
@@ -106,32 +117,6 @@ class TestColumnarDigestGate:
             )
             assert trace_digest(columnar) == reference, (name, chunk_size)
 
-    @pytest.mark.parametrize("name", ("gcc", "health"))
-    def test_python_drain_matches_reference(self, name, monkeypatch):
-        """The pure-Python columnar drain (the no-compiler fallback,
-        forced via ``REPRO_TRACE_ENGINE=python``) is digest-identical
-        to the reference walk — and therefore to the C walker, which
-        the previous test pins to the same reference."""
-        profile = get_benchmark(name)
-        reference = trace_digest(list(_walk_trace(profile, 15_000, 3)))
-        monkeypatch.setenv("REPRO_TRACE_ENGINE", "python")
-        columnar = _drain(iter_trace(profile, 15_000, seed=3))
-        assert trace_digest(columnar) == reference
-
-    @pytest.mark.skipif(
-        not trace_kernel_available(),
-        reason=f"no trace kernel: {trace_kernel_unavailable_reason()}",
-    )
-    def test_c_walker_matches_python_drain(self, monkeypatch):
-        """Direct C-vs-Python comparison on one benchmark (both are
-        pinned to the reference walk above; this asserts the dispatch
-        itself switches engines without changing the stream)."""
-        profile = get_benchmark("mcf")
-        c_digest = trace_digest(_drain(iter_trace(profile, 30_000, seed=9)))
-        monkeypatch.setenv("REPRO_TRACE_ENGINE", "python")
-        py_digest = trace_digest(_drain(iter_trace(profile, 30_000, seed=9)))
-        assert c_digest == py_digest
-
     def test_generate_trace_matches_reference(self):
         profile = get_benchmark("gzip")
         reference = list(_walk_trace(profile, 10_000, 5))
@@ -143,7 +128,7 @@ class TestColumnarDigestGate:
         for scenario in sample_scenarios(4, seed=17):
             profile = scenario.profile
             columnar = _drain(iter_trace(profile, 8_000, seed=2))
-            reference = generate_trace(profile, 8_000, seed=2)
+            reference = _reference_trace(profile, 8_000, 2)
             assert trace_digest(columnar) == trace_digest(reference)
 
     def test_phased_composite(self):
@@ -244,12 +229,117 @@ class TestStaticProgramCache:
             assert trace_digest(columnar) == self._reference(profile, 3_000, 1)
         assert self._cached() == 2
 
-    def test_python_drain_builds_its_own_program(self, monkeypatch):
-        """The Python drain mutates branch state while it walks, so it
-        never shares a program through the cache."""
-        monkeypatch.setenv("REPRO_TRACE_ENGINE", "python")
-        _drain(iter_trace(self._probe(), 500, seed=1))
-        assert self._cached() == 0
+
+# -- the reference-walk fallback -----------------------------------------------
+
+
+class TestReferenceFallback:
+    """Where the compiled walker cannot run, ``iter_trace`` cuts the
+    reference walk into object-backed chunks: the same stream, the same
+    boundaries, the same simulations."""
+
+    @staticmethod
+    def _wide_heap():
+        """Heap offsets past 32 bits: outside the walker's fixed widths on
+        every host, compiler or not."""
+        return dataclasses.replace(
+            get_benchmark("mcf"), name="wide-heap", heap_bytes=8 * 2**30
+        )
+
+    @staticmethod
+    def _check_chunks(chunks, length, chunk_size, reference):
+        assert [chunk.start for chunk in chunks] == list(range(0, length, chunk_size))
+        assert all(len(chunk) == chunk_size for chunk in chunks[:-1])
+        assert chunks[-1].end == length
+        assert not any(chunk.is_columnar for chunk in chunks)
+        flat = [instr for chunk in chunks for instr in chunk.instructions]
+        assert trace_digest(flat) == reference
+
+    @pytest.mark.parametrize("name", ("gcc", "health", "mcf"))
+    def test_without_compiler(self, name, monkeypatch):
+        monkeypatch.setattr(_trace_build, "trace_kernel_available", lambda: False)
+        profile = get_benchmark(name)
+        reference = trace_digest(list(_walk_trace(profile, 10_000, 3)))
+        for chunk_size in (64, 1_024, 10_000):
+            chunks = list(iter_trace(profile, 10_000, seed=3, chunk_size=chunk_size))
+            self._check_chunks(chunks, 10_000, chunk_size, reference)
+
+    @pytest.mark.skipif(
+        not trace_kernel_available(),
+        reason=f"no trace kernel: {trace_kernel_unavailable_reason()}",
+    )
+    def test_c_walker_matches_fallback(self, monkeypatch):
+        """Direct walker-vs-fallback comparison on one benchmark: the
+        dispatch switches engines without moving a chunk boundary or
+        changing a slot."""
+        profile = get_benchmark("mcf")
+
+        def run():
+            chunks = list(iter_trace(profile, 30_000, seed=9, chunk_size=4_000))
+            flat = [instr for chunk in chunks for instr in chunk.instructions]
+            return chunks, trace_digest(flat)
+
+        native, native_digest = run()
+        assert all(chunk.is_columnar for chunk in native)
+        monkeypatch.setattr(_trace_build, "trace_kernel_available", lambda: False)
+        fallback, fallback_digest = run()
+        assert not any(chunk.is_columnar for chunk in fallback)
+        assert [(c.start, c.end) for c in fallback] == [
+            (c.start, c.end) for c in native
+        ]
+        assert fallback_digest == native_digest
+
+    def test_dispatch_is_lazy(self, monkeypatch):
+        """Choosing the engine, and so building the walker and the static
+        program, waits for the first pull, which the batch kernel charges
+        to its ``generate`` stage."""
+        calls = []
+        usable = workloads._trace_kernel_usable
+
+        def counted(profile):
+            calls.append(profile.name)
+            return usable(profile)
+
+        monkeypatch.setattr(workloads, "_trace_kernel_usable", counted)
+        chunks = iter_trace(get_benchmark("gzip"), 2_000, seed=1, chunk_size=512)
+        assert calls == []
+        first = next(chunks)
+        assert calls == ["gzip"]
+        assert (first.start, first.end) == (0, 512)
+
+    def test_fallback_packs_no_program(self, monkeypatch):
+        """Only the compiled walker reads packed tables; the fallback
+        walks its own static program and leaves the cache alone."""
+        monkeypatch.setattr(_trace_build, "trace_kernel_available", lambda: False)
+        workloads._program_tables.cache_clear()
+        try:
+            for chunk in iter_trace(get_benchmark("gcc"), 3_000, seed=4):
+                assert not chunk.is_columnar
+            assert workloads._program_tables.cache_info().currsize == 0
+        finally:
+            workloads._program_tables.cache_clear()
+
+    def test_profile_outside_walker_widths(self):
+        profile = self._wide_heap()
+        assert not workloads._trace_kernel_usable(profile)
+        reference = trace_digest(list(_walk_trace(profile, 6_000, 2)))
+        chunks = list(iter_trace(profile, 6_000, seed=2, chunk_size=1_024))
+        self._check_chunks(chunks, 6_000, 1_024, reference)
+
+    @pytest.mark.skipif(
+        not batch_kernel_available(),
+        reason="no C compiler: the batch kernel cannot be built",
+    )
+    def test_profile_outside_walker_widths_simulates_identically(self):
+        """Object chunks reach the batch kernel through column projection."""
+        profile = self._wide_heap()
+        walk = Simulator(profile, seed=2, kernel=KERNEL_WALK).run(
+            4_000, warmup_instructions=400
+        )
+        batch = Simulator(profile, seed=2, kernel=KERNEL_BATCH).run(
+            4_000, warmup_instructions=400
+        )
+        assert batch.stats == walk.stats
 
 
 # -- the simulation gate --------------------------------------------------------
@@ -297,7 +387,7 @@ class TestColumnarSimulationGate:
         kernel via re-chunking; boundaries can never affect results."""
         trace = generate_trace(get_benchmark("gcc"), 6_000, seed=11)
         reference = Pipeline(list(trace)).run()
-        batch = run_batch(chunk_trace(trace, chunk_size), len(trace))
+        batch = BatchPipeline(chunk_instructions(trace, chunk_size), len(trace)).run()
         assert batch == reference
 
     def test_sampled_scenarios(self):
@@ -317,12 +407,12 @@ class TestColumnarSimulationGate:
         assert batch.stats == walk.stats
 
     def test_decode_is_zero_copy_for_columnar_chunks(self):
-        """The fast path really is pass-through: the arrays the kernel
-        receives ARE the chunk's columns, no copies, no projection."""
-        chunk = next(iter(iter_trace(get_benchmark("gcc"), 1_000, seed=1)))
-        assert chunk.is_columnar
-        decoded = decode_chunk(chunk)
-        assert all(a is b for a, b in zip(decoded, chunk.columns))
+        """The fast path really is pass-through: the kernel reads the
+        chunks' own columns and never builds instruction objects."""
+        chunks = list(iter_trace(get_benchmark("gcc"), 1_000, seed=1, chunk_size=256))
+        assert all(chunk.is_columnar for chunk in chunks)
+        BatchPipeline(iter(chunks), 1_000).run()
+        assert all(chunk._instructions is None for chunk in chunks)
 
 
 # -- TraceChunk machinery units -------------------------------------------------
@@ -382,11 +472,17 @@ class TestTraceChunkMachinery:
         _ = chunk.columns
         assert not chunk.is_columnar
 
-    def test_columns_chunk_helper(self):
-        chunk = columns_chunk(3, [int(OpClass.NOP)], [0x400000], [0], [0], [0], [0], [0])
-        assert chunk.is_columnar
-        assert chunk.start == 3
-        assert chunk.instructions[0].op is OpClass.NOP
+    def test_chunk_instructions_helper(self):
+        """Object chunks cut at exact boundaries, at any size >= 1: the
+        streaming floor belongs to ``iter_trace``, not to the helper."""
+        objects = [
+            TraceInstruction(OpClass.NOP, 0x400000 + 4 * i) for i in range(5)
+        ]
+        chunks = list(chunk_instructions(objects, 2))
+        assert [(c.start, c.end) for c in chunks] == [(0, 2), (2, 4), (4, 5)]
+        assert not any(chunk.is_columnar for chunk in chunks)
+        assert [i for c in chunks for i in c.instructions] == objects
+        assert list(chunk_instructions([], 2)) == []
 
     def test_from_columns_validation(self):
         good = _columns(self.ROWS)

@@ -80,7 +80,9 @@ class TestKernelLine:
     def test_no_line_when_nothing_simulated(self, fresh_registry):
         assert telemetry_line() is None
 
-    def test_counts_per_kernel(self, fresh_registry):
+    def test_counts_per_kernel(self, fresh_registry, monkeypatch):
+        # No fallback reason, whether or not this host has a compiler.
+        monkeypatch.setattr(kernel_mod, "batch_kernel_unavailable_reason", lambda: None)
         for kernel in ("batch", "batch", "walk"):
             count_run(kernel)
         assert telemetry_line() == "[repro] kernel: batch=2 walk=1"

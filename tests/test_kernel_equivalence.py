@@ -35,15 +35,13 @@ from repro.cpu.kernel import (
     BatchPipeline,
     batch_kernel_available,
     check_kernel,
-    chunk_trace,
     resolve_kernel,
-    run_batch,
     set_default_kernel,
 )
 from repro.cpu.pipeline import DeadlockError, Pipeline
 from repro.cpu.simulator import Simulator, simulate_workload
 from repro.cpu.sleep import SleepRuntimeSpec
-from repro.cpu.stream import TraceChunk
+from repro.cpu.stream import TraceChunk, chunk_instructions
 from repro.cpu.trace import TraceInstruction
 from repro.cpu.workloads import benchmark_names, generate_trace, get_benchmark
 from repro.exec.jobs import SimulationJob
@@ -78,13 +76,12 @@ def _walk(trace, sleep=None, warmup=0, config=None):
 
 def _batch(trace, chunk_size, sleep=None, warmup=0, config=None):
     trace = list(trace)
-    return run_batch(
-        chunk_trace(trace, chunk_size),
+    return BatchPipeline(
+        chunk_instructions(trace, chunk_size),
         len(trace),
         config=config,
         sleep_spec=sleep,
-        warmup_instructions=warmup,
-    )
+    ).run(warmup_instructions=warmup)
 
 
 class TestEquivalenceGate:
@@ -126,7 +123,7 @@ class TestEquivalenceGate:
         trace = list(generate_trace(get_benchmark("vpr"), 3_000, seed=9))
         reference = Pipeline(trace, record_sequences=False).run()
         batch = BatchPipeline(
-            chunk_trace(trace, 500), len(trace), record_sequences=False
+            chunk_instructions(trace, 500), len(trace), record_sequences=False
         ).run()
         assert batch == reference
         assert all(not u.idle_intervals for u in batch.fu_usage)
@@ -236,12 +233,9 @@ class TestOverflowRegression:
         ]
         max_cycles = 2**40
         reference = Pipeline(trace, config=config).run(max_cycles=max_cycles)
-        batch = run_batch(
-            chunk_trace(trace, 2),
-            len(trace),
-            config=config,
-            max_cycles=max_cycles,
-        )
+        batch = BatchPipeline(
+            chunk_instructions(trace, 2), len(trace), config=config
+        ).run(max_cycles=max_cycles)
         assert batch == reference
         assert batch.total_cycles > 2**31
 
@@ -302,13 +296,13 @@ class TestErrorParity:
     def test_warmup_out_of_range(self):
         trace = list(generate_trace(get_benchmark("gzip"), 100, seed=1))
         with pytest.raises(ValueError, match="warmup"):
-            BatchPipeline(chunk_trace(trace, 50), 100).run(
+            BatchPipeline(chunk_instructions(trace, 50), 100).run(
                 warmup_instructions=100
             )
 
     def test_single_use(self):
         trace = list(generate_trace(get_benchmark("gzip"), 100, seed=1))
-        pipeline = BatchPipeline(chunk_trace(trace, 50), 100)
+        pipeline = BatchPipeline(chunk_instructions(trace, 50), 100)
         pipeline.run()
         with pytest.raises(RuntimeError, match="single-use"):
             pipeline.run()
@@ -322,11 +316,11 @@ class TestErrorParity:
     def test_truncated_stream(self):
         trace = list(generate_trace(get_benchmark("gzip"), 100, seed=1))
         with pytest.raises(RuntimeError, match="stream ended"):
-            BatchPipeline(chunk_trace(trace[:50], 50), 100).run()
+            BatchPipeline(chunk_instructions(trace[:50], 50), 100).run()
 
     def test_deadlock_matches_walk(self):
         trace = list(generate_trace(get_benchmark("mcf"), 400, seed=1))
         with pytest.raises(DeadlockError):
             Pipeline(trace).run(max_cycles=10)
         with pytest.raises(DeadlockError):
-            run_batch(chunk_trace(trace, 100), len(trace), max_cycles=10)
+            BatchPipeline(chunk_instructions(trace, 100), len(trace)).run(max_cycles=10)

@@ -46,6 +46,8 @@ from repro.core.policies import (
     run_policy_on_intervals,
 )
 from repro.core.vectorized import exact_weighted_sum
+from repro.cpu import _trace_build
+from repro.cpu._trace_build import trace_kernel_available
 from repro.cpu.stream import MIN_CHUNK_SIZE, StreamingTrace
 from repro.cpu.trace import trace_digest
 from repro.cpu.workloads import (
@@ -396,7 +398,7 @@ class TestChunkBoundaryInvarianceRandomized:
 
 
 class TestColumnarDigestRandomized:
-    """The columnar drain mirrors the reference walk draw for draw.
+    """The compiled trace walker mirrors the reference walk draw for draw.
 
     For random profiles (every generation knob perturbed across its
     legal range) and random chunk sizes: the column-backed chunk stream
@@ -441,37 +443,40 @@ class TestColumnarDigestRandomized:
         chunks = list(
             iter_trace(profile, length, seed=trace_seed, chunk_size=chunk_size)
         )
-        assert all(chunk.is_columnar for chunk in chunks)
+        if trace_kernel_available():
+            assert all(chunk.is_columnar for chunk in chunks)
         columnar = [
             instr for chunk in chunks for instr in chunk.instructions
         ]
         assert trace_digest(columnar) == trace_digest(reference)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_python_drain_matches_c_walker_on_random_profiles(
+    def test_fallback_matches_c_walker_on_random_profiles(
         self, seed, monkeypatch
     ):
-        """Engine dispatch can never change the stream: the same random
-        profile generated with and without ``REPRO_TRACE_ENGINE=python``
-        yields one digest (a no-op comparison where no compiler exists,
-        since both runs then use the Python drain)."""
+        """Engine dispatch can never change the stream or where it is
+        cut: the same random profile and chunk size give one digest and
+        one set of chunk boundaries with the compiled walker and with the
+        reference-walk fallback (a no-op comparison where no compiler
+        exists, since both runs then use the fallback)."""
         rng = random.Random(9_100 + seed)
         profile = self._random_profile(rng)
         length = rng.randint(500, 5_000)
         trace_seed = rng.randint(1, 10_000)
-        native = trace_digest(
-            [
-                instr
-                for chunk in iter_trace(profile, length, seed=trace_seed)
-                for instr in chunk.instructions
-            ]
+        chunk_size = rng.randint(MIN_CHUNK_SIZE, 2_048)
+
+        def run():
+            chunks = list(
+                iter_trace(
+                    profile, length, seed=trace_seed, chunk_size=chunk_size
+                )
+            )
+            bounds = [(chunk.start, chunk.end) for chunk in chunks]
+            flat = [instr for chunk in chunks for instr in chunk.instructions]
+            return bounds, trace_digest(flat)
+
+        native = run()
+        monkeypatch.setattr(
+            _trace_build, "trace_kernel_available", lambda: False
         )
-        monkeypatch.setenv("REPRO_TRACE_ENGINE", "python")
-        forced = trace_digest(
-            [
-                instr
-                for chunk in iter_trace(profile, length, seed=trace_seed)
-                for instr in chunk.instructions
-            ]
-        )
-        assert native == forced
+        assert run() == native

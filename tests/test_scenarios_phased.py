@@ -92,9 +92,7 @@ class TestTrace:
             two_member_profile.build_trace(2_000, seed=5)
         )
 
-    def test_generate_trace_dispatches_to_build_trace(
-        self, two_member_profile
-    ):
+    def test_generate_trace_matches_build_trace(self, two_member_profile):
         assert (
             generate_trace(two_member_profile, 1_500, seed=2)
             == two_member_profile.build_trace(1_500, seed=2)

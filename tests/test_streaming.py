@@ -155,7 +155,7 @@ class TestIterTrace:
             for s in sample_scenarios(2, seed=7, families=["phased"])
             if s.family == "phased"
         )
-        reference = generate_trace(scenario.profile, 4_000, seed=2)
+        reference = scenario.profile.build_trace(4_000, seed=2)
         chunks = list(
             iter_trace(scenario.profile, 4_000, seed=2, chunk_size=MIN_CHUNK_SIZE)
         )

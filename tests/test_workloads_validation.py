@@ -64,6 +64,11 @@ class TestFractionValidation:
             _variant(num_blocks=2)
         with pytest.raises(ValueError, match="FU count"):
             _variant(reference_fus=5)
+        # Python's % floors and C's truncates, so a negative stride would
+        # walk a different stream with and without the compiled walker.
+        for stride in (-8, 0):
+            with pytest.raises(ValueError, match="stream_stride must be >= 1"):
+                _variant(stream_stride=stride)
 
     def test_boundary_values_accepted(self):
         profile = _variant(frac_fp=0.0, random_branch_fraction=1.0)
