@@ -15,6 +15,7 @@ import pytest
 
 from repro.exec import cache as result_cache
 from repro.experiments.common import ExperimentScale
+from repro.obs import metrics
 from repro.util.benchjson import record_benchmark
 
 #: Scale used by the empirical benchmark harness.
@@ -26,6 +27,14 @@ def _shared_result_cache():
     """Use the real persistent cache so repeat bench runs skip simulation."""
     result_cache.configure()
     yield
+
+
+@pytest.fixture(autouse=True)
+def _bench_metrics_scope():
+    """Run each bench in its own metrics scope, so ``record_benchmark``
+    stamps that bench's own stage split, not the whole run's totals."""
+    with metrics.scope():
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -78,7 +78,6 @@ from repro.cpu.sleep import SleepRuntimeSpec, price_stateless_outcomes
 from repro.cpu.stats import FunctionalUnitUsage, SimulationStats
 from repro.cpu.stream import TraceChunk
 from repro.obs import metrics
-from repro.util import stagetime
 from repro.util.intervals import IntervalHistogram
 
 __all__ = [
@@ -345,11 +344,8 @@ class BatchPipeline:
         fed = 0
         status = ST_NEED_DATA
         # Lazy generators do their work inside next(), which the timed
-        # iterator charges to "generate"; the feed loop's own time below
-        # lands on "decode" (column projection, ~zero when column-backed:
-        # repro_feed copies the chunk's own arrays into its ring) and
-        # "kernel" (the C cycle loop).
-        for chunk in stagetime.timed_iterator("generate", self._chunks):
+        # iterator charges to "generate"; the C cycle loop is "kernel".
+        for chunk in metrics.timed_iterator("generate", self._chunks):
             if chunk.start != fed:
                 raise ValueError(
                     f"non-contiguous chunk: expected start {fed}, "
@@ -360,9 +356,8 @@ class BatchPipeline:
                     f"chunk [{chunk.start}, {chunk.end}) overruns the "
                     f"declared length {total}"
                 )
-            with stagetime.timed("decode"):
-                op, pc, dep1, dep2, addr, taken, target = chunk.columns
-            with stagetime.timed("kernel"):
+            op, pc, dep1, dep2, addr, taken, target = chunk.columns
+            with metrics.timed("kernel"):
                 status = lib.repro_feed(
                     sim,
                     _u8_ptr(op),
@@ -388,7 +383,7 @@ class BatchPipeline:
             )
         if lib.repro_finalize(sim) != ST_DONE:
             raise RuntimeError("batch kernel finalize failed")
-        with stagetime.timed("pricing"):
+        with metrics.timed("pricing"):
             return self._build_stats(lib, sim)
 
     def _raise_deadlock(self, lib, sim) -> None:

@@ -42,7 +42,7 @@ from repro.cpu.stream import (
 from repro.cpu.workloads import WorkloadProfile, generate_trace, iter_trace
 from repro.exec import cache as result_cache
 from repro.exec.hashing import simulation_key
-from repro.util import stagetime
+from repro.obs import metrics
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ class Simulator:
             # timed iterator attributes it, and the walk's own time is
             # the remainder (subtracted below).
             trace = StreamingTrace(
-                stagetime.timed_iterator(
+                metrics.timed_iterator(
                     "generate",
                     iter_trace(
                         self.profile,
@@ -179,7 +179,7 @@ class Simulator:
                 total,
             )
         else:
-            with stagetime.timed("generate"):
+            with metrics.timed("generate"):
                 trace = generate_trace(self.profile, total, seed=self.seed)
         pipeline = Pipeline(
             trace,
@@ -187,12 +187,14 @@ class Simulator:
             record_sequences=record_sequences,
             sleep_spec=self.sleep,
         )
-        before_run = stagetime.snapshot()
-        run_start = time.perf_counter()
-        stats = pipeline.run(warmup_instructions=warmup_instructions)
-        elapsed = time.perf_counter() - run_start
-        nested = sum(stagetime.delta_since(before_run).values())
-        stagetime.add("kernel", max(0.0, elapsed - nested))
+        with metrics.scope() as nested:
+            run_start = time.perf_counter()
+            stats = pipeline.run(warmup_instructions=warmup_instructions)
+            elapsed = time.perf_counter() - run_start
+        generated = sum(metrics.stage_seconds(nested.snapshot()).values())
+        metrics.registry().counter(metrics.STAGE_PREFIX + "kernel").add(
+            max(0.0, elapsed - generated)
+        )
         return stats
 
 

@@ -118,14 +118,14 @@ class ExecutionBackend(Protocol):
 
 def _execute_job_observed(job: SimulationJob, trace: bool = False):
     """Worker-process entry point: simulate (no cache access) and ship
-    the job's observability delta.
+    the job's observability alongside the result.
 
-    Pool workers accrue stage wall time, per-job latency, and (when
-    ``trace``) spans in their own process; returning the per-job
-    metrics-registry delta and drained span buffer alongside the result
-    lets the submitting process absorb both, so ``--verbose`` stage
-    reports and ``--trace-out`` cover pooled runs too. (Workers are
-    reused across jobs, hence delta, not totals.)
+    The job runs inside its own metrics scope, so the relayed snapshot
+    holds exactly this job's stage wall time, latency, and kernel
+    counts (workers are reused across jobs), plus the drained span
+    buffer when ``trace``. The submitting process absorbs both into the
+    batch's scope, so ``--verbose`` stage reports and ``--trace-out``
+    cover pooled runs too.
     """
     from repro.obs import metrics, tracer
 
@@ -134,10 +134,10 @@ def _execute_job_observed(job: SimulationJob, trace: bool = False):
     # On fork-start pools the parent's buffered spans are inherited;
     # drop them so they are not relayed back as duplicates.
     tracer.drain()
-    before = metrics.registry().snapshot()
-    result = run_job_observed(job)
+    with metrics.scope() as job_metrics:
+        result = run_job_observed(job)
     return result, {
-        "metrics": metrics.registry().delta_since(before),
+        "metrics": job_metrics.snapshot(),
         "spans": tracer.drain() if trace else [],
     }
 
@@ -408,8 +408,9 @@ class SSHBackend:
                     if error is None:
                         yield payload
                 elif kind == "metrics":
-                    # Absorbed here, in the single-threaded drain loop, so
-                    # shard threads never touch the registry concurrently.
+                    # Absorbed here, in the drain loop, which runs in the
+                    # submitter's context and so lands in the batch's
+                    # metrics scope (shard threads run outside it).
                     obs_metrics.registry().absorb(payload.get("metrics") or {})
                     tracer.absorb(payload.get("spans") or [])
                 elif kind == "error":

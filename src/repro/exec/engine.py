@@ -40,18 +40,18 @@ from repro.exec.backends import (
 from repro.exec.jobs import SimulationJob
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracer
-from repro.util import stagetime
 
 __all__ = [
     "ENV_JOBS",
     "BatchReport",
+    "backend_metrics",
+    "backend_tallies",
     "get_default_workers",
     "reset_telemetry",
     "resolve_workers",
     "run_jobs",
     "set_default_backend",
     "set_default_workers",
-    "telemetry",
     "telemetry_lines",
 ]
 
@@ -125,107 +125,84 @@ class BatchReport:
     #: Which backend ran the pending jobs ("" for an all-warm batch —
     #: no backend was consulted at all).
     backend: str = ""
-    #: Per-stage wall time (generate/decode/kernel/pricing seconds)
-    #: accrued while this batch executed — the simulation stages of
-    #: :mod:`repro.util.stagetime`. Serial and inline-pool runs measure
-    #: directly; pool workers return their deltas with each result; SSH
-    #: workers relay theirs over the wire protocol's negotiated
-    #: ``metrics`` frame. Observability only: never results or cache keys.
+    #: Per-stage wall time (generate/kernel/pricing seconds) of this
+    #: batch alone, from its metrics scope, into which pool and SSH
+    #: workers relay each job's stages. Observability only: never
+    #: results or cache keys.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     #: Per-job wall-time quantiles (``{"p50": ..., "p90": ..., "p99":
-    #: ...}`` seconds) over the jobs this batch actually executed,
-    #: sourced from the :data:`repro.obs.metrics.JOB_SECONDS` histogram
-    #: delta. Empty for an all-warm batch. Observability only.
+    #: ...}`` seconds) of the jobs this batch executed, from its metrics
+    #: scope. Empty for an all-warm batch. Observability only.
     latency_quantiles: Dict[str, float] = field(default_factory=dict)
 
 
 # -- per-backend telemetry -----------------------------------------------------
 
-#: Process-wide counters, one aggregate per backend name (plus "(warm)"
-#: for batches fully answered by the caches). The CLIs print these
-#: under ``--verbose``; the backend-equivalence CI gate greps them to
-#: prove a warm fleet run executed zero jobs.
-_TELEMETRY: Dict[str, BatchReport] = {}
-
-#: Per-backend accumulated ``job_seconds`` histogram deltas: one tiny
-#: private registry per backend name, merged batch by batch, so the
-#: cumulative per-backend latency quantiles stay exact across batches
-#: (quantiles of sums, never sums of quantiles).
-_LATENCY: Dict[str, obs_metrics.MetricsRegistry] = {}
+#: One registry per backend name ("(warm)" for batches the caches fully
+#: answered), fed at batch end with the batch's scope, ``batch.<field>``
+#: counters, and a ``batch.workers`` histogram. ``--verbose`` prints
+#: them; the backend-equivalence CI gate greps that output.
+_BACKENDS: Dict[str, obs_metrics.MetricsRegistry] = {}
 
 _COUNTER_FIELDS = ("submitted", "unique", "cache_hits", "cache_misses", "executed", "failed")
 
 
-def _record_telemetry(report: BatchReport, latency_delta: Optional[dict]) -> None:
-    name = report.backend or "(warm)"
-    tally = _TELEMETRY.setdefault(name, BatchReport(backend=name))
-    for name_ in _COUNTER_FIELDS:
-        setattr(tally, name_, getattr(tally, name_) + getattr(report, name_))
-    tally.workers_used = max(tally.workers_used, report.workers_used)
-    stagetime.absorb_into(tally.stage_seconds, report.stage_seconds)
-    if latency_delta and latency_delta.get("count"):
-        _LATENCY.setdefault(name, obs_metrics.MetricsRegistry()).absorb(
-            {"histograms": {obs_metrics.JOB_SECONDS: latency_delta}}
-        )
+def _record_batch(batch: BatchReport, batch_metrics: dict) -> None:
+    registry = _BACKENDS.setdefault(batch.backend or "(warm)", obs_metrics.MetricsRegistry())
+    registry.absorb(batch_metrics)
+    for name in _COUNTER_FIELDS:
+        registry.counter("batch." + name).add(getattr(batch, name))
+    registry.histogram("batch.workers").observe(batch.workers_used)
 
 
-def _tally_latency_quantiles(name: str) -> Dict[str, float]:
-    """Cumulative per-backend p50/p90/p99 from the merged histograms."""
-    registry = _LATENCY.get(name)
-    if registry is None:
-        return {}
-    snap = registry.snapshot()["histograms"].get(obs_metrics.JOB_SECONDS)
-    if not snap or not snap.get("count"):
-        return {}
-    return obs_metrics.quantiles(snap)
+def backend_metrics() -> Dict[str, dict]:
+    """A snapshot of each backend's registry, sorted by backend name."""
+    return {name: registry.snapshot() for name, registry in sorted(_BACKENDS.items())}
 
 
-def _copy_report(tally: BatchReport) -> BatchReport:
-    values = {f.name: getattr(tally, f.name) for f in fields(BatchReport)}
-    values["stage_seconds"] = dict(tally.stage_seconds)
-    values["latency_quantiles"] = _tally_latency_quantiles(tally.backend or "(warm)")
-    return BatchReport(**values)
+def backend_tallies() -> Dict[str, dict]:
+    """Per-backend totals, sorted by name (the manifest's ``backends``).
 
-
-def telemetry() -> Dict[str, BatchReport]:
-    """A copy of the process-wide per-backend counters."""
-    return {name: _copy_report(tally) for name, tally in _TELEMETRY.items()}
+    Each holds the :class:`BatchReport` counters summed, the largest
+    batch's ``workers_used``, ``stage_seconds``, and the quantiles of
+    the merged latency histogram (never sums of quantiles).
+    """
+    tallies: Dict[str, dict] = {}
+    for name, snap in backend_metrics().items():
+        counters, histograms = snap["counters"], snap["histograms"]
+        tally = {field_: int(counters["batch." + field_]) for field_ in _COUNTER_FIELDS}
+        tally["workers_used"] = int(histograms["batch.workers"]["max"])
+        tally["stage_seconds"] = obs_metrics.stage_seconds(snap)
+        jobs = histograms.get(obs_metrics.JOB_SECONDS)
+        tally["latency_quantiles"] = obs_metrics.quantiles(jobs) if jobs else {}
+        tallies[name] = tally
+    return tallies
 
 
 def reset_telemetry() -> None:
-    """Zero the process-wide counters (tests, embedding applications)."""
-    _TELEMETRY.clear()
-    _LATENCY.clear()
+    """Zero the per-backend totals (tests, embedding applications)."""
+    _BACKENDS.clear()
 
 
 def telemetry_lines() -> List[str]:
     """The ``--verbose`` per-backend counter lines, sorted by backend.
 
     Backends that accrued simulation stage time get a second line with
-    the generate/decode/kernel/pricing wall-time split, and backends
-    that executed jobs a third with the per-job latency quantiles.
+    the generate/kernel/pricing wall-time split, and backends that
+    executed jobs a third with the per-job latency quantiles.
     """
     lines: List[str] = []
-    for name, t in sorted(_TELEMETRY.items()):
+    for name, t in backend_tallies().items():
         lines.append(
-            f"[repro] backend {name}: submitted={t.submitted} unique={t.unique} "
-            f"hits={t.cache_hits} misses={t.cache_misses} executed={t.executed} "
-            f"failed={t.failed} workers={t.workers_used}"
+            f"[repro] backend {name}: submitted={t['submitted']} unique={t['unique']} "
+            f"hits={t['cache_hits']} misses={t['cache_misses']} executed={t['executed']} "
+            f"failed={t['failed']} workers={t['workers_used']}"
         )
-        if t.stage_seconds:
-            lines.append(
-                f"[repro] stages {name}: "
-                f"{stagetime.format_stages(t.stage_seconds)}"
-            )
-        marks = _tally_latency_quantiles(name)
-        if marks:
-            lines.append(
-                f"[repro] latency {name}: "
-                + " ".join(
-                    f"{label}={marks[label]:.4f}s"
-                    for label in sorted(marks, key=lambda k: float(k[1:]))
-                )
-            )
+        if t["stage_seconds"]:
+            lines.append(f"[repro] stages {name}: {obs_metrics.format_stages(t['stage_seconds'])}")
+        if t["latency_quantiles"]:
+            marks = obs_metrics.format_quantiles(t["latency_quantiles"])
+            lines.append(f"[repro] latency {name}: {marks}")
     return lines
 
 
@@ -291,7 +268,7 @@ def run_jobs(
 
     with tracer.span(
         "engine.run_jobs", category="engine", submitted=len(ordered)
-    ) as run_span:
+    ) as run_span, obs_metrics.scope() as batch_metrics:
         _resolve_from_cache(state, use_cache)
         run_span.set(
             unique=len(state.unique),
@@ -302,9 +279,6 @@ def run_jobs(
         workers_used = 1
         executed = 0
         failed = 0
-        stages_before = stagetime.snapshot()
-        obs_before = obs_metrics.registry().snapshot()
-        latency_delta: Optional[dict] = None
         try:
             if state.pending:
                 workers_used = backend_obj.workers_for(len(state.pending))
@@ -326,10 +300,8 @@ def run_jobs(
             failed = 1
             raise
         finally:
-            obs_delta = obs_metrics.registry().delta_since(obs_before)
-            latency_delta = obs_delta.get("histograms", {}).get(
-                obs_metrics.JOB_SECONDS
-            )
+            snap = batch_metrics.snapshot()
+            jobs_timed = snap["histograms"].get(obs_metrics.JOB_SECONDS)
             batch = BatchReport(
                 submitted=len(ordered),
                 unique=len(state.unique),
@@ -339,14 +311,10 @@ def run_jobs(
                 failed=failed,
                 workers_used=workers_used,
                 backend=backend_obj.name if state.pending else "",
-                stage_seconds=stagetime.delta_since(stages_before),
-                latency_quantiles=(
-                    obs_metrics.quantiles(latency_delta)
-                    if latency_delta and latency_delta.get("count")
-                    else {}
-                ),
+                stage_seconds=obs_metrics.stage_seconds(snap),
+                latency_quantiles=obs_metrics.quantiles(jobs_timed) if jobs_timed else {},
             )
-            _record_telemetry(batch, latency_delta)
+            _record_batch(batch, snap)
             if report is not None:
                 for field_ in fields(BatchReport):
                     setattr(report, field_.name, getattr(batch, field_.name))

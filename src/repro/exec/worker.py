@@ -22,7 +22,7 @@ The conversation::
     engine > {"kind": "job", "id": 0, "job": <base64 pickle>}
     worker > {"kind": "result", "id": 0, "result": <base64 pickle>}
              ... or {"kind": "error", "id": 0, "error": ..., "traceback": ...}
-    worker > {"kind": "metrics", "id": 0, "metrics": <delta>, "spans": [...]}
+    worker > {"kind": "metrics", "id": 0, "metrics": <snapshot>, "spans": [...]}
     engine > {"kind": "shutdown"}
     worker > {"kind": "bye", "executed": N}
 
@@ -42,11 +42,11 @@ skew directions degrade gracefully rather than desync the framing:
   silent about metrics, so a v1 engine is never surprised by a frame
   kind it does not know.
 * once negotiated, the worker follows every ``result`` frame with one
-  ``metrics`` frame carrying its metrics-registry delta for that job
-  (:meth:`repro.obs.metrics.MetricsRegistry.delta_since` payload) and —
-  when the hello asked for ``trace`` — its drained span buffer. This is
-  what closes the historical SSH telemetry gap: stage seconds ride the
-  delta as ``stage_seconds.*`` counters.
+  ``metrics`` frame carrying the snapshot of the job's own metrics
+  scope (:func:`repro.obs.metrics.scope`: exactly what that job
+  recorded, in the registry's ``{counters, gauges, histograms}``
+  shape) and — when the hello asked for ``trace`` — its drained span
+  buffer. Stage seconds ride it as ``stage_seconds.*`` counters.
 
 ``$REPRO_WORKER_PROTO=1`` pins a worker to the v1 wire behavior (no
 ``proto`` advertisement, no metrics frames); the negotiation regression
@@ -242,10 +242,10 @@ def serve(stdin: Optional[BinaryIO] = None, stdout: Optional[BinaryIO] = None) -
             )
             continue
         job_id = frame.get("id")
-        before = metrics.registry().snapshot() if relay_metrics else None
         try:
             job = decode_payload(frame["job"])
-            result = run_job_observed(job)
+            with metrics.scope() as job_metrics:
+                result = run_job_observed(job)
         except BaseException as error:  # noqa: BLE001 - shipped to the engine
             write_frame(
                 out,
@@ -270,7 +270,7 @@ def serve(stdin: Optional[BinaryIO] = None, stdout: Optional[BinaryIO] = None) -
                 {
                     "kind": "metrics",
                     "id": job_id,
-                    "metrics": metrics.registry().delta_since(before),
+                    "metrics": job_metrics.snapshot(),
                     "spans": tracer.drain() if relay_trace else [],
                 },
             )

@@ -6,14 +6,14 @@ results, cache keys, or control flow):
 * :mod:`repro.obs.tracer` — contextvar-based span tracer exporting
   Chrome trace-event JSON (``--trace-out`` / ``$REPRO_TRACE_OUT``),
   free when disabled;
-* :mod:`repro.obs.metrics` — the process-wide registry of counters,
-  gauges, and fixed-bucket histograms that absorbs what used to be
-  ad-hoc telemetry (stage seconds, backend counters, store tallies,
-  per-job latency);
+* :mod:`repro.obs.metrics` — the registry of counters, gauges, and
+  fixed-bucket histograms that holds all telemetry (stage seconds,
+  kernel counts, service counters, per-job latency), with per-batch
+  and per-job scopes;
 * :mod:`repro.obs.manifest` — ``--run-manifest run.json`` provenance
   artifacts and the ``repro report`` renderer.
 
-Worker processes relay their spans and metric deltas back to the
+Worker processes relay their spans and per-job metric scopes back to the
 coordinator through the execution backends (a version-negotiated
 ``metrics`` frame on the SSH wire protocol; piggybacked return values
 in the process pool), so one merged view covers the whole fleet.

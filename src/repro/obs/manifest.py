@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.obs import metrics, tracer
 
@@ -83,32 +83,14 @@ def build_run_manifest(
     from repro.exec.backends import get_default_backend_spec
     from repro.exec.cache import active
     from repro.exec.hashing import CACHE_SCHEMA_VERSION, model_fingerprint
-    from repro.util import stagetime
 
     now = time.time()
-    backends: Dict[str, dict] = {}
+    backends = engine.backend_tallies()
     jobs_total = {
-        "submitted": 0,
-        "unique": 0,
-        "cache_hits": 0,
-        "cache_misses": 0,
-        "executed": 0,
-        "failed": 0,
+        key: sum(tally[key] for tally in backends.values())
+        for key in ("submitted", "unique", "cache_hits", "cache_misses", "executed", "failed")
     }
-    for name, tally in engine.telemetry().items():
-        backends[name] = {
-            "submitted": tally.submitted,
-            "unique": tally.unique,
-            "cache_hits": tally.cache_hits,
-            "cache_misses": tally.cache_misses,
-            "executed": tally.executed,
-            "failed": tally.failed,
-            "workers_used": tally.workers_used,
-            "stage_seconds": dict(tally.stage_seconds),
-            "latency_quantiles": dict(tally.latency_quantiles),
-        }
-        for key in jobs_total:
-            jobs_total[key] += backends[name][key]
+    snapshot = metrics.registry().snapshot()
     store = active()
     return {
         "schema": MANIFEST_SCHEMA,
@@ -124,8 +106,8 @@ def build_run_manifest(
         "cache_tiers": _cache_tiers(),
         "jobs": jobs_total,
         "backends": backends,
-        "stage_seconds": stagetime.totals(),
-        "metrics": metrics.registry().snapshot(),
+        "stage_seconds": metrics.stage_seconds(snapshot),
+        "metrics": snapshot,
         "trace_out": tracer.output_path(),
     }
 
@@ -196,8 +178,6 @@ def validate_run_manifest(document: object) -> List[str]:
 
 def render_manifest(document: dict) -> str:
     """The human rendering ``repro report <run.json>`` prints."""
-    from repro.util.stagetime import format_stages
-
     lines: List[str] = []
     argv = document.get("argv")
     lines.append("Run manifest")
@@ -235,23 +215,16 @@ def render_manifest(document: dict) -> str:
         )
         quantile_map = tally.get("latency_quantiles") or {}
         if quantile_map:
-            rendered = " ".join(
-                f"{label}={quantile_map[label]:.4f}s"
-                for label in sorted(quantile_map, key=lambda k: float(k[1:]))
-            )
-            lines.append(f"    job latency: {rendered}")
+            lines.append(f"    job latency: {metrics.format_quantiles(quantile_map)}")
     stage_seconds = document.get("stage_seconds") or {}
     if stage_seconds:
-        lines.append(f"stages:       {format_stages(stage_seconds)}")
+        lines.append(f"stages:       {metrics.format_stages(stage_seconds)}")
     histograms = (document.get("metrics") or {}).get("histograms") or {}
     job_hist = histograms.get(metrics.JOB_SECONDS)
     if job_hist and job_hist.get("count"):
-        marks = metrics.quantiles(job_hist)
         lines.append(
             f"job latency:  count={job_hist['count']} "
-            + " ".join(f"{k}={v:.4f}s" for k, v in sorted(
-                marks.items(), key=lambda kv: float(kv[0][1:])
-            ))
+            + metrics.format_quantiles(metrics.quantiles(job_hist))
             + (f" max={job_hist['max']:.4f}s" if job_hist.get("max") is not None else "")
         )
     trace_out = document.get("trace_out")

@@ -1,23 +1,24 @@
 """The metrics registry: counters, gauges, and fixed-bucket histograms.
 
-One process-wide registry absorbs what used to be ad-hoc telemetry
-scattered across the repo — per-stage wall time
-(:mod:`repro.util.stagetime` is now a compat shim over counters here),
-backend executed/failed counters, store hit/miss/publish tallies, and
-per-job latency histograms — behind a single snapshot API:
+One process-wide registry holds the repo's telemetry — per-stage wall
+time, simulation counts per kernel, service counters, and per-job
+latency histograms — behind a single snapshot API:
 
-* :func:`registry` returns the process-wide :class:`MetricsRegistry`;
+* :func:`registry` returns the registry writes go to: the innermost
+  open :func:`scope`, else the process-wide one;
 * ``registry().snapshot()`` is a JSON-serializable view of everything,
-  embedded verbatim in run manifests and ``repro cache --json`` output;
-* ``delta_since``/``absorb`` turn snapshots into mergeable deltas, which
-  is how worker processes (pool and SSH alike) relay their metrics back
-  to the coordinator over the execution wire protocol.
+  embedded verbatim in run manifests and served at ``/v1/metrics``;
+* :func:`scope` gives a batch, a worker job, or a bench its own
+  registry, folded into the enclosing one on exit; workers relay a job
+  scope's snapshot for the coordinator to :meth:`~MetricsRegistry.absorb`;
+* :func:`timed` and :func:`timed_iterator` charge wall time to
+  ``stage_seconds.<stage>`` counters, which :func:`stage_seconds` reads.
 
 Histograms use fixed bucket boundaries (cumulative-free, plain
-per-bucket counts) so deltas and cross-process merges are exact;
-quantiles are estimated by linear interpolation inside the bucket that
-crosses the requested rank — the standard Prometheus-style estimate,
-plenty for p50/p99 latency reporting.
+per-bucket counts) so cross-process merges are exact; quantiles are
+estimated by linear interpolation inside the bucket that crosses the
+requested rank — the standard Prometheus-style estimate, plenty for
+p50/p99 latency reporting.
 
 Everything here is observability only: metrics never feed results,
 cache keys, or control flow.
@@ -26,20 +27,35 @@ cache keys, or control flow.
 from __future__ import annotations
 
 import threading
+import time
 from bisect import bisect_left
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, TypeVar
+
+from repro.obs import tracer
+
+_T = TypeVar("_T")
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "JOB_SECONDS",
+    "STAGES",
+    "STAGE_PREFIX",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "format_quantiles",
+    "format_stages",
     "histogram_quantile",
     "quantiles",
     "registry",
     "reset",
+    "scope",
+    "stage_seconds",
+    "timed",
+    "timed_iterator",
 ]
 
 #: Log-ish spaced latency boundaries in seconds: 1 ms .. 5 min. A job
@@ -52,6 +68,13 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
 
 #: The per-job wall-time histogram every backend observes into.
 JOB_SECONDS = "job_seconds"
+
+#: Simulation stages in pipeline order (trace chunk pulls, the cycle
+#: loop, statistics and pricing); other names print after these.
+STAGES = ("generate", "kernel", "pricing")
+
+#: Stage ``generate`` is the counter ``stage_seconds.generate``.
+STAGE_PREFIX = "stage_seconds."
 
 
 class Counter:
@@ -180,9 +203,9 @@ def histogram_quantile(snapshot: dict, q: float) -> float:
 class MetricsRegistry:
     """A named collection of counters, gauges, and histograms.
 
-    Thread-safe at the registration level (backends absorb worker deltas
-    from shard threads); individual float bumps ride CPython's atomic
-    dict/float semantics like the engine's historical counters did.
+    Thread-safe at the registration level; individual float bumps ride
+    CPython's atomic dict/float semantics, and concurrent batches each
+    write to their own :func:`scope`.
     """
 
     def __init__(self):
@@ -229,73 +252,17 @@ class MetricsRegistry:
                 },
             }
 
-    def delta_since(self, before: dict) -> dict:
-        """What changed since a :meth:`snapshot` (mergeable via :meth:`absorb`).
-
-        Counters and histogram bucket counts subtract; gauges report
-        their current values (last write wins across a merge). Unchanged
-        instruments are omitted, so an idle worker relays ``{}``-shaped
-        deltas.
-
-        Histogram ``min``/``max`` deliberately do NOT subtract: a delta
-        carries the *cumulative* extremes, because "the smallest value
-        observed inside the window" is not recoverable from two
-        snapshots. The contract is conservative, never wrong: a delta's
-        ``min`` is <= every observation in the window and its ``max``
-        is >= every one, and :meth:`absorb` merges them with min()/max()
-        so absorbed extremes can only widen. Quantile estimates over
-        merged deltas (the serve layer's per-request latency reports)
-        therefore clamp to a range that always contains the window's
-        true extremes — they may be looser than the window, never
-        tighter.
-        """
-        now = self.snapshot()
-        delta: dict = {"counters": {}, "gauges": {}, "histograms": {}}
-        before_counters = before.get("counters", {})
-        for name, value in now["counters"].items():
-            gained = value - before_counters.get(name, 0.0)
-            if gained > 0.0:
-                delta["counters"][name] = gained
-        before_gauges = before.get("gauges", {})
-        for name, value in now["gauges"].items():
-            if name not in before_gauges or before_gauges[name] != value:
-                delta["gauges"][name] = value
-        before_hists = before.get("histograms", {})
-        for name, snap in now["histograms"].items():
-            prior = before_hists.get(name)
-            if prior is None:
-                if snap["count"]:
-                    delta["histograms"][name] = snap
-                continue
-            if snap["count"] == prior.get("count") or snap["boundaries"] != prior.get(
-                "boundaries"
-            ):
-                if snap["boundaries"] != prior.get("boundaries") and snap["count"]:
-                    delta["histograms"][name] = snap
-                continue
-            delta["histograms"][name] = {
-                "boundaries": snap["boundaries"],
-                "counts": [
-                    a - b for a, b in zip(snap["counts"], prior.get("counts", []))
-                ],
-                "count": snap["count"] - prior.get("count", 0),
-                "sum": snap["sum"] - prior.get("sum", 0.0),
-                "min": snap["min"],
-                "max": snap["max"],
-            }
-        return delta
-
-    def absorb(self, delta: dict) -> None:
-        """Merge a :meth:`delta_since` payload (possibly cross-process)."""
-        if not isinstance(delta, dict):
+    def absorb(self, other: dict) -> None:
+        """Merge a :meth:`snapshot` (possibly another process's) into this one."""
+        if not isinstance(other, dict):
             return
-        for name, gained in (delta.get("counters") or {}).items():
+        for name, gained in (other.get("counters") or {}).items():
             if isinstance(gained, (int, float)) and gained > 0:
                 self.counter(name).add(float(gained))
-        for name, value in (delta.get("gauges") or {}).items():
+        for name, value in (other.get("gauges") or {}).items():
             if isinstance(value, (int, float)):
                 self.gauge(name).set(float(value))
-        for name, snap in (delta.get("histograms") or {}).items():
+        for name, snap in (other.get("histograms") or {}).items():
             if not isinstance(snap, dict):
                 continue
             boundaries = snap.get("boundaries") or DEFAULT_LATENCY_BUCKETS
@@ -325,13 +292,6 @@ class MetricsRegistry:
                         value if current is None else better(current, value),
                     )
 
-    def remove_prefixed(self, prefix: str) -> None:
-        """Drop every instrument whose name starts with ``prefix``."""
-        with self._lock:
-            for family in (self.counters, self.gauges, self.histograms):
-                for name in [n for n in family if n.startswith(prefix)]:
-                    del family[name]
-
     def reset(self) -> None:
         """Drop every instrument (tests, embedding applications)."""
         with self._lock:
@@ -342,15 +302,40 @@ class MetricsRegistry:
 
 _registry = MetricsRegistry()
 
+#: The innermost open :func:`scope` of the current execution context.
+_scoped: ContextVar[MetricsRegistry] = ContextVar("repro_metrics_scope")
+
 
 def registry() -> MetricsRegistry:
-    """The process-wide registry every subsystem reports into."""
-    return _registry
+    """The registry writes go to: the innermost open :func:`scope`, else
+    the process-wide one."""
+    return _scoped.get(_registry)
 
 
 def reset() -> None:
     """Clear the process-wide registry (tests, embedding applications)."""
     _registry.reset()
+
+
+@contextmanager
+def scope() -> Iterator[MetricsRegistry]:
+    """Collect the enclosed block's metrics in a fresh registry.
+
+    Inside the block :func:`registry` returns the yielded registry, so
+    its snapshot holds exactly what the block recorded (histogram
+    min/max included). On exit, exception or not, it folds into the
+    registry that was current when the scope opened: concurrent scopes
+    never see each other's writes. Scopes follow :mod:`contextvars`: a
+    plain thread starts outside them; ``asyncio.to_thread`` inherits.
+    """
+    parent = registry()
+    child = MetricsRegistry()
+    token = _scoped.set(child)
+    try:
+        yield child
+    finally:
+        _scoped.reset(token)
+        parent.absorb(child.snapshot())
 
 
 def quantiles(
@@ -362,3 +347,63 @@ def quantiles(
         label = f"p{q * 100:g}"
         out[label] = histogram_quantile(snapshot, q)
     return out
+
+
+def format_quantiles(marks: Dict[str, float]) -> str:
+    """``p50=0.0123s p90=... p99=...``, in quantile order."""
+    return " ".join(
+        f"{label}={marks[label]:.4f}s"
+        for label in sorted(marks, key=lambda k: float(k[1:]))
+    )
+
+
+# -- stage timing ---------------------------------------------------------------
+
+
+@contextmanager
+def timed(stage: str) -> Iterator[None]:
+    """Charge the enclosed block's wall time to ``stage``, exception or not.
+
+    Also a ``stage.<name>`` span when tracing is enabled (the disabled
+    path costs one shared no-op context manager).
+    """
+    with tracer.span("stage." + stage, category="stage"):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            registry().counter(STAGE_PREFIX + stage).add(time.perf_counter() - start)
+
+
+def timed_iterator(stage: str, iterable: Iterable[_T]) -> Iterator[_T]:
+    """Yield from ``iterable``, charging each ``next()`` to ``stage``.
+
+    This is how lazy trace generation gets attributed: the chunk
+    iterator does its work inside ``next()``, which this wrapper times,
+    while the consumer's own time between pulls is charged elsewhere.
+    """
+    iterator = iter(iterable)
+    done = object()
+    while True:
+        with timed(stage):
+            item = next(iterator, done)
+        if item is done:
+            return
+        yield item
+
+
+def stage_seconds(snapshot: dict) -> Dict[str, float]:
+    """The ``stage -> seconds`` map of a registry snapshot."""
+    return {
+        name[len(STAGE_PREFIX):]: value
+        for name, value in snapshot["counters"].items()
+        if name.startswith(STAGE_PREFIX)
+    }
+
+
+def format_stages(stages: Dict[str, float]) -> str:
+    """One ``stage=1.234s`` token per stage, canonical stages first."""
+    ordered = [s for s in STAGES if s in stages] + sorted(
+        s for s in stages if s not in STAGES
+    )
+    return " ".join(f"{s}={stages[s]:.3f}s" for s in ordered)

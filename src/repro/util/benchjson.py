@@ -53,10 +53,11 @@ def record_benchmark(
     ``None``-valued fields are omitted; extra keyword fields (trace
     lengths, floor values) are stored verbatim. Two observability fields
     are stamped automatically: ``peak_rss_bytes`` (the process's peak
-    resident set at record time) and ``stage_seconds`` (the cumulative
-    per-stage wall-time split of :mod:`repro.util.stagetime`, when any
-    stage time was accrued) — so the CI bench artifact shows where the
-    time and memory of each bench went, not just its headline rate.
+    resident set at record time) and ``stage_seconds`` (the per-stage
+    wall-time split in :func:`repro.obs.metrics.registry`, when any
+    stage time was accrued). Inside a :func:`repro.obs.metrics.scope`
+    (the bench suite opens one per bench) that split is the scope's own,
+    so each entry shows where its bench's time went.
     """
     target = os.environ.get(ENV_BENCH_JSON, "").strip()
     if not target:
@@ -76,9 +77,13 @@ def record_benchmark(
     peak = peak_rss_bytes()
     if peak is not None:
         entry["peak_rss_bytes"] = peak
-    from repro.util import stagetime
+    from repro.obs import metrics
 
-    stages = {k: round(v, 6) for k, v in stagetime.totals().items() if v > 0.0}
+    stages = {
+        k: round(v, 6)
+        for k, v in metrics.stage_seconds(metrics.registry().snapshot()).items()
+        if v > 0.0
+    }
     if stages:
         entry["stage_seconds"] = stages
     for key, value in extra.items():

@@ -28,7 +28,14 @@ from repro.exec.backends import (
     set_default_backend,
     validate_ready,
 )
-from repro.exec.engine import BatchReport, reset_telemetry, run_jobs, telemetry, telemetry_lines
+from repro.exec.engine import (
+    BatchReport,
+    backend_metrics,
+    backend_tallies,
+    reset_telemetry,
+    run_jobs,
+    telemetry_lines,
+)
 from repro.exec.hashing import CACHE_SCHEMA_VERSION, model_fingerprint
 from repro.exec.jobs import SimulationJob
 from repro.exec.worker import (
@@ -36,9 +43,11 @@ from repro.exec.worker import (
     decode_payload,
     encode_payload,
     read_frame,
+    run_job_observed,
     serve,
     write_frame,
 )
+from repro.obs import metrics
 
 
 @pytest.fixture
@@ -300,9 +309,9 @@ class TestFailurePropagation:
         reset_telemetry()
         with pytest.raises(ValueError):
             run_jobs([_job(kernel="bogus")], backend="serial", use_cache=False)
-        tally = telemetry()["serial"]
-        assert tally.failed == 1
-        assert tally.executed == 0
+        tally = backend_tallies()["serial"]
+        assert tally["failed"] == 1
+        assert tally["executed"] == 0
 
     def test_unreachable_worker_command_raises_backend_error(self, fresh_cache):
         backend = SSHBackend(("localhost",))
@@ -391,11 +400,11 @@ class TestTelemetry:
         jobs = _jobs()
         run_jobs(jobs, backend="serial")
         run_jobs(jobs, backend="serial")
-        tallies = telemetry()
-        assert tallies["serial"].executed == 3
-        assert tallies["serial"].cache_misses == 3
-        assert tallies["(warm)"].cache_hits == 3
-        assert tallies["(warm)"].executed == 0
+        tallies = backend_tallies()
+        assert tallies["serial"]["executed"] == 3
+        assert tallies["serial"]["cache_misses"] == 3
+        assert tallies["(warm)"]["cache_hits"] == 3
+        assert tallies["(warm)"]["executed"] == 0
 
     def test_lines_are_grep_friendly(self, fresh_cache):
         reset_telemetry()
@@ -416,6 +425,78 @@ class TestTelemetry:
         run_jobs([_job()], backend="serial", report=warm)
         assert warm.backend == ""  # no backend consulted
         assert warm.cache_hits == 1
+
+
+class _InlineBackend:
+    """Runs jobs in the submitting thread, reporting a chosen worker count."""
+
+    name = "inline"
+
+    def __init__(self, workers=1, barrier=None):
+        self.workers = workers
+        self.barrier = barrier
+
+    def submit_batch(self, jobs):
+        for index, job in enumerate(jobs):
+            if self.barrier is not None:
+                self.barrier.wait()
+            result = run_job_observed(job)
+            if self.barrier is not None:
+                self.barrier.wait()
+            yield index, result
+
+    def workers_for(self, pending):
+        return self.workers
+
+
+class TestConcurrentBatches:
+    def test_overlapping_batches_report_only_their_own_metrics(self, fresh_cache):
+        """Two batches on two threads, held in lockstep by a barrier so
+        each is open for the whole of the other's job -- what repro
+        serve does when a batch window flushes while the previous batch
+        still runs. Each batch must report its own time only."""
+        reset_telemetry()
+        backend = _InlineBackend(barrier=threading.Barrier(2, timeout=60))
+        reports = [BatchReport(), BatchReport()]
+        errors = []
+
+        def run(report, seed):
+            try:
+                run_jobs([_job(seed=seed)], backend=backend, use_cache=False, report=report)
+            except BaseException as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+
+        def process_stage_total():
+            return sum(metrics.stage_seconds(metrics.registry().snapshot()).values())
+
+        before = process_stage_total()
+        threads = [
+            threading.Thread(target=run, args=(report, seed))
+            for report, seed in zip(reports, (11, 12))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        per_batch = sum(sum(report.stage_seconds.values()) for report in reports)
+        assert per_batch > 0.0
+        assert per_batch == pytest.approx(process_stage_total() - before, rel=1e-9)
+        executed = sum(report.executed for report in reports)
+        assert executed == 2
+        timed = backend_metrics()["inline"]["histograms"][metrics.JOB_SECONDS]
+        assert timed["count"] == executed
+        assert backend_tallies()["inline"]["executed"] == executed
+
+    def test_workers_used_is_the_max_over_batches(self, fresh_cache):
+        reset_telemetry()
+        for workers, seed in ((3, 1), (1, 2)):
+            run_jobs([_job(seed=seed)], backend=_InlineBackend(workers), use_cache=False)
+        tally = backend_tallies()["inline"]
+        assert tally["workers_used"] == 3
+        assert tally["executed"] == 2
+        assert telemetry_lines()[0].endswith("executed=2 failed=0 workers=3")
 
 
 class TestWorkerStamping:
@@ -515,11 +596,8 @@ class TestProtocolNegotiation:
     ):
         """Version skew end-to-end: an old-proto worker still executes
         the batch correctly; the coordinator just gets no telemetry."""
-        from repro.util import stagetime
-
         monkeypatch.setenv(worker_mod.ENV_WORKER_PROTO, "1")
         reset_telemetry()
-        stagetime.reset()
         report = BatchReport()
         results = run_jobs(
             _jobs(), backend="ssh:localhost", use_cache=False, report=report
@@ -536,10 +614,7 @@ class TestObservabilityRelay:
     def test_ssh_stage_report_matches_serial_shape(self, fresh_cache):
         """The closed SSH telemetry gap: --verbose stage seconds after an
         ssh:localhost run have the same shape as after a serial run."""
-        from repro.util import stagetime
-
         reset_telemetry()
-        stagetime.reset()
         serial_report = BatchReport()
         run_jobs(_jobs(), backend="serial", use_cache=False, report=serial_report)
         serial_stages = set(serial_report.stage_seconds)
@@ -566,9 +641,6 @@ class TestObservabilityRelay:
         assert report.latency_quantiles["p50"] > 0
 
     def test_pool_workers_relay_metrics(self, fresh_cache):
-        from repro.util import stagetime
-
-        stagetime.reset()
         report = BatchReport()
         run_jobs(_jobs(), backend="pool:2", use_cache=False, report=report)
         assert report.stage_seconds  # relayed from pool workers

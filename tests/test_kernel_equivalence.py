@@ -274,14 +274,13 @@ class TestKernelKnob:
 
     def test_simulator_default_follows_process_default(self):
         profile = get_benchmark("vortex")
-        registry = obs_metrics.registry()
-        before = registry.snapshot()
-        set_default_kernel("walk")
-        walk = Simulator(profile, seed=6).run(1_500)
-        set_default_kernel(None)
-        batch = Simulator(profile, seed=6).run(1_500)
+        with obs_metrics.scope() as scoped:
+            set_default_kernel("walk")
+            walk = Simulator(profile, seed=6).run(1_500)
+            set_default_kernel(None)
+            batch = Simulator(profile, seed=6).run(1_500)
         assert batch.stats == walk.stats
-        ran = registry.delta_since(before)["counters"]
+        ran = scoped.snapshot()["counters"]
         assert ran["sim.kernel_walk"] == 1
         assert ran["sim.kernel_batch"] == 1
 

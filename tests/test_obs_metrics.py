@@ -1,4 +1,7 @@
-"""The metrics registry: instruments, quantiles, deltas, and merges."""
+"""The metrics registry: instruments, quantiles, scopes, and merges."""
+
+import asyncio
+import threading
 
 import pytest
 
@@ -116,7 +119,7 @@ class TestHistogramQuantile:
         assert set(marks) == {"p50", "p90", "p99"}
 
 
-class TestSnapshotDeltaAbsorb:
+class TestSnapshotAbsorb:
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
         registry.counter("c").add(1.0)
@@ -127,39 +130,17 @@ class TestSnapshotDeltaAbsorb:
         assert snap["gauges"] == {"g": 2.0}
         assert snap["histograms"]["h"]["count"] == 1
 
-    def test_delta_since_reports_only_changes(self):
-        registry = MetricsRegistry()
-        registry.counter("stable").add(5.0)
-        registry.histogram("h").observe(1.0)
-        before = registry.snapshot()
-        registry.counter("grew").add(2.0)
-        registry.histogram("h").observe(3.0)
-        delta = registry.delta_since(before)
-        assert delta["counters"] == {"grew": 2.0}
-        assert delta["histograms"]["h"]["count"] == 1
-        assert delta["histograms"]["h"]["sum"] == 3.0
-        assert "stable" not in delta["counters"]
-
-    def test_idle_delta_is_empty(self):
-        registry = MetricsRegistry()
-        registry.counter("c").add(1.0)
-        before = registry.snapshot()
-        delta = registry.delta_since(before)
-        assert delta == {"counters": {}, "gauges": {}, "histograms": {}}
-
     def test_absorb_round_trip(self):
-        # worker-side: accrue, delta; coordinator-side: absorb — totals
-        # must match as if the work happened locally.
+        # worker-side: accrue, snapshot; coordinator-side: absorb —
+        # totals must match as if the work happened locally.
         worker = MetricsRegistry()
-        before = worker.snapshot()
         worker.counter("stage_seconds.kernel").add(1.5)
         worker.histogram(JOB_SECONDS).observe(0.2)
         worker.histogram(JOB_SECONDS).observe(0.4)
-        delta = worker.delta_since(before)
 
         coordinator = MetricsRegistry()
         coordinator.histogram(JOB_SECONDS).observe(0.1)
-        coordinator.absorb(delta)
+        coordinator.absorb(worker.snapshot())
         assert coordinator.counter("stage_seconds.kernel").value == 1.5
         merged = coordinator.histogram(JOB_SECONDS)
         assert merged.count == 3
@@ -195,69 +176,145 @@ class TestSnapshotDeltaAbsorb:
         assert h.sum == pytest.approx(9.5)
         assert sum(h.counts) == 1  # mismatched buckets untouched
 
-    def test_delta_min_max_are_cumulative_not_windowed(self):
-        """The documented merge contract: a histogram delta carries the
-        *cumulative* min/max (the window's own extremes are not
-        recoverable from two snapshots), so they bound every windowed
-        observation conservatively."""
-        registry = MetricsRegistry()
-        registry.histogram("h").observe(0.001)
-        registry.histogram("h").observe(10.0)
-        before = registry.snapshot()
-        registry.histogram("h").observe(0.5)  # the window's only value
-        delta = registry.delta_since(before)["histograms"]["h"]
-        assert delta["count"] == 1 and delta["sum"] == pytest.approx(0.5)
-        # Cumulative extremes, not 0.5/0.5 — conservative bounds.
-        assert delta["min"] == 0.001
-        assert delta["max"] == 10.0
-
-    def test_absorbed_min_max_stay_conservative(self):
-        """Absorbing a cumulative-extreme delta can only widen the
-        target's min/max, never tighten them — the quantile clamp the
-        serve-layer latency reports rely on."""
+    def test_absorbed_min_max_merge_with_min_and_max(self):
+        """Absorbing can only widen the target's extremes, never
+        tighten them — the quantile clamp the latency reports rely on."""
         target = MetricsRegistry()
         target.histogram(JOB_SECONDS).observe(0.2)
         source = MetricsRegistry()
         source.histogram(JOB_SECONDS).observe(0.05)
         source.histogram(JOB_SECONDS).observe(7.0)
-        before = source.snapshot()
-        source.histogram(JOB_SECONDS).observe(0.3)
-        target.absorb(source.delta_since(before))
+        target.absorb(source.snapshot())
         merged = target.histogram(JOB_SECONDS)
-        # Widened to the absorbed cumulative extremes: every windowed
-        # observation (0.3) and every local one (0.2) lies inside.
         assert merged.min == 0.05
         assert merged.max == 7.0
-        assert merged.count == 2
+        assert merged.count == 3
 
-    def test_windowed_quantiles_clamp_inside_absorbed_extremes(self):
-        """Quantiles over a merged delta land within [min, max] even
-        when those extremes are absorbed cumulative values."""
-        target = MetricsRegistry()
-        source = MetricsRegistry()
-        source.histogram(JOB_SECONDS).observe(0.004)
-        before = source.snapshot()
-        for value in (0.02, 0.03, 0.04):
-            source.histogram(JOB_SECONDS).observe(value)
-        target.absorb(source.delta_since(before))
-        snap = target.histogram(JOB_SECONDS).snapshot()
+
+class TestScope:
+    def test_registry_inside_is_the_scope(self):
+        outside = metrics.registry()
+        with metrics.scope() as scoped:
+            assert metrics.registry() is scoped
+            assert scoped is not outside
+        assert metrics.registry() is outside
+
+    def test_sees_only_writes_made_inside(self):
+        with metrics.scope() as outer:
+            metrics.registry().counter("stable").add(5.0)
+            metrics.registry().histogram("h").observe(1.0)
+            with metrics.scope() as window:
+                metrics.registry().counter("grew").add(2.0)
+                metrics.registry().histogram("h").observe(3.0)
+        snap = window.snapshot()
+        assert snap["counters"] == {"grew": 2.0}
+        assert snap["histograms"]["h"]["count"] == 1
+        assert snap["histograms"]["h"]["sum"] == 3.0
+        assert outer.counter("stable").value == 5.0
+
+    def test_idle_scope_is_empty(self):
+        with metrics.scope() as outer:
+            metrics.registry().counter("c").add(1.0)
+            with metrics.scope() as idle:
+                pass
+        assert idle.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert outer.counter("c").value == 1.0
+
+    def test_folds_into_parent_on_exit(self):
+        with metrics.scope() as outer:
+            metrics.registry().counter("c").add(1.0)
+            with metrics.scope():
+                metrics.registry().counter("c").add(2.0)
+                metrics.registry().gauge("g").set(4.0)
+                metrics.registry().histogram("h").observe(0.5)
+                assert outer.counter("c").value == 1.0  # not yet
+            assert outer.counter("c").value == 3.0
+        assert outer.gauge("g").value == 4.0
+        assert outer.histogram("h").count == 1
+
+    def test_folds_into_parent_on_exception(self):
+        with metrics.scope() as outer:
+            with pytest.raises(RuntimeError):
+                with metrics.scope():
+                    metrics.registry().counter("c").add(1.0)
+                    raise RuntimeError("boom")
+            assert metrics.registry() is outer
+        assert outer.counter("c").value == 1.0
+
+    def test_nested_scopes_fold_level_by_level(self):
+        with metrics.scope() as outer:
+            with metrics.scope() as middle:
+                with metrics.scope() as inner:
+                    metrics.registry().counter("c").add(1.0)
+                assert middle.counter("c").value == 1.0
+                assert outer.counters == {}
+                metrics.registry().counter("c").add(2.0)
+        assert inner.counter("c").value == 1.0
+        assert middle.counter("c").value == 3.0
+        assert outer.counter("c").value == 3.0
+
+    def test_folds_into_the_process_registry_outside_any_scope(self):
+        name = "test.scope.process_fold"
+        before = metrics.registry().counter(name).value
+        with metrics.scope():
+            metrics.registry().counter(name).add(1.0)
+        assert metrics.registry().counter(name).value == before + 1.0
+
+    def test_to_thread_workers_keep_separate_scopes(self):
+        # Both threads hold their scope open at once (the barrier), as
+        # two serve batches do when a window flushes while the previous
+        # batch still runs.
+        barrier = threading.Barrier(2, timeout=30)
+
+        def work(amount):
+            with metrics.scope() as own:
+                barrier.wait()
+                metrics.registry().counter("c").add(amount)
+                barrier.wait()
+            return own.snapshot()["counters"]
+
+        async def both():
+            return await asyncio.gather(
+                asyncio.to_thread(work, 1.0), asyncio.to_thread(work, 2.0)
+            )
+
+        with metrics.scope() as outer:
+            seen = asyncio.run(both())
+        assert seen == [{"c": 1.0}, {"c": 2.0}]
+        # asyncio.to_thread carries the caller's context, so both scopes
+        # folded into the scope that was open around them.
+        assert outer.counter("c").value == 3.0
+
+    def test_plain_thread_starts_outside_the_scope(self):
+        seen = []
+        with metrics.scope() as outer:
+            thread = threading.Thread(target=lambda: seen.append(metrics.registry()))
+            thread.start()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert seen and seen[0] is not outer
+
+    def test_histogram_min_max_are_the_windows_own(self):
+        with metrics.scope():
+            metrics.registry().histogram("h").observe(0.001)
+            metrics.registry().histogram("h").observe(10.0)
+            with metrics.scope() as window:
+                metrics.registry().histogram("h").observe(0.5)
+        snap = window.snapshot()["histograms"]["h"]
+        assert snap["count"] == 1 and snap["sum"] == pytest.approx(0.5)
+        assert snap["min"] == 0.5
+        assert snap["max"] == 0.5
         for q in (0.5, 0.9, 0.99):
-            estimate = histogram_quantile(snap, q)
-            assert snap["min"] <= estimate <= snap["max"]
+            assert histogram_quantile(snap, q) == 0.5
 
-    def test_delta_ships_whole_histogram_when_new(self):
-        registry = MetricsRegistry()
-        before = registry.snapshot()
-        registry.histogram("h").observe(1.0)
-        delta = registry.delta_since(before)
-        assert delta["histograms"]["h"]["count"] == 1
 
-    def test_remove_prefixed(self):
-        registry = MetricsRegistry()
-        registry.counter("stage_seconds.kernel").add(1.0)
-        registry.counter("other").add(1.0)
-        registry.remove_prefixed("stage_seconds.")
-        assert list(registry.counters) == ["other"]
+class TestFormatQuantiles:
+    def test_quantile_order_and_precision(self):
+        text = metrics.format_quantiles({"p99": 0.3, "p50": 0.1, "p90": 0.25})
+        assert text == "p50=0.1000s p90=0.2500s p99=0.3000s"
+
+    def test_empty_map_renders_nothing(self):
+        assert metrics.format_quantiles({}) == ""
 
 
 class TestModuleRegistry:
@@ -266,60 +323,3 @@ class TestModuleRegistry:
 
     def test_default_latency_buckets_strictly_increasing(self):
         assert list(DEFAULT_LATENCY_BUCKETS) == sorted(set(DEFAULT_LATENCY_BUCKETS))
-
-
-class TestStagetimeReHome:
-    """stagetime is now a compat shim over the registry's counters."""
-
-    def test_add_lands_in_registry(self):
-        from repro.util import stagetime
-
-        stagetime.reset()
-        try:
-            stagetime.add("kernel", 2.0)
-            assert (
-                metrics.registry().counter("stage_seconds.kernel").value == 2.0
-            )
-            assert stagetime.totals() == {"kernel": 2.0}
-        finally:
-            stagetime.reset()
-
-    def test_registry_absorb_feeds_stage_totals(self):
-        # The SSH relay path: a worker's metrics delta carries its
-        # stage counters; absorbing it updates stagetime.totals().
-        from repro.util import stagetime
-
-        stagetime.reset()
-        try:
-            metrics.registry().absorb(
-                {"counters": {"stage_seconds.generate": 0.75}}
-            )
-            assert stagetime.totals() == {"generate": 0.75}
-        finally:
-            stagetime.reset()
-
-    def test_reset_only_clears_stage_counters(self):
-        from repro.util import stagetime
-
-        metrics.registry().counter("unrelated.counter").add(1.0)
-        stagetime.add("kernel", 1.0)
-        stagetime.reset()
-        assert stagetime.totals() == {}
-        assert metrics.registry().counter("unrelated.counter").value == 1.0
-        metrics.registry().remove_prefixed("unrelated.")
-
-    def test_timed_emits_span_when_tracing(self):
-        from repro.obs import tracer
-        from repro.util import stagetime
-
-        tracer.reset()
-        tracer.enable(True)
-        try:
-            with stagetime.timed("kernel"):
-                pass
-            names = [e["name"] for e in tracer.events()]
-            assert "stage.kernel" in names
-        finally:
-            tracer.enable(False)
-            tracer.reset()
-            stagetime.reset()

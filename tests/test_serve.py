@@ -16,7 +16,6 @@ import pytest
 from repro import cli
 from repro.cpu.simulator import clear_simulation_cache
 from repro.exec import cache
-from repro.obs import metrics as obs_metrics
 from repro.serve import client as serve_client
 from repro.serve.schema import (
     RequestError,
@@ -247,13 +246,30 @@ class TestExecutionSemantics:
             loop.close()
 
     def test_serve_metrics_accrue(self, serve_url):
-        before = obs_metrics.registry().snapshot()
+        # /v1/metrics serves the process registry: the service counters
+        # plus every batch scope folded in when its batch ended.
+        def read():
+            snap = serve_client.metrics_snapshot(serve_url)["metrics"]
+            counters, histograms = snap["counters"], snap["histograms"]
+            return {
+                "requests": counters.get("serve.requests", 0.0),
+                "warm_hits": counters.get("serve.warm_hits", 0.0),
+                "timed": histograms.get("serve.request_seconds", {}).get("count", 0),
+                "batches": histograms.get("serve.batch_jobs", {}).get("count", 0),
+                "jobs": histograms.get("job_seconds", {}).get("count", 0),
+            }
+
+        before = read()
         serve_client.run_remote(serve_url, _simulate(seed=9))
         serve_client.run_remote(serve_url, _simulate(seed=9))
-        delta = obs_metrics.registry().delta_since(before)
-        assert delta["counters"]["serve.requests"] == 2.0
-        assert delta["counters"]["serve.warm_hits"] == 1.0
-        assert delta["histograms"]["serve.request_seconds"]["count"] == 2
+        after = read()
+        assert {name: after[name] - before[name] for name in after} == {
+            "requests": 2.0,
+            "warm_hits": 1.0,
+            "timed": 2,
+            "batches": 1,
+            "jobs": 1,
+        }
 
 
 class TestThinClientCli:

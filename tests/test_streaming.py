@@ -126,9 +126,9 @@ class TestStreamingEquivalence:
             assert streamed.stats == reference.stats
 
     def test_gate_runs_the_walk(self):
-        before = metrics.registry().snapshot()
-        _run(get_benchmark("gzip"), streaming=True, window=600, warmup=100)
-        ran = metrics.registry().delta_since(before)["counters"]
+        with metrics.scope() as scoped:
+            _run(get_benchmark("gzip"), streaming=True, window=600, warmup=100)
+        ran = scoped.snapshot()["counters"]
         assert ran.get("sim.kernel_walk") == 1
         assert "sim.kernel_batch" not in ran
 
