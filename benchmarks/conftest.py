@@ -3,12 +3,11 @@
 The empirical benches run the full nine-benchmark suite at a medium
 scale: large enough to reach each workload's steady state (the profiles
 are sized for it), small enough to keep the whole harness to a few
-minutes. Simulations are shared *within* a session through the
-simulator's in-process memo and *across* sessions through the persistent
-result cache (``~/.cache/repro``, or ``$REPRO_CACHE_DIR``): after the
-first run, the bench suite stops re-simulating entirely until the
-simulator sources change, mirroring how the paper derives Figures 7-9
-and Table 3 from one set of runs.
+minutes. Simulations are shared *within* a session through the engine's
+in-process memo and a session-private persistent store, mirroring how
+the paper derives Figures 7-9 and Table 3 from one set of runs. The
+store is a fresh temporary directory, never ``~/.cache/repro``, so every
+session starts cold and no bench number depends on an earlier run.
 """
 
 import pytest
@@ -23,10 +22,19 @@ MEDIUM_SCALE = ExperimentScale(window_instructions=20_000, warmup_instructions=1
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _shared_result_cache():
-    """Use the real persistent cache so repeat bench runs skip simulation."""
-    result_cache.configure()
+def _session_result_cache(tmp_path_factory):
+    """Point the persistent result cache at a session-private directory.
+
+    Set at the environment level too, so code that calls
+    ``configure(cache_dir=None)`` mid-session (the CLI's default path)
+    stays inside it.
+    """
+    directory = tmp_path_factory.mktemp("bench-result-cache")
+    patcher = pytest.MonkeyPatch()
+    patcher.setenv(result_cache.ENV_CACHE_DIR, str(directory))
+    result_cache.configure(cache_dir=directory)
     yield
+    patcher.undo()
 
 
 @pytest.fixture(autouse=True)

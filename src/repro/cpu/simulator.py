@@ -1,27 +1,20 @@
-"""Simulator façade: workload in, statistics out, with result caching.
+"""Simulator façade: workload in, statistics out.
 
-The experiments drive many (workload, FU-count, L2-latency) combinations;
-:func:`simulate_workload` looks results up through two cache layers before
-simulating:
-
-1. an in-process memo, so e.g. Figure 7 and Figure 8 share the same
-   simulations within one run, as they do in the paper;
-2. the persistent on-disk cache of :mod:`repro.exec.cache`, so repeated
-   invocations (CLI runs, the bench suite, CI) stop re-simulating
-   entirely. Persistent keys fold in a fingerprint of the simulator
-   sources (:func:`repro.exec.hashing.model_fingerprint`), so entries
-   written by an older model are never returned.
-
-Batch submission across cores is handled by :mod:`repro.exec.engine`,
-which shares these cache layers through :func:`cached_result` and
-:func:`store_result`.
+:class:`Simulator` generates a workload's trace and runs it through the
+pipeline, always simulating. :func:`simulate_workload` is the cached
+convenience entry for one run: it submits a one-job batch to
+:func:`repro.exec.engine.run_jobs`, which owns every result cache, so
+e.g. Figure 7 and Figure 8 share the same simulations within one run,
+as they do in the paper, and repeated invocations reuse the persistent
+store. :mod:`repro.cpu` never imports :mod:`repro.exec` at import time:
+the engine loads on the first :func:`simulate_workload` call.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro.cpu.config import MachineConfig
 from repro.cpu.kernel import (
@@ -40,8 +33,6 @@ from repro.cpu.stream import (
     resolve_streaming,
 )
 from repro.cpu.workloads import WorkloadProfile, generate_trace, iter_trace
-from repro.exec import cache as result_cache
-from repro.exec.hashing import simulation_key
 from repro.obs import metrics
 
 
@@ -198,125 +189,6 @@ class Simulator:
         return stats
 
 
-_MEMO: Dict[Tuple, SimulationResult] = {}
-
-
-def _memo_key(
-    profile: WorkloadProfile,
-    num_instructions: int,
-    warmup_instructions: int,
-    seed: int,
-    config: MachineConfig,
-    sleep: Optional[SleepRuntimeSpec],
-    record_sequences: bool,
-) -> Tuple:
-    # The full (frozen, hashable) profile, not just its name, so two
-    # distinct custom profiles sharing a name cannot collide. The sleep
-    # spec keeps closed-loop results apart from sleep-oblivious ones.
-    return (
-        profile,
-        num_instructions,
-        warmup_instructions,
-        seed,
-        config,
-        sleep,
-        record_sequences,
-    )
-
-
-def cached_result(
-    profile: WorkloadProfile,
-    num_instructions: int,
-    config: Optional[MachineConfig] = None,
-    seed: int = 1,
-    warmup_instructions: int = 0,
-    sleep: Optional[SleepRuntimeSpec] = None,
-    record_sequences: bool = True,
-) -> Optional[SimulationResult]:
-    """Look a simulation up through both cache layers without running it.
-
-    A persistent-cache hit is promoted into the in-process memo so later
-    lookups in the same process skip the disk.
-    """
-    if config is None:
-        config = MachineConfig()
-    key = _memo_key(
-        profile,
-        num_instructions,
-        warmup_instructions,
-        seed,
-        config,
-        sleep,
-        record_sequences,
-    )
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    persistent = result_cache.active()
-    if persistent is None:
-        return None
-    stored = persistent.get(
-        simulation_key(
-            profile,
-            num_instructions,
-            warmup_instructions,
-            seed,
-            config,
-            sleep=sleep,
-            record_sequences=record_sequences,
-        )
-    )
-    if isinstance(stored, SimulationResult):
-        _MEMO[key] = stored
-        return stored
-    return None
-
-
-def store_result(
-    profile: WorkloadProfile, result: SimulationResult, persist: bool = True
-) -> None:
-    """Record a completed simulation in the memo and the persistent cache."""
-    key = _memo_key(
-        profile,
-        result.num_instructions,
-        result.warmup_instructions,
-        result.seed,
-        result.config,
-        result.sleep,
-        result.record_sequences,
-    )
-    _MEMO[key] = result
-    if not persist:
-        return
-    persistent = result_cache.active()
-    if persistent is None:
-        return
-    try:
-        persistent.put(
-            simulation_key(
-                profile,
-                result.num_instructions,
-                result.warmup_instructions,
-                result.seed,
-                result.config,
-                sleep=result.sleep,
-                record_sequences=result.record_sequences,
-            ),
-            result,
-        )
-    except OSError as error:
-        # A misconfigured or read-only cache directory must not discard a
-        # completed simulation: warn once and fall back to memo-only.
-        import sys
-
-        print(
-            f"[repro] warning: cannot write result cache "
-            f"({persistent.directory}): {error}; persistent caching disabled",
-            file=sys.stderr,
-        )
-        result_cache.configure(enabled=False)
-
-
 def simulate_workload(
     profile: WorkloadProfile,
     num_instructions: int,
@@ -334,50 +206,30 @@ def simulate_workload(
 
     The cache key covers everything that determines the outcome: the
     profile, window, warmup, seed, the machine configuration, and — for
-    closed-loop runs — the sleep runtime spec. ``streaming``,
-    ``chunk_size``, and ``kernel`` are deliberately *not* part of either
-    cache layer's key: each alternative path reproduces the reference
-    float-for-float (the streaming- and kernel-equivalence gates), so
-    the modes are interchangeable cache-wise — a result computed by the
-    batch kernel satisfies a walk request and vice versa.
-    ``use_cache=False`` bypasses both the memo and the persistent layer.
+    closed-loop runs — the sleep runtime spec
+    (:meth:`repro.exec.jobs.SimulationJob.cache_key`). ``streaming``,
+    ``chunk_size``, and ``kernel`` are deliberately *not* part of it:
+    each alternative path reproduces the reference float-for-float (the
+    streaming- and kernel-equivalence gates), so a result computed by
+    the batch kernel satisfies a walk request and vice versa.
+    ``use_cache=False`` bypasses both the memo and the persistent store.
+    The job always runs in this process (the serial backend), never on
+    a configured pool or SSH fleet.
     """
-    if config is None:
-        config = MachineConfig()
-    if use_cache:
-        hit = cached_result(
-            profile,
-            num_instructions,
-            config=config,
-            seed=seed,
-            warmup_instructions=warmup_instructions,
-            sleep=sleep,
-            record_sequences=record_sequences,
-        )
-        if hit is not None:
-            return hit
-    result = Simulator(
-        profile,
-        config=config,
+    # Imported here: the engine imports this module.
+    from repro.exec.engine import run_jobs
+    from repro.exec.jobs import SimulationJob
+
+    job = SimulationJob(
+        profile=profile,
+        num_instructions=num_instructions,
+        warmup_instructions=warmup_instructions,
         seed=seed,
+        config=config if config is not None else MachineConfig(),
         sleep=sleep,
+        record_sequences=record_sequences,
         streaming=streaming,
         chunk_size=chunk_size,
         kernel=kernel,
-    ).run(
-        num_instructions,
-        warmup_instructions=warmup_instructions,
-        record_sequences=record_sequences,
     )
-    if use_cache:
-        store_result(profile, result)
-    return result
-
-
-def clear_simulation_cache() -> None:
-    """Drop all memoized simulation results (mainly for tests).
-
-    Only the in-process memo is cleared; use
-    :meth:`repro.exec.cache.ResultCache.clear` for the persistent layer.
-    """
-    _MEMO.clear()
+    return run_jobs([job], use_cache=use_cache, backend="serial")[0]

@@ -696,8 +696,8 @@ def _program_tables(profile: WorkloadProfile, seed: int) -> _ProgramTables:
 
     The quick suite's 81 simulations share 9 programs; the nine
     benchmarks' tables total ~313 KB (11-78 KB each). Keyed on the whole
-    frozen profile, like the simulation memo, so two profiles sharing a
-    name cannot collide. ``lru_cache`` is thread-safe (``repro serve``
+    frozen profile, not its name, so two profiles sharing a name cannot
+    collide. ``lru_cache`` is thread-safe (``repro serve``
     runs batches on several threads) and builds outside its lock; two
     threads racing on one key build identical tables.
     """

@@ -5,7 +5,7 @@ This package is the substrate the experiments run on:
 * :mod:`repro.exec.hashing` — canonical content hashing of job
   parameters, versioned by a fingerprint of the simulator sources;
 * :mod:`repro.exec.cache` — the persistent on-disk result cache
-  (``~/.cache/repro`` by default) layered under the simulator's
+  (``~/.cache/repro`` by default) layered under the engine's bounded
   in-process memo;
 * :mod:`repro.exec.stores` — shared write-once and layered
   (read-through/write-back) result stores behind the same protocol, so
@@ -17,12 +17,13 @@ This package is the substrate the experiments run on:
   batch-submission protocol;
 * :mod:`repro.exec.worker` — the stdio job worker remote backends
   drive, speaking length-prefixed JSON frames;
-* :mod:`repro.exec.engine` — batch deduplication, store resolution,
-  and backend dispatch with deterministic result ordering.
+* :mod:`repro.exec.engine` — batch deduplication, result caching, and
+  backend dispatch with deterministic result ordering.
 
-:mod:`repro.cpu.simulator` imports the cache layer from here, and the
-job/engine layer imports the simulator — so this ``__init__`` loads only
-the cycle-free base modules eagerly and resolves the rest lazily.
+The job/engine layer imports the simulator, so this ``__init__`` loads
+only the simulator-free base modules eagerly and resolves the rest
+lazily: importing :mod:`repro.exec.hashing` or :mod:`repro.exec.cache`
+never loads the model.
 """
 
 from __future__ import annotations

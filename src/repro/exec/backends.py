@@ -205,17 +205,15 @@ class ProcessPoolBackend:
         return f"ProcessPoolBackend(workers={self.workers!r})"
 
 
-def validate_ready(frame: Optional[dict], host: str) -> int:
+def validate_ready(frame: Optional[dict], host: str) -> None:
     """Check a worker's handshake frame against this process's model.
 
     A fleet host running a different checkout would compute results that
     disagree with this process's cache keys — and a shared write-once
     store would then publish them globally. Refusing the handshake turns
-    silent wrong-result corruption into a loud startup error.
-
-    Returns the wire protocol version the worker advertised (``1`` when
-    the ready frame predates version advertisement) so the caller knows
-    whether the observability relay can be negotiated.
+    silent wrong-result corruption into a loud startup error. The wire
+    protocol version must match exactly too: the worker's own code is
+    outside the model fingerprint.
     """
     if frame is None or frame.get("kind") != "ready":
         kind = None if frame is None else frame.get("kind")
@@ -231,10 +229,11 @@ def validate_ready(frame: Optional[dict], host: str) -> int:
             f"(fingerprint {str(frame.get('fingerprint'))[:12]}... != "
             f"{model_fingerprint()[:12]}...); update its checkout"
         )
-    try:
-        return max(1, int(frame.get("proto", 1)))
-    except (TypeError, ValueError):
-        return 1
+    if frame.get("proto") != PROTOCOL_VERSION:
+        raise BackendError(
+            f"worker on {host!r} speaks wire protocol {frame.get('proto')!r}, "
+            f"this process speaks {PROTOCOL_VERSION!r}; update its checkout"
+        )
 
 
 class SSHBackend:
@@ -302,21 +301,16 @@ class SSHBackend:
         try:
             proc = self._spawn(host)
             procs[host] = proc
-            proto = validate_ready(read_frame(proc.stdout), host)
-            relay = proto >= 2
-            if relay:
-                # v2 workers get the observability relay switched on; v1
-                # workers must never see this frame (their unknown-kind
-                # error reply would misalign the lockstep conversation).
-                write_frame(
-                    proc.stdin,
-                    {
-                        "kind": "hello",
-                        "proto": PROTOCOL_VERSION,
-                        "metrics": True,
-                        "trace": tracer.is_enabled(),
-                    },
-                )
+            validate_ready(read_frame(proc.stdout), host)
+            write_frame(
+                proc.stdin,
+                {
+                    "kind": "hello",
+                    "proto": PROTOCOL_VERSION,
+                    "metrics": True,
+                    "trace": tracer.is_enabled(),
+                },
+            )
             for index, job in shard:
                 # A sibling shard failed (or the submitter abandoned the
                 # batch): the whole batch's results will be discarded, so
@@ -343,18 +337,13 @@ class SSHBackend:
                         f"unexpected frame from {host!r}: kind={kind!r} id={response.get('id')!r}"
                     )
                 result = decode_payload(response["result"])
-                if relay:
-                    extra = read_frame(proc.stdout)
-                    if (
-                        extra is None
-                        or extra.get("kind") != "metrics"
-                        or extra.get("id") != index
-                    ):
-                        raise BackendError(
-                            f"worker on {host!r} negotiated the metrics relay "
-                            f"but did not follow result {index} with its metrics frame"
-                        )
-                    out_queue.put(("metrics", extra))
+                extra = read_frame(proc.stdout)
+                if extra is None or extra.get("kind") != "metrics" or extra.get("id") != index:
+                    raise BackendError(
+                        f"worker on {host!r} did not follow result {index} "
+                        f"with its metrics frame"
+                    )
+                out_queue.put(("metrics", extra))
                 out_queue.put(("result", (index, result)))
             write_frame(proc.stdin, {"kind": "shutdown"})
             read_frame(proc.stdout)  # the bye frame; EOF is fine too

@@ -12,10 +12,10 @@ rename) so concurrent processes sharing one cache directory never observe
 torn entries.
 
 The module keeps one process-wide *active* store, configured once by the
-CLI (or implicitly on first use); the simulator façade layers it under
-its in-process memo. The default shape is this module's plain local
-directory store; ``--store shared:DIR`` / ``--store layered:DIR`` swap
-in the write-once shared-filesystem compositions of
+CLI (or implicitly on first use); :mod:`repro.exec.engine` layers it
+under its bounded in-process memo. The default shape is this module's
+plain local directory store; ``--store shared:DIR`` / ``--store
+layered:DIR`` swap in the write-once shared-filesystem compositions of
 :mod:`repro.exec.stores` behind the same ``get``/``put`` protocol.
 """
 
@@ -237,7 +237,7 @@ def configure(
     installed as-is (for tests and embedders providing their own
     :class:`~repro.exec.stores.ResultStore`). Passing ``enabled=False``
     (the CLI's ``--no-cache``) turns the persistent layer off; the
-    in-process memo is unaffected.
+    engine's in-process memo is unaffected.
     """
     global _active_cache, _enabled, _configured
     _configured = True

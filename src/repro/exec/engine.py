@@ -1,22 +1,27 @@
-"""The batch scheduler: deduplicate, resolve from the store, fan out.
+"""The batch scheduler and the one owner of result caching.
 
 :func:`run_jobs` is the single entry point the experiments submit their
 simulation batches through. It
 
 1. deduplicates the batch by canonical cache key (Figure 7's 12-cycle-L2
    batch and Figure 8's default batch are the same nine jobs);
-2. resolves whatever it can from the cache layers (in-process memo, then
-   the persistent result store — local, shared, or layered, see
-   :mod:`repro.exec.stores`);
+2. resolves whatever it can through :func:`lookup`: the bounded
+   in-process memo, then the persistent result store (local, shared, or
+   layered, see :mod:`repro.exec.stores`);
 3. hands the remaining jobs to an :class:`~repro.exec.backends.ExecutionBackend`
    — in-process serial, the local process pool, or SSH fan-out across
    hosts (:mod:`repro.exec.backends`) — after stamping process-wide
    streaming/kernel defaults into them;
-4. stores fresh results back into every cache layer;
+4. publishes fresh results into both tiers;
 5. returns results in the submission order of the *original* batch, so
    every backend is observationally identical (the backend-equivalence
    CI gate asserts byte-identity across serial, pool, and
    ssh-localhost).
+
+Both tiers share one key per job, :meth:`SimulationJob.cache_key`. The
+memo is an LRU of :data:`MEMO_ENTRIES` results, so a long-lived
+``repro serve`` stays bounded; ``cache.memo_evictions`` counts what it
+drops.
 
 The default worker count is process-wide state set by the CLIs'
 ``--jobs`` flag (or ``$REPRO_JOBS``); the default backend by
@@ -28,10 +33,13 @@ from __future__ import annotations
 
 import os
 import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.cpu.simulator import SimulationResult, cached_result, store_result
+from repro.cpu.simulator import SimulationResult
+from repro.exec import cache as result_cache
 from repro.exec.backends import (
     ExecutionBackend,
     resolve_backend,
@@ -43,10 +51,13 @@ from repro.obs import tracer
 
 __all__ = [
     "ENV_JOBS",
+    "MEMO_ENTRIES",
     "BatchReport",
     "backend_metrics",
     "backend_tallies",
+    "clear_memo",
     "get_default_workers",
+    "lookup",
     "reset_telemetry",
     "resolve_workers",
     "run_jobs",
@@ -206,38 +217,71 @@ def telemetry_lines() -> List[str]:
     return lines
 
 
-# -- batch execution -----------------------------------------------------------
+# -- result caching ------------------------------------------------------------
+
+#: Results the in-process memo holds. The largest benchmark workload needs
+#: 105 distinct simulations and the full suite 81, so none evicts.
+MEMO_ENTRIES = 256
+
+#: Cache key -> result, least recently used first. Locked: serve probes it
+#: from worker threads while batches run on others.
+_MEMO: "OrderedDict[str, SimulationResult]" = OrderedDict()
+_MEMO_LOCK = threading.Lock()
 
 
-@dataclass
-class _BatchState:
-    """Bookkeeping shared by the phases of one :func:`run_jobs` call."""
+def _remember(key: str, result: SimulationResult) -> None:
+    with _MEMO_LOCK:
+        _MEMO[key] = result
+        _MEMO.move_to_end(key)
+        evicted = max(0, len(_MEMO) - MEMO_ENTRIES)
+        for _ in range(evicted):
+            _MEMO.popitem(last=False)
+    if evicted:
+        obs_metrics.registry().counter("cache.memo_evictions").add(evicted)
 
-    key_order: List[str] = field(default_factory=list)
-    unique: Dict[str, SimulationJob] = field(default_factory=dict)
-    results: Dict[str, SimulationResult] = field(default_factory=dict)
-    pending: List[Tuple[str, SimulationJob]] = field(default_factory=list)
+
+def lookup(key: str) -> Optional[SimulationResult]:
+    """The cached result for ``key``, or ``None``; never runs anything.
+
+    Checks the memo, then the store, promoting a store hit into the memo.
+    """
+    with _MEMO_LOCK:
+        if key in _MEMO:
+            _MEMO.move_to_end(key)
+            return _MEMO[key]
+    store = result_cache.active()
+    stored = store.get(key) if store is not None else None
+    if not isinstance(stored, SimulationResult):
+        return None
+    _remember(key, stored)
+    return stored
 
 
-def _resolve_from_cache(state: _BatchState, use_cache: bool) -> None:
-    for key, job in state.unique.items():
-        hit = (
-            cached_result(
-                job.profile,
-                job.num_instructions,
-                config=job.config,
-                seed=job.seed,
-                warmup_instructions=job.warmup_instructions,
-                sleep=job.sleep,
-                record_sequences=job.record_sequences,
-            )
-            if use_cache
-            else None
+def _publish(key: str, result: SimulationResult) -> None:
+    _remember(key, result)
+    store = result_cache.active()
+    if store is None:
+        return
+    try:
+        store.put(key, result)
+    except OSError as error:
+        # A misconfigured or read-only store must not discard a completed
+        # simulation: warn once and fall back to memo-only.
+        print(
+            f"[repro] warning: cannot write result cache "
+            f"({store.describe()}): {error}; persistent caching disabled",
+            file=sys.stderr,
         )
-        if hit is not None:
-            state.results[key] = hit
-        else:
-            state.pending.append((key, job))
+        result_cache.configure(enabled=False)
+
+
+def clear_memo() -> None:
+    """Drop every memoized result (tests, embedders); the store is untouched."""
+    with _MEMO_LOCK:
+        _MEMO.clear()
+
+
+# -- batch execution -----------------------------------------------------------
 
 
 def run_jobs(
@@ -259,30 +303,35 @@ def run_jobs(
     """
     ordered = list(jobs)
     backend_obj = resolve_backend(backend, workers=workers)
-    state = _BatchState()
-    for job in ordered:
-        key = job.cache_key()
-        state.key_order.append(key)
-        if key not in state.unique:
-            state.unique[key] = job
+    keys = [job.cache_key() for job in ordered]
+    unique: Dict[str, SimulationJob] = {}
+    for key, job in zip(keys, ordered):
+        unique.setdefault(key, job)
+    results: Dict[str, SimulationResult] = {}
+    pending: List[Tuple[str, SimulationJob]] = []
 
     with tracer.span(
         "engine.run_jobs", category="engine", submitted=len(ordered)
     ) as run_span, obs_metrics.scope() as batch_metrics:
-        _resolve_from_cache(state, use_cache)
+        for key, job in unique.items():
+            hit = lookup(key) if use_cache else None
+            if hit is not None:
+                results[key] = hit
+            else:
+                pending.append((key, job))
         run_span.set(
-            unique=len(state.unique),
-            cache_hits=len(state.unique) - len(state.pending),
-            pending=len(state.pending),
+            unique=len(unique),
+            cache_hits=len(unique) - len(pending),
+            pending=len(pending),
         )
 
         workers_used = 1
         executed = 0
         failed = 0
         try:
-            if state.pending:
-                workers_used = backend_obj.workers_for(len(state.pending))
-                stamped = [job.with_stamped_defaults() for _, job in state.pending]
+            if pending:
+                workers_used = backend_obj.workers_for(len(pending))
+                stamped = [job.with_stamped_defaults() for _, job in pending]
                 with tracer.span(
                     "backend.submit",
                     category="backend",
@@ -291,11 +340,11 @@ def run_jobs(
                     workers=workers_used,
                 ):
                     for index, result in backend_obj.submit_batch(stamped):
-                        key, job = state.pending[index]
-                        state.results[key] = result
+                        key = pending[index][0]
+                        results[key] = result
                         executed += 1
                         if use_cache:
-                            store_result(job.profile, result)
+                            _publish(key, result)
         except BaseException:
             failed = 1
             raise
@@ -304,13 +353,13 @@ def run_jobs(
             jobs_timed = snap["histograms"].get(obs_metrics.JOB_SECONDS)
             batch = BatchReport(
                 submitted=len(ordered),
-                unique=len(state.unique),
-                cache_hits=len(state.unique) - len(state.pending),
-                cache_misses=len(state.pending),
+                unique=len(unique),
+                cache_hits=len(unique) - len(pending),
+                cache_misses=len(pending),
                 executed=executed,
                 failed=failed,
                 workers_used=workers_used,
-                backend=backend_obj.name if state.pending else "",
+                backend=backend_obj.name if pending else "",
                 stage_seconds=obs_metrics.stage_seconds(snap),
                 latency_quantiles=obs_metrics.quantiles(jobs_timed) if jobs_timed else {},
             )
@@ -319,4 +368,4 @@ def run_jobs(
                 for field_ in fields(BatchReport):
                     setattr(report, field_.name, getattr(batch, field_.name))
 
-    return [state.results[key] for key in state.key_order]
+    return [results[key] for key in keys]

@@ -13,9 +13,10 @@ itself. This module provides
   RNG and interval bookkeeping), folded into every key so cached results
   are invalidated automatically when the model changes.
 
-This module deliberately imports nothing from :mod:`repro.cpu` so the
-simulator façade can layer the persistent cache underneath its in-process
-memo without an import cycle.
+:meth:`repro.exec.jobs.SimulationJob.cache_key` memoizes
+:func:`simulation_key`, so each distinct simulation is hashed once per
+process. This module imports nothing from :mod:`repro.cpu`, so the
+stdio worker can answer its handshake without loading the simulator.
 """
 
 from __future__ import annotations
@@ -139,10 +140,10 @@ def simulation_key(
     sleep: Any = None,
     record_sequences: bool = True,
 ) -> str:
-    """The canonical persistent-cache key for one simulation.
+    """The canonical cache key for one simulation.
 
-    Shared by the simulator façade and the execution engine so both
-    layers address the same cache entries. ``sleep`` is the closed-loop
+    It addresses both of the engine's result tiers, the in-process memo
+    and the persistent store. ``sleep`` is the closed-loop
     :class:`~repro.cpu.sleep.SleepRuntimeSpec` (or None for a
     sleep-oblivious run): folding it in keeps closed-loop entries
     disjoint from open-loop ones — and from each other across policies,

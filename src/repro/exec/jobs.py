@@ -2,14 +2,15 @@
 
 A :class:`SimulationJob` pins down everything that determines a
 simulation's outcome — workload profile, window sizing, seed, and machine
-configuration — and derives the canonical cache key used by both the
-persistent cache and the in-process memo. Jobs are frozen dataclasses, so
-they are hashable, comparable, and picklable (the scheduler ships them to
-worker processes as-is).
+configuration — and derives the canonical cache key that addresses both
+of the engine's result tiers (the in-process memo and the persistent
+store). Jobs are frozen dataclasses, so they are hashable, comparable,
+and picklable (the scheduler ships them to worker processes as-is).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -23,6 +24,10 @@ from repro.exec.hashing import simulation_key
 
 if TYPE_CHECKING:  # typing only: exec must stay import-light under cpu
     from repro.scenarios.phased import PhasedProfile
+
+#: ``simulation_key`` once per distinct outcome. Experiments rebuild equal
+#: jobs as new objects, so this matches on the outcome fields' equality.
+_outcome_key = functools.lru_cache(maxsize=1024)(simulation_key)
 
 
 @dataclass(frozen=True)
@@ -99,19 +104,20 @@ class SimulationJob:
     def cache_key(self) -> str:
         """Canonical versioned key; identical jobs always collide here.
 
-        ``streaming``/``chunk_size``/``kernel`` stay out on purpose:
-        they select a trace-delivery or execution mechanism, not an
-        outcome, so a streamed or batch-kernel job must hit the cache
-        entry a materialized walk wrote and vice versa.
+        Hashed once per distinct outcome in this process, however many
+        equal jobs ask. ``streaming``/``chunk_size``/``kernel`` stay out
+        on purpose: they select a trace-delivery or execution mechanism,
+        not an outcome, so a streamed or batch-kernel job must hit the
+        cache entry a materialized walk wrote and vice versa.
         """
-        return simulation_key(
+        return _outcome_key(
             self.profile,
             self.num_instructions,
             self.warmup_instructions,
             self.seed,
             self.config,
-            sleep=self.sleep,
-            record_sequences=self.record_sequences,
+            self.sleep,
+            self.record_sequences,
         )
 
     def with_stamped_defaults(self) -> "SimulationJob":

@@ -1,6 +1,6 @@
 """Layered result stores: local directory, shared write-once, composition.
 
-The persistent layer under the simulator memo used to be exactly one
+The persistent layer under the engine's memo used to be exactly one
 thing — a per-host ``~/.cache/repro`` directory. A fleet of workers
 needs the cache to deduplicate *globally*, so the layer is now a
 :class:`ResultStore` protocol with three shapes (selected by the CLIs'
@@ -41,7 +41,7 @@ from repro.exec.cache import (
 
 
 class ResultStore(Protocol):
-    """What the simulator façade and the engine require of a store."""
+    """What :mod:`repro.exec.engine`, the one caching layer, requires of a store."""
 
     name: str
 

@@ -26,31 +26,21 @@ The conversation::
     engine > {"kind": "shutdown"}
     worker > {"kind": "bye", "executed": N}
 
-The ``ready`` frame carries the worker's model fingerprint and cache
-schema version; the engine refuses to dispatch to a worker whose
-fingerprint differs from its own, so a stale checkout on one fleet host
-can never publish wrong results under a current store key.
+The ``ready`` frame carries the worker's model fingerprint, cache schema
+version and wire protocol version; the engine refuses to dispatch to a
+worker that differs from it in any of them, so a stale checkout on one
+fleet host can never publish wrong results under a current store key
+nor desync the framing. The worker's own code is outside the model
+fingerprint, which is why ``proto`` is checked separately.
 
-Protocol version 2 adds the observability relay, negotiated so both
-skew directions degrade gracefully rather than desync the framing:
-
-* the worker *advertises* ``"proto": 2`` in its ready frame;
-* the engine *requests* the relay by sending a ``hello`` frame — but
-  only to a worker that advertised ``proto >= 2``. A v1 worker never
-  sees a hello (whose unknown-kind error reply would misalign the
-  lockstep conversation), and a v2 worker that receives no hello stays
-  silent about metrics, so a v1 engine is never surprised by a frame
-  kind it does not know.
-* once negotiated, the worker follows every ``result`` frame with one
-  ``metrics`` frame carrying the snapshot of the job's own metrics
-  scope (:func:`repro.obs.metrics.scope`: exactly what that job
-  recorded, in the registry's ``{counters, gauges, histograms}``
-  shape) and — when the hello asked for ``trace`` — its drained span
-  buffer. Stage seconds ride it as ``stage_seconds.*`` counters.
-
-``$REPRO_WORKER_PROTO=1`` pins a worker to the v1 wire behavior (no
-``proto`` advertisement, no metrics frames); the negotiation regression
-tests use it to stand in for an old-checkout fleet host.
+The engine's ``hello`` switches on the observability relay: the worker
+then follows every ``result`` frame with one ``metrics`` frame carrying
+the snapshot of the job's own metrics scope
+(:func:`repro.obs.metrics.scope`: exactly what that job recorded, in
+the registry's ``{counters, gauges, histograms}`` shape) and — when the
+hello asked for ``trace`` — its drained span buffer. Stage seconds ride
+it as ``stage_seconds.*`` counters. A worker that gets no hello stays
+silent about metrics.
 
 stdout is reserved for frames; simulation warnings go to stderr as
 usual. A malformed or unknown frame produces an ``error`` frame (with
@@ -61,7 +51,6 @@ from __future__ import annotations
 
 import base64
 import json
-import os
 import pickle
 import struct
 import sys
@@ -77,11 +66,8 @@ from repro.obs import metrics, tracer
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 #: Wire protocol generation this checkout speaks. Version 2 added the
-#: negotiated ``hello``/``metrics`` observability relay.
+#: ``hello``/``metrics`` observability relay.
 PROTOCOL_VERSION = 2
-
-#: Set to ``1`` to force the v1 wire behavior (testing version skew).
-ENV_WORKER_PROTO = "REPRO_WORKER_PROTO"
 
 _LENGTH = struct.Struct(">I")
 
@@ -149,31 +135,14 @@ def read_frame(stream: BinaryIO) -> Optional[dict]:
     return frame
 
 
-def protocol_version() -> int:
-    """The wire protocol generation this worker should speak.
-
-    Normally :data:`PROTOCOL_VERSION`; ``$REPRO_WORKER_PROTO`` pins it
-    down for version-skew testing (anything unparsable is ignored).
-    """
-    raw = os.environ.get(ENV_WORKER_PROTO, "").strip()
-    if raw:
-        try:
-            return max(1, min(PROTOCOL_VERSION, int(raw)))
-        except ValueError:
-            pass
-    return PROTOCOL_VERSION
-
-
 def ready_frame() -> dict:
     """The handshake frame a worker emits before accepting jobs."""
-    frame = {
+    return {
         "kind": "ready",
         "fingerprint": model_fingerprint(),
         "schema": CACHE_SCHEMA_VERSION,
+        "proto": PROTOCOL_VERSION,
     }
-    if protocol_version() >= 2:
-        frame["proto"] = protocol_version()
-    return frame
 
 
 def run_job_observed(job):
@@ -208,7 +177,6 @@ def serve(stdin: Optional[BinaryIO] = None, stdout: Optional[BinaryIO] = None) -
     """
     inp = stdin if stdin is not None else sys.stdin.buffer
     out = stdout if stdout is not None else sys.stdout.buffer
-    proto = protocol_version()
     write_frame(out, ready_frame())
     executed = 0
     relay_metrics = False
@@ -222,8 +190,8 @@ def serve(stdin: Optional[BinaryIO] = None, stdout: Optional[BinaryIO] = None) -
         if kind == "shutdown":
             write_frame(out, {"kind": "bye", "executed": executed})
             return 0
-        if kind == "hello" and proto >= 2:
-            # The engine negotiated the observability relay. No reply:
+        if kind == "hello":
+            # The engine switched on the observability relay. No reply:
             # the conversation stays lockstep on job/result pairs.
             relay_metrics = bool(frame.get("metrics"))
             relay_trace = bool(frame.get("trace"))

@@ -26,6 +26,9 @@ same cache entries and render the same report.
   ``policies``, ``p``, ``alpha``, ``instructions``.
 * ``simulate`` — ``benchmark`` (required), ``instructions`` (required),
   ``warmup``, ``seed``, ``fus``.
+
+Any other top-level field or ``params`` name is rejected, so a typo can
+never fall back to a default and share another request's key.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cpu.config import MachineConfig
-from repro.cpu.simulator import cached_result
 from repro.cpu.workloads import benchmark_names, get_benchmark
 from repro.exec.hashing import canonical_key
 from repro.exec.jobs import SimulationJob
@@ -116,22 +118,6 @@ class ServeRequest:
 
     def render(self) -> str:
         return _RENDERERS[self.kind](self.params, self.scale)
-
-
-def job_is_cached(job: SimulationJob) -> bool:
-    """Whether ``job`` would be a pure cache read (memo or store)."""
-    return (
-        cached_result(
-            job.profile,
-            job.num_instructions,
-            config=job.config,
-            seed=job.seed,
-            warmup_instructions=job.warmup_instructions,
-            sleep=job.sleep,
-            record_sequences=job.record_sequences,
-        )
-        is not None
-    )
 
 
 # --- sweep ---------------------------------------------------------------
@@ -366,6 +352,15 @@ _NORMALIZERS = {
     "robustness": _robustness_params,
     "simulate": _simulate_params,
 }
+#: The ``params`` names each kind reads; any other name is a 400, never
+#: silently dropped into another request's key.
+_PARAM_NAMES = {
+    "sweep": "p_grid alpha_grid policies benchmarks",
+    "perf": "p_grid policies alpha wakeup_latencies benchmarks",
+    "robustness": "scenarios scenario_seed families policies p alpha instructions",
+    "simulate": "benchmark instructions warmup seed fus",
+}
+_PAYLOAD_FIELDS = "kind quick params"
 _JOB_BUILDERS = {
     "sweep": _sweep_jobs,
     "perf": _perf_jobs,
@@ -380,15 +375,23 @@ _RENDERERS = {
 }
 
 
+def _reject_unknown(given: Mapping, known: str, what: str) -> None:
+    unknown = sorted(str(name) for name in given if name not in known.split())
+    if unknown:
+        raise RequestError(f"unknown {what} {', '.join(unknown)}; expected some of {known}")
+
+
 def build_request(payload: Any) -> ServeRequest:
     """Validate and normalize a JSON payload into a :class:`ServeRequest`.
 
     Raises :class:`RequestError` for anything malformed — unknown kind,
-    wrong types, unparseable grids, unknown benchmark — so the service
-    can answer 400 before any work is scheduled.
+    unknown fields or parameter names, wrong types, unparseable grids,
+    unknown benchmark — so the service can answer 400 before any work
+    is scheduled.
     """
     if not isinstance(payload, Mapping):
         raise RequestError(f"request body must be a JSON object, got {payload!r}")
+    _reject_unknown(payload, _PAYLOAD_FIELDS, "request fields")
     kind = payload.get("kind")
     if kind not in KINDS:
         raise RequestError(f"unknown kind {kind!r}; expected one of {KINDS}")
@@ -398,6 +401,7 @@ def build_request(payload: Any) -> ServeRequest:
     raw = payload.get("params") or {}
     if not isinstance(raw, Mapping):
         raise RequestError(f"'params' must be a JSON object, got {raw!r}")
+    _reject_unknown(raw, _PARAM_NAMES[kind], f"{kind} params")
     params = _NORMALIZERS[kind](raw)
     request = ServeRequest(kind=kind, quick=quick, params=params, key="")
     # The key folds the normalized parameters AND every needed

@@ -41,7 +41,7 @@ import sys
 import time
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
-from repro.exec.engine import BatchReport, run_jobs
+from repro.exec.engine import BatchReport, lookup, run_jobs
 from repro.exec.hashing import CACHE_SCHEMA_VERSION, model_fingerprint
 from repro.exec.jobs import SimulationJob
 from repro.obs import metrics as obs_metrics
@@ -50,7 +50,6 @@ from repro.serve.schema import (
     RequestError,
     ServeRequest,
     build_request,
-    job_is_cached,
 )
 
 DEFAULT_HOST = "127.0.0.1"
@@ -175,7 +174,7 @@ class EvaluationService:
         """
         jobs = await asyncio.to_thread(request.jobs)
         pending = await asyncio.to_thread(
-            lambda: [job for job in jobs if not job_is_cached(job)]
+            lambda: [job for job in jobs if lookup(job.cache_key()) is None]
         )
         registry = obs_metrics.registry()
         if not pending:

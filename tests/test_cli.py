@@ -76,9 +76,7 @@ class TestMain:
         assert "Figure 7" in out
 
     def test_jobs_flag_runs_parallel(self, capsys, restore_engine_state, tmp_path):
-        from repro.cpu.simulator import clear_simulation_cache
-
-        clear_simulation_cache()  # force real simulation so results persist
+        engine.clear_memo()  # force real simulation so results persist
         assert (
             cli.main(
                 ["figure7", "--quick", "--jobs", "2",
@@ -291,9 +289,7 @@ class TestBackendAndStoreFlags:
     def test_verbose_reports_backend_counters(
         self, capsys, restore_engine_state, tmp_path
     ):
-        from repro.cpu.simulator import clear_simulation_cache
-
-        clear_simulation_cache()
+        engine.clear_memo()
         engine.reset_telemetry()
         assert (
             cli.main(
@@ -432,9 +428,7 @@ class TestCacheJson:
     ):
         import json
 
-        from repro.cpu.simulator import clear_simulation_cache
-
-        clear_simulation_cache()  # force real simulation so results persist
+        engine.clear_memo()  # force real simulation so results persist
         cli.main(["figure7", "--quick", "--cache-dir", str(tmp_path)])
         capsys.readouterr()
         cli.main(["cache", "stats", "--json", "--cache-dir", str(tmp_path)])

@@ -15,10 +15,10 @@ import pytest
 from repro.core.accounting import EnergyAccountant
 from repro.core.sleep_control import build_policy
 from repro.cpu.config import MachineConfig
-from repro.cpu.simulator import clear_simulation_cache, simulate_workload
+from repro.cpu.simulator import simulate_workload
 from repro.cpu.sleep import SleepRuntimeSpec
 from repro.cpu.workloads import benchmark_names, get_benchmark
-from repro.exec.engine import BatchReport, run_jobs
+from repro.exec.engine import BatchReport, clear_memo, run_jobs
 from repro.exec.jobs import SimulationJob
 
 WINDOW = 3_000
@@ -207,7 +207,7 @@ class TestClosedLoopCaching:
         first = run_jobs([job], report=cold)[0]
         assert cold.executed == 1
         # Drop the in-process memo so the rerun exercises the disk layer.
-        clear_simulation_cache()
+        clear_memo()
         warm = BatchReport()
         second = run_jobs([job], report=warm)[0]
         assert warm.cache_hits == 1 and warm.executed == 0
@@ -223,7 +223,7 @@ class TestClosedLoopCaching:
         closed_job = self.job("MaxSleep")
         open_job = self.job(None)
         run_jobs([closed_job])
-        clear_simulation_cache()
+        clear_memo()
         report = BatchReport()
         open_result = run_jobs([open_job], report=report)[0]
         assert report.executed == 1  # not served from the closed entry

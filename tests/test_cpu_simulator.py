@@ -1,14 +1,19 @@
 """Unit tests for the simulator facade and its cache."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cpu.config import MachineConfig
-from repro.cpu.simulator import (
-    Simulator,
-    clear_simulation_cache,
-    simulate_workload,
-)
+from repro.cpu.simulator import Simulator, simulate_workload
 from repro.cpu.workloads import get_benchmark
+from repro.exec.engine import clear_memo
+
+_SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
 
 class TestSimulator:
@@ -30,14 +35,14 @@ class TestSimulator:
 
 class TestSimulateWorkloadCache:
     def test_cache_hit_returns_same_object(self):
-        clear_simulation_cache()
+        clear_memo()
         profile = get_benchmark("gzip")
         a = simulate_workload(profile, 1500)
         b = simulate_workload(profile, 1500)
         assert a is b
 
     def test_cache_distinguishes_configs(self):
-        clear_simulation_cache()
+        clear_memo()
         profile = get_benchmark("gzip")
         a = simulate_workload(profile, 1500)
         b = simulate_workload(profile, 1500, config=MachineConfig().with_int_fus(2))
@@ -46,7 +51,7 @@ class TestSimulateWorkloadCache:
         assert b.stats.num_int_fus == 2
 
     def test_cache_distinguishes_seed_and_warmup(self):
-        clear_simulation_cache()
+        clear_memo()
         profile = get_benchmark("gzip")
         a = simulate_workload(profile, 1500, seed=1)
         b = simulate_workload(profile, 1500, seed=2)
@@ -55,7 +60,7 @@ class TestSimulateWorkloadCache:
         assert a is not c
 
     def test_cache_bypass(self):
-        clear_simulation_cache()
+        clear_memo()
         profile = get_benchmark("gzip")
         a = simulate_workload(profile, 1500, use_cache=False)
         b = simulate_workload(profile, 1500, use_cache=False)
@@ -63,9 +68,30 @@ class TestSimulateWorkloadCache:
         assert a.ipc == pytest.approx(b.ipc)  # deterministic regardless
 
     def test_determinism_across_instances(self):
-        clear_simulation_cache()
+        clear_memo()
         profile = get_benchmark("twolf")
         a = Simulator(profile, seed=5).run(1200)
         b = Simulator(profile, seed=5).run(1200)
         assert a.stats.total_cycles == b.stats.total_cycles
         assert a.stats.ipc == b.stats.ipc
+
+
+class TestLayering:
+    def test_cpu_imports_nothing_from_exec(self):
+        """The engine owns caching; the simulator package stays below it."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = _SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        loaded = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.cpu; "
+                "print(sorted(m for m in sys.modules if m.startswith('repro.exec')))",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+            timeout=120,
+        ).stdout
+        assert loaded.strip() == "[]"

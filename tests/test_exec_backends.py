@@ -13,7 +13,6 @@ import threading
 
 import pytest
 
-from repro.cpu.simulator import clear_simulation_cache
 from repro.cpu.workloads import get_benchmark
 from repro.exec import cache
 from repro.exec import worker as worker_mod
@@ -32,6 +31,7 @@ from repro.exec.engine import (
     BatchReport,
     backend_metrics,
     backend_tallies,
+    clear_memo,
     reset_telemetry,
     run_jobs,
     telemetry_lines,
@@ -54,9 +54,9 @@ from repro.obs import metrics
 def fresh_cache(tmp_path, preserve_cache_config):
     """An empty persistent cache and memo; restores the previous config."""
     store = cache.configure(cache_dir=tmp_path / "exec-cache")
-    clear_simulation_cache()
+    clear_memo()
     yield store
-    clear_simulation_cache()
+    clear_memo()
 
 
 @pytest.fixture
@@ -202,6 +202,18 @@ class TestValidateReady:
     def test_model_skew_rejected(self):
         frame = dict(worker_mod.ready_frame(), fingerprint="stale-checkout")
         with pytest.raises(BackendError, match="different model"):
+            validate_ready(frame, "hostA")
+
+    def test_protocol_skew_rejected(self):
+        """The worker's code is outside the model fingerprint, so a
+        worker with the same model but another wire protocol (or none
+        advertised) must still be refused."""
+        frame = worker_mod.ready_frame()
+        del frame["proto"]
+        with pytest.raises(BackendError, match="wire protocol None"):
+            validate_ready(frame, "hostA")
+        frame["proto"] = worker_mod.PROTOCOL_VERSION - 1
+        with pytest.raises(BackendError, match="wire protocol 1"):
             validate_ready(frame, "hostA")
 
 
@@ -513,27 +525,10 @@ class TestWorkerStamping:
 
 
 class TestProtocolNegotiation:
-    """Wire protocol v2: the hello/metrics relay and version skew."""
+    """Wire protocol v2: the hello/metrics relay."""
 
     def test_ready_frame_advertises_proto(self):
         assert worker_mod.ready_frame()["proto"] == worker_mod.PROTOCOL_VERSION
-
-    def test_env_pins_legacy_proto(self, monkeypatch):
-        monkeypatch.setenv(worker_mod.ENV_WORKER_PROTO, "1")
-        assert "proto" not in worker_mod.ready_frame()
-        assert worker_mod.protocol_version() == 1
-
-    def test_env_garbage_ignored(self, monkeypatch):
-        monkeypatch.setenv(worker_mod.ENV_WORKER_PROTO, "banana")
-        assert worker_mod.protocol_version() == worker_mod.PROTOCOL_VERSION
-
-    def test_validate_ready_returns_advertised_proto(self):
-        frame = worker_mod.ready_frame()
-        assert validate_ready(frame, "h") == worker_mod.PROTOCOL_VERSION
-        del frame["proto"]
-        assert validate_ready(frame, "h") == 1
-        frame["proto"] = "weird"
-        assert validate_ready(frame, "h") == 1
 
     def test_hello_negotiates_metrics_frames(self):
         from repro.obs import tracer
@@ -581,35 +576,9 @@ class TestProtocolNegotiation:
         )
         assert [f["kind"] for f in frames] == ["ready", "result", "bye"]
 
-    def test_legacy_worker_treats_hello_as_unknown_frame(self, monkeypatch):
-        monkeypatch.setenv(worker_mod.ENV_WORKER_PROTO, "1")
-        code, frames = _drive_worker(
-            {"kind": "hello", "proto": 2, "metrics": True},
-            {"kind": "shutdown"},
-        )
-        # Exactly why the engine never sends hello to a v1 worker: the
-        # reply would be an error frame in place of a result.
-        assert [f["kind"] for f in frames] == ["ready", "error", "bye"]
-
-    def test_legacy_worker_batch_degrades_gracefully(
-        self, fresh_cache, monkeypatch
-    ):
-        """Version skew end-to-end: an old-proto worker still executes
-        the batch correctly; the coordinator just gets no telemetry."""
-        monkeypatch.setenv(worker_mod.ENV_WORKER_PROTO, "1")
-        reset_telemetry()
-        report = BatchReport()
-        results = run_jobs(
-            _jobs(), backend="ssh:localhost", use_cache=False, report=report
-        )
-        assert [r.workload_name for r in results] == ["gzip", "mcf", "mst"]
-        assert report.executed == 3
-        assert report.stage_seconds == {}  # nothing relayed
-        assert report.latency_quantiles == {}
-
 
 class TestObservabilityRelay:
-    """v2 workers relay stage seconds, latency, and spans end-to-end."""
+    """Workers relay stage seconds, latency, and spans end-to-end."""
 
     def test_ssh_stage_report_matches_serial_shape(self, fresh_cache):
         """The closed SSH telemetry gap: --verbose stage seconds after an

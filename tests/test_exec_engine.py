@@ -1,34 +1,37 @@
 """Tests for the batch execution engine and its cache layering."""
 
+import errno
 import pickle
+import sys
+import threading
 
 import pytest
 
 from repro.cpu.config import MachineConfig
-from repro.cpu.simulator import (
-    cached_result,
-    clear_simulation_cache,
-    simulate_workload,
-)
+from repro.cpu.simulator import simulate_workload
 from repro.cpu.workloads import get_benchmark
-from repro.exec import cache
+from repro.exec import cache, engine, hashing
+from repro.exec import jobs as jobs_mod
 from repro.exec.engine import (
     BatchReport,
+    clear_memo,
+    lookup,
     resolve_workers,
     run_jobs,
     set_default_workers,
 )
 from repro.exec.jobs import SimulationJob
 from repro.experiments.common import QUICK_SCALE, collect_benchmark_data
+from repro.obs import metrics as obs_metrics
 
 
 @pytest.fixture
 def fresh_cache(tmp_path, preserve_cache_config):
     """An empty persistent cache and memo; restores the previous config."""
     store = cache.configure(cache_dir=tmp_path / "exec-cache")
-    clear_simulation_cache()
+    clear_memo()
     yield store
-    clear_simulation_cache()
+    clear_memo()
 
 
 def _job(name="gzip", instructions=1500, warmup=500, seed=1, config=None):
@@ -98,7 +101,7 @@ class TestRunJobs:
     def test_warm_persistent_cache_survives_memo_clear(self, fresh_cache):
         job = _job()
         first = run_jobs([job])[0]
-        clear_simulation_cache()
+        clear_memo()
         report = BatchReport()
         second = run_jobs([job], report=report)[0]
         assert report.cache_hits == 1 and report.executed == 0
@@ -123,16 +126,7 @@ class TestRunJobs:
     def test_results_land_in_both_cache_layers(self, fresh_cache):
         job = _job()
         run_jobs([job], workers=2)
-        assert (
-            cached_result(
-                job.profile,
-                job.num_instructions,
-                config=job.config,
-                seed=job.seed,
-                warmup_instructions=job.warmup_instructions,
-            )
-            is not None
-        )
+        assert lookup(job.cache_key()) is not None
         assert len(fresh_cache) == 1
 
 
@@ -192,7 +186,7 @@ class TestCollectBenchmarkDataParallel:
         bit-for-bit identical whether run serially or fanned out."""
         serial = collect_benchmark_data(scale=QUICK_SCALE, use_cache=False)
         fresh_cache.clear()
-        clear_simulation_cache()
+        clear_memo()
         parallel = collect_benchmark_data(scale=QUICK_SCALE, jobs=4)
         assert len(serial) == len(parallel) == 9
         for ser, par in zip(serial, parallel):
@@ -206,7 +200,7 @@ class TestCollectBenchmarkDataParallel:
         subset = ("gzip", "mcf")
         serial = table3.run(scale=QUICK_SCALE, benchmarks=subset, jobs=1)
         fresh_cache.clear()
-        clear_simulation_cache()
+        clear_memo()
         parallel = table3.run(scale=QUICK_SCALE, benchmarks=subset, jobs=2)
         for ser, par in zip(serial.selections, parallel.selections):
             assert ser.ipc_by_fus == par.ipc_by_fus
@@ -218,7 +212,7 @@ class TestSimulatorCacheLayering:
         profile = get_benchmark("gzip")
         first = simulate_workload(profile, 1500, warmup_instructions=400)
         assert simulate_workload(profile, 1500, warmup_instructions=400) is first
-        clear_simulation_cache()
+        clear_memo()
         reloaded = simulate_workload(profile, 1500, warmup_instructions=400)
         assert reloaded is not first
         assert pickle.dumps(reloaded) == pickle.dumps(first)
@@ -234,7 +228,127 @@ class TestSimulatorCacheLayering:
 
     def test_disabled_cache_still_memoizes(self, fresh_cache):
         cache.configure(enabled=False)
-        clear_simulation_cache()
+        clear_memo()
         profile = get_benchmark("gzip")
         a = simulate_workload(profile, 1500)
         assert simulate_workload(profile, 1500) is a
+
+
+def _memo_evictions() -> float:
+    return obs_metrics.registry().snapshot()["counters"].get("cache.memo_evictions", 0.0)
+
+
+class TestOneKeyPerJob:
+    def test_each_distinct_job_is_hashed_once(self, fresh_cache, monkeypatch):
+        """Lookups and publishes reuse the batch's key, and equal jobs
+        rebuilt as new objects (as each experiment does) hit the key
+        cache: three distinct jobs cost three hashes, twice submitted."""
+        jobs_mod._outcome_key.cache_clear()
+        hashed = []
+        real = hashing.canonical_key
+
+        def counting(payload, **kwargs):
+            hashed.append(payload)
+            return real(payload, **kwargs)
+
+        monkeypatch.setattr(hashing, "canonical_key", counting)
+        names = ("gzip", "mcf", "mst")
+        run_jobs([_job(name) for name in names], backend="serial")
+        report = BatchReport()
+        run_jobs([_job(name) for name in names], backend="serial", report=report)
+        assert report.cache_hits == 3 and report.executed == 0
+        assert len(hashed) == 3
+
+
+class TestBoundedMemo:
+    def test_lru_evicts_and_the_store_refills(self, fresh_cache, monkeypatch):
+        monkeypatch.setattr(engine, "MEMO_ENTRIES", 2)
+        before = _memo_evictions()
+        jobs = [_job(seed=seed) for seed in range(1, 6)]
+        for job in jobs:
+            run_jobs([job], backend="serial")
+        assert _memo_evictions() - before == 3
+        report = BatchReport()
+        run_jobs([jobs[0]], backend="serial", report=report)
+        assert report.cache_hits == 1 and report.executed == 0
+        assert len(fresh_cache) == 5
+
+    def test_evicted_job_reexecutes_without_a_store(self, fresh_cache, monkeypatch):
+        cache.configure(enabled=False)
+        monkeypatch.setattr(engine, "MEMO_ENTRIES", 2)
+        jobs = [_job(seed=seed) for seed in range(1, 6)]
+        for job in jobs:
+            run_jobs([job], backend="serial")
+        evicted = BatchReport()
+        run_jobs([jobs[0]], backend="serial", report=evicted)
+        assert evicted.executed == 1
+        # The most recently used result is still memoized.
+        recent = BatchReport()
+        run_jobs([jobs[-1]], backend="serial", report=recent)
+        assert recent.cache_hits == 1 and recent.executed == 0
+
+
+class _FullDiskStore:
+    """A store whose every write fails, as on a full or read-only disk."""
+
+    name = "full"
+
+    def get(self, key):
+        return None
+
+    def put(self, key, value):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def describe(self):
+        return "full:/nowhere"
+
+
+class TestStoreWriteFailure:
+    def test_results_survive_and_the_memo_answers(self, fresh_cache, capsys):
+        cache.configure(store=_FullDiskStore())
+        jobs = [_job("gzip"), _job("mst")]
+        report = BatchReport()
+        results = run_jobs(jobs, backend="serial", report=report)
+        assert report.executed == 2
+        assert [r.workload_name for r in results] == ["gzip", "mst"]
+        assert capsys.readouterr().err.count("cannot write result cache (full:/nowhere)") == 1
+        assert cache.active() is None  # fell back to memo-only
+        again = BatchReport()
+        memoized = run_jobs(jobs, backend="serial", report=again)
+        assert all(hit is first for hit, first in zip(memoized, results))
+        assert again.cache_hits == 2 and again.executed == 0
+
+
+class TestMemoUnderThreads:
+    def test_racing_publishes_and_lookups_keep_the_bound(self, fresh_cache, monkeypatch):
+        """Serve probes the memo from worker threads while batches publish
+        on others: a lookup's move_to_end racing another thread's
+        eviction must never raise, and the cap must hold."""
+        cache.configure(enabled=False)
+        monkeypatch.setattr(engine, "MEMO_ENTRIES", 8)
+        result = object()
+        errors = []
+
+        def hammer(thread):
+            try:
+                keys = [f"{thread:02x}{index:062x}" for index in range(300)]
+                for index, key in enumerate(keys):
+                    engine._publish(key, result)
+                    for recent in keys[max(0, index - 10) : index + 1]:
+                        engine.lookup(recent)
+            except Exception as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(engine._MEMO) == 8

@@ -12,11 +12,10 @@ import pickle
 
 import pytest
 
-from repro.cpu.simulator import clear_simulation_cache
 from repro.cpu.workloads import get_benchmark
 from repro.exec import cache
 from repro.exec.cache import ResultCache, StoreStats, VerifyReport
-from repro.exec.engine import BatchReport, run_jobs
+from repro.exec.engine import BatchReport, clear_memo, run_jobs
 from repro.exec.jobs import SimulationJob
 from repro.exec.stores import (
     LayeredStore,
@@ -320,9 +319,9 @@ class TestFleetDedup:
 
     @pytest.fixture
     def _fresh_memo(self, preserve_cache_config):
-        clear_simulation_cache()
+        clear_memo()
         yield
-        clear_simulation_cache()
+        clear_memo()
 
     def test_warm_rerun_through_shared_store_executes_zero_jobs(
         self, tmp_path, _fresh_memo
@@ -338,7 +337,7 @@ class TestFleetDedup:
         cache.configure(cache_dir=tmp_path / "host1", store=f"layered:{shared}")
         cold = run_jobs([job], backend="serial")
         # Host 2: fresh local tier and memo, same shared tier.
-        clear_simulation_cache()
+        clear_memo()
         cache.configure(cache_dir=tmp_path / "host2", store=f"layered:{shared}")
         report = BatchReport()
         warm = run_jobs([job], backend="serial", report=report)

@@ -4,10 +4,9 @@ import json
 
 import pytest
 
-from repro.cpu.simulator import clear_simulation_cache
 from repro.cpu.workloads import get_benchmark
 from repro.exec import cache
-from repro.exec.engine import reset_telemetry, run_jobs
+from repro.exec.engine import clear_memo, reset_telemetry, run_jobs
 from repro.exec.hashing import CACHE_SCHEMA_VERSION, model_fingerprint
 from repro.exec.jobs import SimulationJob
 from repro.obs import manifest
@@ -16,9 +15,9 @@ from repro.obs import manifest
 @pytest.fixture
 def fresh_cache(tmp_path, preserve_cache_config):
     store = cache.configure(cache_dir=tmp_path / "manifest-cache")
-    clear_simulation_cache()
+    clear_memo()
     yield store
-    clear_simulation_cache()
+    clear_memo()
 
 
 @pytest.fixture

@@ -14,8 +14,8 @@ import threading
 import pytest
 
 from repro import cli
-from repro.cpu.simulator import clear_simulation_cache
 from repro.exec import cache
+from repro.exec.engine import clear_memo
 from repro.serve import client as serve_client
 from repro.serve.schema import (
     RequestError,
@@ -29,9 +29,9 @@ from repro.serve.service import EvaluationService
 def fresh_cache(tmp_path, preserve_cache_config):
     """An empty persistent cache and memo; restores the previous config."""
     store = cache.configure(cache_dir=tmp_path / "serve-cache")
-    clear_simulation_cache()
+    clear_memo()
     yield store
-    clear_simulation_cache()
+    clear_memo()
 
 
 @pytest.fixture
@@ -127,6 +127,22 @@ class TestSchema:
         # Normalization happens server-side, identically to the CLI path.
         assert build_request(payload).params["policies"] == ["MaxSleep"]
 
+    @pytest.mark.parametrize(
+        "payload, unknown",
+        [
+            # The grid outside ``params``: used to be dropped silently,
+            # answering the default sweep.
+            ({"kind": "sweep", "p_grid": "0.2,0.6"}, "request fields p_grid"),
+            # A typo'd parameter name: same silent default.
+            ({"kind": "sweep", "params": {"pgrid": "0.2,0.6"}}, "sweep params pgrid"),
+            # "fu" for "fus": used to share the 4-FU request's key.
+            (_simulate(fu=2), "simulate params fu"),
+        ],
+    )
+    def test_unknown_fields_rejected(self, payload, unknown):
+        with pytest.raises(RequestError, match=f"unknown {unknown};"):
+            build_request(payload)
+
     def test_payload_from_args_rejects_unservable(self):
         parser = cli.build_parser()
         args = parser.parse_args(["table1"])
@@ -165,6 +181,10 @@ class TestServiceLifecycle:
     def test_malformed_payload_is_400(self, serve_url):
         with pytest.raises(serve_client.ServeClientError, match="unknown kind"):
             serve_client.run_remote(serve_url, {"kind": "mystery"})
+
+    def test_unknown_param_is_400(self, serve_url):
+        with pytest.raises(serve_client.ServeClientError, match="unknown simulate params fu"):
+            serve_client.run_remote(serve_url, _simulate(fu=2))
 
     def test_unreachable_server_raises(self):
         with pytest.raises(serve_client.ServeClientError, match="cannot reach"):
@@ -304,3 +324,40 @@ class TestThinClientCli:
         code = _run_cli(["sweep", "--quick", "--server", "http://127.0.0.1:9"])[0]
         assert code == 2
         assert "cannot reach" in capsys.readouterr().err
+
+
+class TestBoundedMemoUnderServe:
+    def test_distinct_request_stream_stays_bounded(self, fresh_cache, monkeypatch):
+        """A long-lived service answering ever-new requests keeps at most
+        MEMO_ENTRIES results in memory; an evicted one is still a warm
+        store read, never a re-simulation."""
+        from repro.exec import engine
+
+        monkeypatch.setattr(engine, "MEMO_ENTRIES", 3)
+        service = EvaluationService(port=0, batch_window=0.0)
+        loop = asyncio.new_event_loop()
+        thread = threading.Thread(target=loop.run_forever, daemon=True)
+        thread.start()
+        asyncio.run_coroutine_threadsafe(service.start(), loop).result(timeout=30)
+        url = f"http://127.0.0.1:{service.port}"
+
+        def evictions():
+            counters = serve_client.metrics_snapshot(url)["metrics"]["counters"]
+            return counters.get("cache.memo_evictions", 0.0)
+
+        try:
+            before = evictions()
+            for seed in range(1, 9):
+                result = serve_client.run_remote(url, _simulate(seed=seed))
+                assert result["executed"] == 1
+            assert evictions() - before == 5
+            again = serve_client.run_remote(url, _simulate(seed=1))
+            assert again["warm"] is True
+            assert again["executed"] == 0
+        finally:
+            asyncio.run_coroutine_threadsafe(service.aclose(), loop).result(
+                timeout=30
+            )
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join(timeout=30)
+            loop.close()

@@ -20,7 +20,7 @@ import pytest
 from repro.cpu import stream
 from repro.cpu.kernel import KERNEL_WALK
 from repro.cpu.pipeline import Pipeline
-from repro.cpu.simulator import Simulator, cached_result, simulate_workload
+from repro.cpu.simulator import Simulator, simulate_workload
 from repro.cpu.sleep import SleepRuntimeSpec
 from repro.cpu.stream import (
     MIN_CHUNK_SIZE,
@@ -34,6 +34,7 @@ from repro.cpu.stream import (
 )
 from repro.cpu.trace import trace_digest
 from repro.cpu.workloads import benchmark_names, generate_trace, get_benchmark, iter_trace
+from repro.exec.engine import lookup
 from repro.exec.jobs import SimulationJob
 from repro.obs import metrics
 from repro.scenarios import sample_scenarios
@@ -350,5 +351,6 @@ class TestCacheNeutrality:
             streaming=True,
             chunk_size=TINY_CHUNK,
         )
-        hit = cached_result(profile, 1_500, seed=23)
+        job = SimulationJob(profile=profile, num_instructions=1_500, seed=23)
+        hit = lookup(job.cache_key())
         assert hit is streamed
