@@ -5,8 +5,9 @@ warm path exist for) through a live service instance and records the
 measured p50/p99 request latency, throughput, and cache-hit rate into
 the ``$REPRO_BENCH_JSON`` artifact. The functional assertions are
 deliberately loose — latency belongs in the artifact, not in a flaky
-gate — but deduplication is exact: the unique simulations must execute
-at most once each no matter how many clients ask for them.
+gate — but deduplication is exact: the session's private store starts
+without the unique simulations, and each must execute exactly once no
+matter how many clients ask for them.
 """
 
 import asyncio
@@ -17,7 +18,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.exec.engine import lookup
 from repro.serve import client as serve_client
+from repro.serve.schema import build_request
 from repro.serve.service import EvaluationService
 
 #: Total concurrent client requests driven at the service.
@@ -34,7 +37,7 @@ BENCH_INSTRUCTIONS = 20_000
 
 @pytest.fixture(scope="module")
 def serve_url():
-    service = EvaluationService(port=0, batch_window=0.02)
+    service = EvaluationService(port=0)
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)
     thread.start()
@@ -74,6 +77,13 @@ def _quantile(sorted_values, q):
 def test_bench_serve_load(serve_url, bench_record):
     assert serve_client.health(serve_url)["ok"] is True
     payloads = _payloads()
+    keys = {
+        job.cache_key()
+        for payload in payloads
+        for job in build_request(payload).jobs()
+    }
+    assert len(keys) == UNIQUE_REQUESTS
+    assert all(lookup(key) is None for key in keys), "the bench store is not cold"
     latencies = [0.0] * len(payloads)
     results = [None] * len(payloads)
 
@@ -89,10 +99,9 @@ def test_bench_serve_load(serve_url, bench_record):
 
     assert all(result is not None for result in results)
     # Exact deduplication: across 200 requests there are only 8 unique
-    # simulations, and each executes at most once (exactly once when the
-    # cache started cold; zero times on a warm rerun).
+    # simulations, all uncached at the start, and each executes once.
     executed_total = sum(result["executed"] for result in results)
-    assert executed_total <= UNIQUE_REQUESTS
+    assert executed_total == UNIQUE_REQUESTS
     # Identical payloads must render identical text.
     by_payload = {}
     for payload, result in zip(payloads, results):

@@ -1,14 +1,14 @@
 """Bounded-memory gate: peak RSS is independent of instruction count.
 
 The streaming trace engine's whole claim is that scenario *length* costs
-time, never memory. This bench runs the same sampled scenario streaming
-through the per-instruction walk (pinned: the batch kernel ignores
-``streaming``) in fresh subprocesses at 100k and at 10M instructions — a
-100x growth — and asserts the children's peak RSS (``ru_maxrss``) stays
-flat. A materialized 10M-instruction trace alone would occupy well over
-a gigabyte; under streaming the large run must fit in a small multiple
-of the small run's footprint (interpreter + model + a few resident
-chunks).
+time, never memory. This bench runs the same sampled scenario in fresh
+subprocesses at 100k and at 10M instructions — a 100x growth — and
+asserts the children's peak RSS (``ru_maxrss``) stays flat. It does so
+for both kernels: the per-instruction walk, streaming, and the default
+C batch kernel, which always consumes the trace chunk by chunk. A
+materialized 10M-instruction trace alone would occupy well over a
+gigabyte; under streaming the large run must fit in a small multiple of
+the small run's footprint (interpreter + model + a few resident chunks).
 
 Runs in subprocesses on purpose: ``ru_maxrss`` is a process-lifetime
 high-water mark, so in-process measurement would be polluted by
@@ -16,6 +16,7 @@ whatever the suite allocated before this test.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -23,8 +24,13 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.cpu.kernel import batch_kernel_unavailable_reason
 
 _SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
+
+#: Variables the children inherit, so they build or reuse the C
+#: libraries exactly where this session does.
+_PASSED_ENV = ("PATH", "HOME", "CC", "XDG_CACHE_HOME", "REPRO_KERNEL_CACHE")
 
 SMALL = 100_000
 #: The acceptance point: a 10M-instruction scenario (100x the small run).
@@ -42,9 +48,9 @@ import json, resource, sys
 from repro.cpu.simulator import Simulator
 from repro.scenarios import sample_scenarios
 
-n = int(sys.argv[1])
+n, kernel = int(sys.argv[1]), sys.argv[2]
 scenario = sample_scenarios(1, seed=5, families=["ilp_rich"])[0]
-result = Simulator(scenario.profile, streaming=True, kernel="walk").run(
+result = Simulator(scenario.profile, streaming=True, kernel=kernel).run(
     n, record_sequences=False
 )
 assert result.stats.committed_instructions == n
@@ -56,29 +62,33 @@ print(json.dumps({
 """
 
 
-def _measure(num_instructions: int) -> dict:
+def _measure(num_instructions: int, kernel: str) -> dict:
+    env = {name: os.environ[name] for name in _PASSED_ENV if name in os.environ}
     completed = subprocess.run(
-        [sys.executable, "-c", _CHILD_SCRIPT, str(num_instructions)],
+        [sys.executable, "-c", _CHILD_SCRIPT, str(num_instructions), kernel],
         capture_output=True,
         text=True,
         check=True,
         timeout=1_800,
-        env={"PYTHONPATH": _SRC_DIR},
+        env=dict(env, PYTHONPATH=_SRC_DIR),
     )
     return json.loads(completed.stdout)
 
 
 @pytest.mark.benchmark(group="streaming")
-def test_peak_rss_flat_across_100x_instruction_growth():
-    small = _measure(SMALL)
-    large = _measure(LARGE)
+@pytest.mark.parametrize("kernel", ["walk", "batch"])
+def test_peak_rss_flat_across_100x_instruction_growth(kernel):
+    if kernel == "batch" and batch_kernel_unavailable_reason() is not None:
+        pytest.skip(f"no batch kernel: {batch_kernel_unavailable_reason()}")
+    small = _measure(SMALL, kernel)
+    large = _measure(LARGE, kernel)
     # The 10M-instruction scenario completed (committed == n is asserted
     # in the child) and did useful work.
     assert large["total_cycles"] > small["total_cycles"]
     assert large["ipc"] > 0
     ratio = large["rss_kb"] / small["rss_kb"]
     assert ratio <= MAX_RSS_RATIO, (
-        f"streaming peak RSS grew {ratio:.2f}x "
+        f"{kernel} peak RSS grew {ratio:.2f}x "
         f"({small['rss_kb']} kB -> {large['rss_kb']} kB) over a 100x "
         f"instruction-count growth; bound is {MAX_RSS_RATIO}x"
     )

@@ -265,15 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: %(default)s)",
     )
     serve_group.add_argument(
-        "--batch-window",
-        type=float,
-        default=serve_defaults.DEFAULT_BATCH_WINDOW,
-        metavar="SECONDS",
-        help="'repro serve': how long cache-miss simulations wait for "
-        "companion requests before the folded batch is submitted "
-        "(default: %(default)s)",
-    )
-    serve_group.add_argument(
         "--server",
         default=None,
         metavar="URL",
@@ -490,9 +481,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.experiment == "serve":
         from repro.serve.service import run_service
 
-        return run_service(
-            host=args.serve_host, port=args.port, batch_window=args.batch_window
-        )
+        return run_service(host=args.serve_host, port=args.port)
     if args.server is not None:
         return _run_remote(args)
     if args.experiment == "cache":

@@ -2,7 +2,7 @@
 
 :mod:`repro.serve.schema` normalizes requests and derives their
 canonical coalescing keys; :mod:`repro.serve.service` is the asyncio
-server (warm path, request coalescer, batching window);
+server (warm path, request coalescer, one-fold-at-a-time batcher);
 :mod:`repro.serve.client` is the stdlib thin client behind the CLI's
 ``--server URL`` mode. See ``docs/serving.md``.
 """

@@ -22,10 +22,18 @@ Three layers keep concurrent load cheap:
   one in-flight execution: the first becomes the leader, the rest await
   the leader's future and answer with ``coalesced=true, executed=0``.
   Across N duplicate requests, each unique simulation runs exactly once.
-* **Batcher** — leaders with cache-miss simulations enqueue them into a
-  short batching window; when it closes, all pending jobs fold into one
-  deduplicated :func:`repro.exec.engine.run_jobs` submission, so the
-  configured backend sees one well-packed batch instead of a dribble.
+* **Batcher** — batch while busy: at most one fold (a deduplicated
+  :func:`repro.exec.engine.run_jobs` submission) runs at a time. A
+  leader with cache misses that finds no fold running starts one at
+  once; leaders arriving while one runs fold together into the next, so
+  the backend sees packed batches under load and no request waits on a
+  timer. Each fold claims only simulations still uncached when it is
+  built, so no simulation runs twice and per-request ``executed`` counts
+  sum to the simulations run.
+
+Reading a request head and body has one deadline, :data:`READ_TIMEOUT_S`
+(``408`` on expiry); a malformed head answers ``400`` and an oversized
+body ``413``.
 
 Service metrics (``serve.requests``, ``serve.coalesce_hits``,
 ``serve.warm_hits``, ``serve.errors``, ``serve.request_seconds``,
@@ -54,16 +62,23 @@ from repro.serve.schema import (
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8765
-#: Seconds a leader's cache-miss jobs wait for companions before the
-#: folded batch is submitted.
-DEFAULT_BATCH_WINDOW = 0.05
 
 #: Batch-occupancy buckets: how many jobs each folded submission carried.
 BATCH_JOBS_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 _MAX_BODY_BYTES = 1 << 20  # a request is parameters, never bulk data
+#: Seconds a client has to deliver a whole request head and body.
+READ_TIMEOUT_S = 10.0
 
 Notify = Callable[[Dict[str, Any]], Awaitable[None]]
+
+
+class _BadHead(ValueError):
+    """A request head the service answers with ``status`` and closes."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 def _report_summary(report: BatchReport, batch_jobs: int) -> Dict[str, Any]:
@@ -77,77 +92,86 @@ def _report_summary(report: BatchReport, batch_jobs: int) -> Dict[str, Any]:
     }
 
 
-class _Batcher:
-    """Fold compatible pending simulations into one engine submission.
+def _run_fold(requests: List[List[SimulationJob]]) -> Tuple[BatchReport, List[int]]:
+    """Fold the queued requests' jobs into one batch and run it.
 
-    Leaders call :meth:`submit` with their cache-miss jobs; the first
-    submission opens a window, and when it elapses every queued entry is
-    deduplicated (by canonical cache key, first claimant wins) into a
-    single :func:`run_jobs` batch run in a worker thread. Each entry
-    gets back the folded batch's report plus its own claimed-job count —
-    the per-request ``executed`` attribution that makes duplicate-free
-    accounting sum correctly across requests.
+    Runs in a worker thread after the previous fold has published, so a
+    key is claimed only while :func:`lookup` still misses it (a request's
+    own pending list predates that publish); first claimant wins among
+    duplicates. Returns the fold's report and each request's claim count.
     """
-
-    def __init__(self, window: float):
-        self.window = window
-        self._entries: List[Tuple[List[SimulationJob], asyncio.Future]] = []
-        self._flusher: Optional[asyncio.Task] = None
-
-    async def submit(self, jobs: List[SimulationJob]) -> Tuple[BatchReport, int]:
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._entries.append((jobs, future))
-        if self._flusher is None:
-            self._flusher = asyncio.create_task(self._flush_after_window())
-        return await future
-
-    async def _flush_after_window(self) -> None:
-        if self.window > 0:
-            await asyncio.sleep(self.window)
-        entries, self._entries = self._entries, []
-        self._flusher = None
-        folded: List[SimulationJob] = []
-        claims: List[int] = []
-        seen = set()
-        for jobs, _ in entries:
-            own = 0
-            for job in jobs:
-                key = job.cache_key()
-                if key not in seen:
-                    seen.add(key)
+    folded: List[SimulationJob] = []
+    claims: List[int] = []
+    seen = set()
+    for jobs in requests:
+        own = 0
+        for job in jobs:
+            key = job.cache_key()
+            if key not in seen:
+                seen.add(key)
+                if lookup(key) is None:
                     folded.append(job)
                     own += 1
-            claims.append(own)
+        claims.append(own)
+    report = BatchReport()
+    if folded:
         obs_metrics.registry().histogram(
             "serve.batch_jobs", boundaries=BATCH_JOBS_BUCKETS
         ).observe(float(len(folded)))
-        report = BatchReport()
+        run_jobs(folded, report=report)
+    return report, claims
+
+
+class _Batcher:
+    """Run leaders' cache-miss jobs one fold at a time.
+
+    :meth:`submit` queues a leader's jobs and starts the drain task when
+    none is running. The task folds everything queued into one batch,
+    runs it, answers each entry with the fold's report plus its own
+    claim count, and repeats until the queue is empty. Entries that
+    arrive while a fold runs thus share the next one. A failing fold
+    answers only its own entries with the error.
+    """
+
+    def __init__(self) -> None:
+        self._queue: List[Tuple[List[SimulationJob], asyncio.Future]] = []
+        self._drain: Optional[asyncio.Task] = None
+
+    async def submit(self, jobs: List[SimulationJob]) -> Tuple[BatchReport, int]:
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        self._queue.append((jobs, future))
+        if self._drain is None:
+            self._drain = asyncio.create_task(self._drain_queue())
+        return await future
+
+    async def _drain_queue(self) -> None:
         try:
-            await asyncio.to_thread(run_jobs, folded, report=report)
-        except Exception as error:  # noqa: BLE001 - delivered to every waiter
-            for _, future in entries:
-                if not future.done():
-                    future.set_exception(error)
-            return
-        for (_, future), own in zip(entries, claims):
-            if not future.done():
-                future.set_result((report, own))
+            while self._queue:
+                entries, self._queue = self._queue, []
+                try:
+                    report, claims = await asyncio.to_thread(
+                        _run_fold, [jobs for jobs, _ in entries]
+                    )
+                except Exception as error:  # noqa: BLE001 - this fold's waiters only
+                    for _, future in entries:
+                        if not future.done():
+                            future.set_exception(error)
+                    continue
+                for (_, future), own in zip(entries, claims):
+                    if not future.done():
+                        future.set_result((report, own))
+        finally:
+            self._drain = None
 
 
 class EvaluationService:
     """The request coalescer, batcher, and HTTP front end."""
 
-    def __init__(
-        self,
-        host: str = DEFAULT_HOST,
-        port: int = DEFAULT_PORT,
-        batch_window: float = DEFAULT_BATCH_WINDOW,
-    ):
+    def __init__(self, host: str = DEFAULT_HOST, port: int = DEFAULT_PORT):
         self.host = host
         self.port = port
-        self.batch_window = batch_window
         self._inflight: Dict[str, asyncio.Task] = {}
-        self._batcher = _Batcher(batch_window)
+        self._batcher = _Batcher()
         self._server: Optional[asyncio.AbstractServer] = None
 
     async def start(self) -> asyncio.AbstractServer:
@@ -227,9 +251,27 @@ class EvaluationService:
     ) -> None:
         try:
             try:
-                method, path, body = await self._read_request(reader)
-            except (asyncio.IncompleteReadError, ConnectionError, ValueError):
+                head = await asyncio.wait_for(
+                    self._read_request(reader), READ_TIMEOUT_S
+                )
+            except asyncio.TimeoutError:
+                await self._respond_json(
+                    writer,
+                    408,
+                    {"error": f"request not received within {READ_TIMEOUT_S:g}s"},
+                )
                 return
+            except ValueError as error:
+                # _BadHead carries its status; a head line over the stream
+                # limit surfaces as a plain ValueError.
+                status = getattr(error, "status", 400)
+                await self._respond_json(writer, status, {"error": str(error)})
+                return
+            except asyncio.IncompleteReadError:
+                return
+            if head is None:
+                return
+            method, path, body = head
             if method == "GET" and path == "/healthz":
                 await self._respond_json(
                     writer,
@@ -264,13 +306,14 @@ class EvaluationService:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> Tuple[str, str, bytes]:
+    ) -> Optional[Tuple[str, str, bytes]]:
+        """Read one request; ``None`` when the client closed without one."""
         request_line = (await reader.readline()).decode("latin-1").strip()
         if not request_line:
-            raise ValueError("empty request")
+            return None
         parts = request_line.split()
         if len(parts) != 3:
-            raise ValueError(f"malformed request line {request_line!r}")
+            raise _BadHead(400, f"malformed request line {request_line!r}")
         method, path, _version = parts
         content_length = 0
         while True:
@@ -279,9 +322,14 @@ class EvaluationService:
                 break
             name, _, value = line.partition(":")
             if name.strip().lower() == "content-length":
-                content_length = int(value.strip())
+                value = value.strip()
+                if not (value.isascii() and value.isdigit()):
+                    raise _BadHead(400, f"invalid Content-Length {value!r}")
+                content_length = int(value)
         if content_length > _MAX_BODY_BYTES:
-            raise ValueError(f"body too large ({content_length} bytes)")
+            raise _BadHead(
+                413, f"body of {content_length} bytes exceeds {_MAX_BODY_BYTES}"
+            )
         body = await reader.readexactly(content_length) if content_length else b""
         return method, path, body
 
@@ -289,7 +337,14 @@ class EvaluationService:
         self, writer: asyncio.StreamWriter, status: int, document: Dict[str, Any]
     ) -> None:
         payload = (json.dumps(document, sort_keys=True) + "\n").encode()
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed"}
+        reason = {
+            200: "OK",
+            400: "Bad Request",
+            404: "Not Found",
+            405: "Method Not Allowed",
+            408: "Request Timeout",
+            413: "Content Too Large",
+        }
         writer.write(
             (
                 f"HTTP/1.1 {status} {reason.get(status, 'Error')}\r\n"
@@ -361,19 +416,14 @@ class EvaluationService:
             pass
 
 
-def run_service(
-    host: str = DEFAULT_HOST,
-    port: int = DEFAULT_PORT,
-    batch_window: float = DEFAULT_BATCH_WINDOW,
-) -> int:
+def run_service(host: str = DEFAULT_HOST, port: int = DEFAULT_PORT) -> int:
     """Run the service until interrupted (the ``repro serve`` entry)."""
-    service = EvaluationService(host=host, port=port, batch_window=batch_window)
+    service = EvaluationService(host=host, port=port)
 
     async def _main() -> None:
         server = await service.start()
         print(
-            f"[repro] serving on http://{service.host}:{service.port} "
-            f"(batch window {service.batch_window:g}s)",
+            f"[repro] serving on http://{service.host}:{service.port}",
             file=sys.stderr,
         )
         async with server:

@@ -464,9 +464,10 @@ class _InlineBackend:
 class TestConcurrentBatches:
     def test_overlapping_batches_report_only_their_own_metrics(self, fresh_cache):
         """Two batches on two threads, held in lockstep by a barrier so
-        each is open for the whole of the other's job -- what repro
-        serve does when a batch window flushes while the previous batch
-        still runs. Each batch must report its own time only."""
+        each is open for the whole of the other's job -- as in repro
+        serve, which runs one fold at a time but lets a request's render
+        run its batch beside the next fold. Each batch must report its
+        own time only."""
         reset_telemetry()
         backend = _InlineBackend(barrier=threading.Barrier(2, timeout=60))
         reports = [BatchReport(), BatchReport()]

@@ -262,8 +262,7 @@ class TestScope:
 
     def test_to_thread_workers_keep_separate_scopes(self):
         # Both threads hold their scope open at once (the barrier), as
-        # two serve batches do when a window flushes while the previous
-        # batch still runs.
+        # a serve render's batch does beside the fold that runs meanwhile.
         barrier = threading.Barrier(2, timeout=30)
 
         def work(amount):

@@ -2,21 +2,26 @@
 
 The acceptance bars: serve responses are byte-identical to the direct
 CLI; N concurrent identical requests execute each unique simulation
-exactly once (the coalescer); a repeat of a completed request answers
-entirely from the caches with ``executed=0`` (the warm path).
+exactly once (the coalescer); requests overlapping a running fold run
+no simulation twice (the batcher); a repeat of a completed request
+answers entirely from the caches with ``executed=0`` (the warm path).
 """
 
 import asyncio
 import io
 import contextlib
+import socket
 import threading
+import time
+import urllib.parse
 
 import pytest
 
 from repro import cli
-from repro.exec import cache
+from repro.exec import backends, cache
 from repro.exec.engine import clear_memo
 from repro.serve import client as serve_client
+from repro.serve import service as service_mod
 from repro.serve.schema import (
     RequestError,
     build_request,
@@ -37,7 +42,7 @@ def fresh_cache(tmp_path, preserve_cache_config):
 @pytest.fixture
 def serve_url(fresh_cache):
     """A live service on a fresh cache; yields its base URL."""
-    service = EvaluationService(port=0, batch_window=0.01)
+    service = EvaluationService(port=0)
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)
     thread.start()
@@ -49,9 +54,85 @@ def serve_url(fresh_cache):
     loop.close()
 
 
+class _Gate:
+    """Stands in for ``repro.exec.backends.run_job_observed``: counts the
+    simulations run, holds the first until :attr:`release` is set, and
+    fails any job whose seed is :attr:`fail_seed`."""
+
+    def __init__(self, run):
+        self._run = run
+        self._lock = threading.Lock()
+        self.calls = 0
+        self.fail_seed = None
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, job):
+        with self._lock:
+            self.calls += 1
+            first = self.calls == 1
+        if first:
+            self.entered.set()
+            assert self.release.wait(timeout=60)
+        if job.seed == self.fail_seed:
+            raise RuntimeError("injected simulation failure")
+        return self._run(job)
+
+
+@pytest.fixture
+def gate(monkeypatch):
+    """Hold the first fold mid-run; released at teardown in any case."""
+    held = _Gate(backends.run_job_observed)
+    monkeypatch.setattr(backends, "run_job_observed", held)
+    yield held
+    held.release.set()
+
+
+class _Call:
+    """One ``run_remote`` on its own thread; ``scheduled`` fires with that event."""
+
+    def __init__(self, url, payload):
+        self.scheduled = threading.Event()
+        self.result = self.error = None
+        self._thread = threading.Thread(
+            target=self._run, args=(url, payload), daemon=True
+        )
+        self._thread.start()
+
+    def _run(self, url, payload):
+        def on_event(event):
+            if event["event"] == "scheduled":
+                self.scheduled.set()
+
+        try:
+            self.result = serve_client.run_remote(url, payload, on_event=on_event)
+        except serve_client.ServeClientError as error:
+            self.error = error
+
+    def join(self):
+        self._thread.join(timeout=120)
+        assert not self._thread.is_alive()
+        return self
+
+
 def _simulate(benchmark="gzip", instructions=1500, **extra):
     params = {"benchmark": benchmark, "instructions": instructions, **extra}
     return {"kind": "simulate", "params": params}
+
+
+def _sweep(**params):
+    return {"kind": "sweep", "quick": True, "params": params}
+
+
+def _exchange(url, data):
+    """Send raw bytes to the service; return all it answers before closing."""
+    parsed = urllib.parse.urlsplit(url)
+    with socket.create_connection((parsed.hostname, parsed.port), timeout=5) as sock:
+        sock.sendall(data)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
 
 
 def _run_cli(argv):
@@ -191,6 +272,46 @@ class TestServiceLifecycle:
             serve_client.health("http://127.0.0.1:9", timeout=2.0)
 
 
+class TestRequestHeads:
+    @pytest.mark.parametrize(
+        "sent",
+        [
+            b"POST /v1/run HTTP/1.1\r\n",
+            b"POST /v1/run HTTP/1.1\r\nContent-Length: 50\r\n\r\n{}",
+        ],
+        ids=["stalled-head", "short-body"],
+    )
+    def test_stalled_client_gets_408(self, serve_url, monkeypatch, sent):
+        """A client that stops mid-request is answered and dropped once
+        the read deadline passes, instead of holding its connection."""
+        monkeypatch.setattr(service_mod, "READ_TIMEOUT_S", 0.2)
+        started = time.monotonic()
+        answer = _exchange(serve_url, sent)
+        assert answer.startswith(b"HTTP/1.1 408 ")
+        assert time.monotonic() - started < 3.0
+
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            ("POST /v1/run HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+            ("POST /v1/run HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+            (
+                "POST /v1/run HTTP/1.1\r\n"
+                f"Content-Length: {service_mod._MAX_BODY_BYTES + 1}\r\n\r\n",
+                413,
+            ),
+            ("POST /v1/run\r\n\r\n", 400),
+        ],
+        ids=["negative-length", "non-numeric-length", "oversized-body", "bad-request-line"],
+    )
+    def test_malformed_head_gets_a_status(self, serve_url, head, status):
+        """A head the service refuses is answered with a status and an
+        error document, never a silent close."""
+        answer = _exchange(serve_url, head.encode())
+        assert answer.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b'"error"' in answer
+
+
 class TestExecutionSemantics:
     def test_cold_then_warm(self, serve_url):
         events = []
@@ -232,38 +353,56 @@ class TestExecutionSemantics:
             result.get("coalesced") or result["warm"] for result in results
         )
 
-    def test_batch_window_folds_distinct_requests(self, fresh_cache):
-        """Two different requests landing inside one batching window are
-        submitted to the engine as a single folded batch."""
-        service = EvaluationService(port=0, batch_window=0.5)
-        loop = asyncio.new_event_loop()
-        thread = threading.Thread(target=loop.run_forever, daemon=True)
-        thread.start()
-        asyncio.run_coroutine_threadsafe(service.start(), loop).result(timeout=30)
-        url = f"http://127.0.0.1:{service.port}"
-        try:
-            payloads = [_simulate("gzip", seed=3), _simulate("mst", seed=4)]
-            results = [None, None]
+    def test_overlapping_requests_run_each_simulation_once(self, serve_url, gate):
+        """A request needing the simulations of a fold that is still
+        running waits for it instead of running them again: its own fold
+        finds them cached and submits nothing."""
+        # Both quick sweeps price the same 9 simulations.
+        first = _Call(serve_url, _sweep(p_grid="0.1,0.5"))
+        assert gate.entered.wait(timeout=60)
+        second = _Call(serve_url, _sweep(p_grid="0.2,0.6"))
+        assert second.scheduled.wait(timeout=60)
+        time.sleep(0.5)
+        gate.release.set()
+        calls = [first.join(), second.join()]
+        assert [call.error for call in calls] == [None, None]
+        assert gate.calls == 9
+        assert [call.result["executed"] for call in calls] == [9, 0]
 
-            def hit(i):
-                results[i] = serve_client.run_remote(url, payloads[i])
+    def test_arrivals_during_a_fold_share_the_next(self, serve_url, gate):
+        """Distinct requests that queue while a fold runs are folded into
+        one submission when it ends."""
+        held = _Call(serve_url, _simulate(seed=2))
+        assert gate.entered.wait(timeout=60)
+        pair = [
+            _Call(serve_url, _simulate("gzip", seed=3)),
+            _Call(serve_url, _simulate("mst", seed=4)),
+        ]
+        for call in pair:
+            assert call.scheduled.wait(timeout=60)
+        time.sleep(0.2)
+        gate.release.set()
+        assert held.join().result["executed"] == 1
+        results = [call.join().result for call in pair]
+        assert {result["report"]["unique"] for result in results} == {2}
+        assert sum(result["executed"] for result in results) == 2
+        assert gate.calls == 3
 
-            threads = [threading.Thread(target=hit, args=(i,)) for i in (0, 1)]
-            for worker in threads:
-                worker.start()
-            for worker in threads:
-                worker.join(timeout=120)
-            assert all(result is not None for result in results)
-            # Both saw the same folded submission of 2 unique jobs.
-            assert {result["report"]["unique"] for result in results} == {2}
-            assert sum(result["executed"] for result in results) == 2
-        finally:
-            asyncio.run_coroutine_threadsafe(service.aclose(), loop).result(
-                timeout=30
-            )
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(timeout=30)
-            loop.close()
+    def test_failing_fold_answers_only_its_waiters(self, serve_url, gate):
+        """A fold that raises answers its own requests with the error; the
+        request queued behind it and later ones are served normally."""
+        gate.fail_seed = 21
+        failing = _Call(serve_url, _simulate(seed=21))
+        assert gate.entered.wait(timeout=60)
+        queued = _Call(serve_url, _simulate(seed=22))
+        assert queued.scheduled.wait(timeout=60)
+        time.sleep(0.2)
+        gate.release.set()
+        assert "injected simulation failure" in str(failing.join().error)
+        assert queued.join().result["executed"] == 1
+        later = serve_client.run_remote(serve_url, _simulate(seed=23))
+        assert later["executed"] == 1
+        assert gate.calls == 3
 
     def test_serve_metrics_accrue(self, serve_url):
         # /v1/metrics serves the process registry: the service counters
@@ -327,37 +466,23 @@ class TestThinClientCli:
 
 
 class TestBoundedMemoUnderServe:
-    def test_distinct_request_stream_stays_bounded(self, fresh_cache, monkeypatch):
+    def test_distinct_request_stream_stays_bounded(self, serve_url, monkeypatch):
         """A long-lived service answering ever-new requests keeps at most
         MEMO_ENTRIES results in memory; an evicted one is still a warm
         store read, never a re-simulation."""
         from repro.exec import engine
 
         monkeypatch.setattr(engine, "MEMO_ENTRIES", 3)
-        service = EvaluationService(port=0, batch_window=0.0)
-        loop = asyncio.new_event_loop()
-        thread = threading.Thread(target=loop.run_forever, daemon=True)
-        thread.start()
-        asyncio.run_coroutine_threadsafe(service.start(), loop).result(timeout=30)
-        url = f"http://127.0.0.1:{service.port}"
 
         def evictions():
-            counters = serve_client.metrics_snapshot(url)["metrics"]["counters"]
+            counters = serve_client.metrics_snapshot(serve_url)["metrics"]["counters"]
             return counters.get("cache.memo_evictions", 0.0)
 
-        try:
-            before = evictions()
-            for seed in range(1, 9):
-                result = serve_client.run_remote(url, _simulate(seed=seed))
-                assert result["executed"] == 1
-            assert evictions() - before == 5
-            again = serve_client.run_remote(url, _simulate(seed=1))
-            assert again["warm"] is True
-            assert again["executed"] == 0
-        finally:
-            asyncio.run_coroutine_threadsafe(service.aclose(), loop).result(
-                timeout=30
-            )
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(timeout=30)
-            loop.close()
+        before = evictions()
+        for seed in range(1, 9):
+            result = serve_client.run_remote(serve_url, _simulate(seed=seed))
+            assert result["executed"] == 1
+        assert evictions() - before == 5
+        again = serve_client.run_remote(serve_url, _simulate(seed=1))
+        assert again["warm"] is True
+        assert again["executed"] == 0
