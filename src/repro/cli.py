@@ -10,17 +10,19 @@ energy savings against the measured IPC slowdown; ``robustness``
 samples the parametric scenario space (``--scenarios`` workloads from
 ``--families``, deterministic under ``--scenario-seed``) and reports
 per-policy savings distributions, per-family ranking stability, and
-worst cases.
+worst cases. These three render through the evaluation service's
+request schema (:mod:`repro.serve.schema`), locally or with
+``--server``, so their flags are normalized and validated in one place:
+a malformed value is a one-line usage error (exit 2) before anything
+is simulated.
 
 Execution-engine flags apply to every experiment: ``--jobs N`` fans
 simulation batches out across N worker processes, ``--cache-dir`` points
 the persistent result cache somewhere other than ``~/.cache/repro``, and
 ``--no-cache`` disables the persistent layer (the in-process memo still
-applies). ``--streaming``/``--no-streaming``/``--chunk-size`` control
-bounded-memory chunked trace delivery (default: automatic by trace
-length; results are float-for-float identical either way), which is
-what lets ``repro robustness --instructions 10000000`` run
-10M+-instruction scenarios without materializing their traces.
+applies). Traces stream in bounded memory (on the walk, from 500k
+total instructions), which is what lets ``repro robustness
+--instructions 10000000`` run 10M+-instruction scenarios.
 ``--kernel walk|batch`` overrides the simulation engine: ``walk`` is
 the per-instruction reference pipeline, ``batch`` the array-batched C
 kernel (~10x faster on long traces, compiled on first use). Without the
@@ -291,78 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _split_names(spec: str) -> tuple:
-    return tuple(name.strip() for name in spec.split(",") if name.strip())
-
-
-def _run_sweep(args: argparse.Namespace, scale: ExperimentScale) -> str:
-    grid = sweep.SweepGrid(
-        p_values=sweep.parse_grid(args.p_grid or sweep.DEFAULT_P_SPEC),
-        alphas=sweep.parse_grid(args.alpha_grid),
-        policies=_split_names(args.policies or ",".join(sweep.DEFAULT_POLICIES)),
-    )
-    result = sweep.run(
-        scale=scale,
-        grid=grid,
-        benchmarks=_split_names(args.benchmarks),
-        jobs=args.jobs,
-    )
-    return sweep.render(result)
-
-
-def _run_robustness(args: argparse.Namespace, scale: ExperimentScale) -> str:
-    families = _split_names(args.families) or None
-    policies = _split_names(
-        args.policies or ",".join(robustness.DEFAULT_ROBUSTNESS_POLICIES)
-    )
-    result = robustness.run(
-        scale=scale,
-        count=args.scenarios,
-        seed=args.scenario_seed,
-        families=families,
-        policies=policies,
-        p=args.p,
-        alpha=(
-            args.alpha
-            if args.alpha is not None
-            else robustness.DEFAULT_ROBUSTNESS_ALPHA
-        ),
-        instructions=args.instructions,
-        jobs=args.jobs,
-    )
-    if args.catalog is not None:
-        # Serialize the scenarios the run actually evaluated, so the
-        # catalog can never drift from the report it accompanies.
-        write_catalog(result.scenarios, args.catalog)
-    return robustness.render(result)
-
-
-def _run_perf(args: argparse.Namespace, scale: ExperimentScale) -> str:
-    policies = _split_names(
-        args.policies or ",".join(perf_impact.DEFAULT_PERF_POLICIES)
-    )
-    p_values = (
-        sweep.parse_grid(args.p_grid)
-        if args.p_grid
-        else perf_impact.DEFAULT_P_VALUES
-    )
-    latencies = tuple(
-        int(token) for token in _split_names(args.wakeup_latencies)
-    )
-    result = perf_impact.run(
-        scale=scale,
-        policies=policies,
-        p_values=p_values,
-        alpha=(
-            args.alpha if args.alpha is not None else perf_impact.DEFAULT_ALPHA
-        ),
-        wakeup_latencies=latencies,
-        benchmarks=_split_names(args.benchmarks) or None,
-        jobs=args.jobs,
-    )
-    return perf_impact.render(result)
-
-
 #: The machine-readable ``repro cache --json`` document schema tag.
 CACHE_REPORT_SCHEMA = "repro.cache-report/1"
 
@@ -447,9 +377,24 @@ def _run_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 SERVABLE = ("sweep", "perf", "robustness")
 
 
-def _run_remote(args: argparse.Namespace) -> int:
-    """Thin-client mode: ship the request to a ``repro serve`` instance."""
-    from repro.serve import client, payload_from_args
+def _run_servable(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """sweep/perf/robustness: one serve payload from the flags, rendered
+    here or shipped to ``--server``. :mod:`repro.serve.schema` is the one
+    normalizer and validator of these flags either way."""
+    from repro.serve import client
+    from repro.serve.schema import RequestError, build_request, payload_from_args
+
+    payload = payload_from_args(args.experiment, args)
+    if args.server is None:
+        try:
+            request = build_request(payload)
+        except RequestError as error:
+            parser.error(str(error))
+        text = request.render()
+        if args.catalog is not None:
+            write_catalog(request.scenarios(), args.catalog)
+        print(text)
+        return 0
 
     def progress(event):
         name = event.get("event")
@@ -465,9 +410,7 @@ def _run_remote(args: argparse.Namespace) -> int:
             )
 
     try:
-        result = client.run_remote(
-            args.server, payload_from_args(args.experiment, args), on_event=progress
-        )
+        result = client.run_remote(args.server, payload, on_event=progress)
     except client.ServeClientError as error:
         print(f"repro --server: {error}", file=sys.stderr)
         return 2
@@ -475,30 +418,20 @@ def _run_remote(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     scale = QUICK_SCALE if args.quick else DEFAULT_SCALE
-    registry = _registry(scale)
     if args.experiment == "serve":
         from repro.serve.service import run_service
 
         return run_service(host=args.serve_host, port=args.port)
-    if args.server is not None:
-        return _run_remote(args)
+    if args.experiment in SERVABLE:
+        return _run_servable(args, parser)
     if args.experiment == "cache":
         return _run_cache(args)
     if args.experiment == "all":
         runner.run_all(scale, jobs=args.jobs)
         return 0
-    if args.experiment == "sweep":
-        print(_run_sweep(args, scale))
-        return 0
-    if args.experiment == "perf":
-        print(_run_perf(args, scale))
-        return 0
-    if args.experiment == "robustness":
-        print(_run_robustness(args, scale))
-        return 0
-    print(registry[args.experiment]())
+    print(_registry(scale)[args.experiment]())
     return 0
 
 
@@ -555,7 +488,7 @@ def _main(argv=None) -> int:
         return _run_report(args, parser)
     runner.apply_execution_arguments(args)
     with tracer.span(f"cli.{args.experiment}", category="cli"):
-        code = _dispatch(args)
+        code = _dispatch(args, parser)
     if args.verbose:
         runner.print_telemetry()
     runner.finalize_observability(

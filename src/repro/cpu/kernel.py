@@ -40,15 +40,15 @@ so 10M+-instruction traces whose cycle counts pass 2^31 stay exact; the
 regression test at that boundary drives a trace past 2^31 cycles via a
 large memory latency.
 
-Process-wide default plumbing mirrors the streaming knob in
-:mod:`repro.cpu.stream`: the CLIs set a default, the execution engine
-stamps it into jobs shipped to workers, and ``None`` means "use the
-process default, else choose automatically": the batch kernel when it
-builds and loads, the walk otherwise. The automatic choice is made on
-the first simulation, so a run that simulates nothing never compiles or
-loads the kernel. Every simulation counts itself per kernel in the
-metrics registry (:func:`count_run`), which is where the ``-v`` kernel
-line and run manifests read which kernel actually ran.
+The CLIs' ``--kernel`` sets a process-wide default
+(:func:`set_default_kernel`), which the execution engine stamps into
+jobs shipped to workers; ``None`` means "use the process default, else
+choose automatically": the batch kernel when it builds and loads, the
+walk otherwise. The automatic choice is made on the first simulation,
+so a run that simulates nothing never compiles or loads the kernel.
+Every simulation counts itself per kernel in the metrics registry
+(:func:`count_run`), which is where the ``-v`` kernel line and run
+manifests read which kernel actually ran.
 """
 
 from __future__ import annotations

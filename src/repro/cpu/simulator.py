@@ -59,14 +59,17 @@ class SimulationResult:
 class Simulator:
     """Builds traces and runs the pipeline for one workload profile.
 
-    ``streaming`` selects how the trace is delivered to the pipeline:
-    ``True`` streams it chunk by chunk through a bounded-memory
+    ``streaming`` selects how the walk receives its trace: ``True``
+    streams it chunk by chunk through a bounded-memory
     :class:`~repro.cpu.stream.StreamingTrace`, ``False`` materializes
-    the full list, and ``None`` (default) decides automatically from
-    the total trace length. The two modes are float-for-float identical
-    (enforced by the streaming-equivalence CI gate), so the choice
-    affects peak memory only — results, statistics, and cache keys are
-    untouched.
+    the full list, and ``None`` (default) streams at or above
+    :data:`~repro.cpu.stream.STREAMING_THRESHOLD` total instructions.
+    The two modes are float-for-float identical (enforced by the
+    streaming-equivalence CI gate), so the choice affects peak memory
+    only — results, statistics, and cache keys are untouched. Only
+    direct callers force it: the equivalence gate and the peak-RSS
+    bench. ``chunk_size`` sets the instructions per streamed chunk
+    (default :data:`~repro.cpu.stream.DEFAULT_CHUNK_SIZE`).
 
     ``kernel`` selects the simulation engine: ``"walk"`` is the
     per-instruction reference pipeline, ``"batch"`` the array-batched C
@@ -198,8 +201,6 @@ def simulate_workload(
     use_cache: bool = True,
     sleep: Optional[SleepRuntimeSpec] = None,
     record_sequences: bool = True,
-    streaming: Optional[bool] = None,
-    chunk_size: Optional[int] = None,
     kernel: Optional[str] = None,
 ) -> SimulationResult:
     """Run (or reuse) a simulation of ``profile`` on ``config``.
@@ -207,11 +208,10 @@ def simulate_workload(
     The cache key covers everything that determines the outcome: the
     profile, window, warmup, seed, the machine configuration, and — for
     closed-loop runs — the sleep runtime spec
-    (:meth:`repro.exec.jobs.SimulationJob.cache_key`). ``streaming``,
-    ``chunk_size``, and ``kernel`` are deliberately *not* part of it:
-    each alternative path reproduces the reference float-for-float (the
-    streaming- and kernel-equivalence gates), so a result computed by
-    the batch kernel satisfies a walk request and vice versa.
+    (:meth:`repro.exec.jobs.SimulationJob.cache_key`). ``kernel`` is
+    deliberately *not* part of it: the batch kernel reproduces the walk
+    float-for-float (the kernel-equivalence gate), so a result computed
+    by the batch kernel satisfies a walk request and vice versa.
     ``use_cache=False`` bypasses both the memo and the persistent store.
     The job always runs in this process (the serial backend), never on
     a configured pool or SSH fleet.
@@ -228,8 +228,6 @@ def simulate_workload(
         config=config if config is not None else MachineConfig(),
         sleep=sleep,
         record_sequences=record_sequences,
-        streaming=streaming,
-        chunk_size=chunk_size,
         kernel=kernel,
     )
     return run_jobs([job], use_cache=use_cache, backend="serial")[0]

@@ -34,9 +34,9 @@ and is what licenses streaming's absence from simulation cache keys;
 ``tests/test_columnar.py`` enforces the stronger digest-identity of the
 compiled walker and the reference walk.
 
-Process-wide defaults (set by the CLI's ``--streaming``/``--chunk-size``
-flags) live here so the simulator facade and the execution engine share
-one source of truth without import cycles.
+:func:`resolve_streaming` picks the walk's delivery mode: streamed at or
+above :data:`STREAMING_THRESHOLD` total instructions, materialized below
+it, unless a :class:`~repro.cpu.simulator.Simulator` caller forces one.
 """
 
 from __future__ import annotations
@@ -382,43 +382,7 @@ class StreamingTrace(Sequence):
                 return chunk.instructions[index - chunk.start]
 
 
-# -- process-wide streaming defaults -------------------------------------------
-
-_default_streaming: Optional[bool] = None
-_default_chunk_size: int = DEFAULT_CHUNK_SIZE
-
-
-def set_default_streaming(
-    streaming: Optional[bool], chunk_size: Optional[int] = None
-) -> None:
-    """Set the process-wide streaming mode used when callers pass None.
-
-    ``True``/``False`` force the mode; ``None`` restores auto (stream
-    iff the total trace length reaches :data:`STREAMING_THRESHOLD`).
-    A ``None`` chunk size restores :data:`DEFAULT_CHUNK_SIZE`, so
-    ``set_default_streaming(None)`` is a full reset. Validation happens
-    before any state changes: a rejected chunk size leaves both
-    defaults untouched. Set by the CLIs'
-    ``--streaming``/``--no-streaming``/``--chunk-size`` flags; the
-    execution engine stamps the resolved values into jobs it ships to
-    worker processes, which do not share this state.
-    """
-    global _default_streaming, _default_chunk_size
-    resolved_chunk = (
-        DEFAULT_CHUNK_SIZE if chunk_size is None else check_chunk_size(chunk_size)
-    )
-    _default_streaming = streaming
-    _default_chunk_size = resolved_chunk
-
-
-def get_default_streaming() -> Optional[bool]:
-    """The process-wide streaming mode (None = auto by trace length)."""
-    return _default_streaming
-
-
-def get_default_chunk_size() -> int:
-    """The process-wide chunk size used when callers pass None."""
-    return _default_chunk_size
+# -- mode resolution -----------------------------------------------------------
 
 
 def resolve_streaming(
@@ -426,21 +390,18 @@ def resolve_streaming(
 ) -> bool:
     """Decide whether a run of ``total_instructions`` should stream.
 
-    Explicit requests win; ``None`` consults the process default, then
-    falls back to the length threshold. Because streaming and
-    materialized runs are float-for-float identical (the equivalence
-    gate), this choice affects memory only — never results, and never
-    cache keys.
+    An explicit request wins; ``None`` streams at or above
+    :data:`STREAMING_THRESHOLD`. Because streaming and materialized runs
+    are float-for-float identical (the equivalence gate), this choice
+    affects memory only — never results, and never cache keys.
     """
     if streaming is not None:
         return streaming
-    if _default_streaming is not None:
-        return _default_streaming
     return total_instructions >= STREAMING_THRESHOLD
 
 
 def resolve_chunk_size(chunk_size: Optional[int]) -> int:
     """Normalize an optional chunk-size request against the default."""
     if chunk_size is None:
-        return _default_chunk_size
+        return DEFAULT_CHUNK_SIZE
     return check_chunk_size(chunk_size)

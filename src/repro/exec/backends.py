@@ -19,10 +19,10 @@ resolution, and deterministic result ordering; everything below that —
   ``localhost`` spawns the worker directly (no sshd needed), so the
   full wire protocol is exercisable in CI and tests.
 
-A backend receives jobs already stamped with the process-wide
-streaming/kernel defaults (:meth:`SimulationJob.with_stamped_defaults`)
-and streams back ``(index, result)`` pairs in any completion order; the
-engine reassembles submission order. Results are therefore byte-identical
+A backend receives jobs already stamped with an explicit process-wide
+``--kernel`` (:meth:`SimulationJob.with_stamped_defaults`) and streams
+back ``(index, result)`` pairs in any completion order; the engine
+reassembles submission order. Results are therefore byte-identical
 across backends — the backend-equivalence CI gate asserts it.
 
 Failure propagation: :class:`SerialBackend` raises the job's exception

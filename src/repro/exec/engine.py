@@ -10,8 +10,8 @@ simulation batches through. It
    layered, see :mod:`repro.exec.stores`);
 3. hands the remaining jobs to an :class:`~repro.exec.backends.ExecutionBackend`
    — in-process serial, the local process pool, or SSH fan-out across
-   hosts (:mod:`repro.exec.backends`) — after stamping process-wide
-   streaming/kernel defaults into them;
+   hosts (:mod:`repro.exec.backends`) — after stamping an explicit
+   process-wide ``--kernel`` into them;
 4. publishes fresh results into both tiers;
 5. returns results in the submission order of the *original* batch, so
    every backend is observationally identical (the backend-equivalence

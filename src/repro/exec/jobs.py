@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.cpu import kernel as kernel_mod
-from repro.cpu import stream
 from repro.cpu.config import MachineConfig
 from repro.cpu.simulator import SimulationResult, Simulator
 from repro.cpu.sleep import SleepRuntimeSpec
@@ -52,23 +51,12 @@ class SimulationJob:
     #: Ordered per-unit interval lists are the dominant memory cost on
     #: long runs; jobs that only need histograms should leave this off.
     record_sequences: bool = True
-    #: Trace-delivery mode: True streams chunk by chunk in bounded
-    #: memory, False materializes, None decides by trace length (and
-    #: picks up the process-wide ``--streaming`` default when the engine
-    #: ships the job to a worker). Deliberately EXCLUDED from
-    #: :meth:`cache_key`: streaming runs reproduce materialized runs
-    #: float-for-float (the equivalence gate), so the modes must share
-    #: cache entries.
-    streaming: Optional[bool] = None
-    #: Instructions per streamed chunk; None uses the process default.
-    chunk_size: Optional[int] = None
     #: Simulation engine: "walk" (per-instruction reference), "batch"
     #: (array-batched C kernel), or None for the process-wide
     #: ``--kernel`` default (stamped in when the engine ships the job to
-    #: a worker). Deliberately EXCLUDED from :meth:`cache_key` for the
-    #: same reason as ``streaming``: the kernel-equivalence gate proves
-    #: the engines produce identical results, so they must share cache
-    #: entries.
+    #: a worker). Deliberately EXCLUDED from :meth:`cache_key`: the
+    #: kernel-equivalence gate proves the engines produce identical
+    #: results, so they must share cache entries.
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -105,10 +93,9 @@ class SimulationJob:
         """Canonical versioned key; identical jobs always collide here.
 
         Hashed once per distinct outcome in this process, however many
-        equal jobs ask. ``streaming``/``chunk_size``/``kernel`` stay out
-        on purpose: they select a trace-delivery or execution mechanism,
-        not an outcome, so a streamed or batch-kernel job must hit the
-        cache entry a materialized walk wrote and vice versa.
+        equal jobs ask. ``kernel`` stays out on purpose: it selects an
+        execution mechanism, not an outcome, so a batch-kernel job must
+        hit the cache entry a walk wrote and vice versa.
         """
         return _outcome_key(
             self.profile,
@@ -121,40 +108,19 @@ class SimulationJob:
         )
 
     def with_stamped_defaults(self) -> "SimulationJob":
-        """Materialize process-wide streaming/kernel defaults into the job.
+        """Materialize an explicit process-wide ``--kernel`` into the job.
 
         Worker processes — spawned pool workers and remote SSH workers
         alike — do not share this process's
-        :func:`repro.cpu.stream.set_default_streaming` or
-        :func:`repro.cpu.kernel.set_default_kernel` state, so an explicit
-        process-wide ``--streaming``, ``--chunk-size`` or ``--kernel``
-        must travel inside the job. The automatic defaults stay
-        unstamped (``None``): the streaming mode resolves identically by
-        length in any process, and each worker chooses its own kernel
-        (batch when it builds there, else the walk). A non-default chunk
-        size is stamped even under auto streaming — auto-streamed jobs
-        in workers must honor the user's ``--chunk-size``. None of these
-        fields are part of the cache key, so the stamped copy addresses
-        the same cache entries as the original.
+        :func:`repro.cpu.kernel.set_default_kernel` state, so the choice
+        must travel inside the job. The automatic default stays
+        unstamped (``None``): each worker chooses its own kernel (batch
+        when it builds there, else the walk). ``kernel`` is not part of
+        the cache key, so the stamped copy addresses the same cache
+        entries as the original.
         """
-        streaming = self.streaming
-        if streaming is None:
-            streaming = stream.get_default_streaming()
-        chunk_size = self.chunk_size
-        if chunk_size is None:
-            default_chunk = stream.get_default_chunk_size()
-            if default_chunk != stream.DEFAULT_CHUNK_SIZE:
-                chunk_size = default_chunk
-        kernel = self.kernel
-        if kernel is None:
-            kernel = kernel_mod.get_default_kernel()
-        if (
-            streaming == self.streaming
-            and chunk_size == self.chunk_size
-            and kernel == self.kernel
-        ):
-            return self
-        return replace(self, streaming=streaming, chunk_size=chunk_size, kernel=kernel)
+        kernel = self.kernel or kernel_mod.get_default_kernel()
+        return self if kernel == self.kernel else replace(self, kernel=kernel)
 
     def run(self) -> SimulationResult:
         """Execute the simulation directly, bypassing every cache layer."""
@@ -163,8 +129,6 @@ class SimulationJob:
             config=self.config,
             seed=self.seed,
             sleep=self.sleep,
-            streaming=self.streaming,
-            chunk_size=self.chunk_size,
             kernel=self.kernel,
         ).run(
             self.num_instructions,

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.accounting import EnergyAccountant, PolicyResult
+from repro.core.parameters import TechnologyParameters
 from repro.core.policies import AlwaysActivePolicy
 from repro.cpu.config import MachineConfig
 from repro.cpu.simulator import SimulationResult
@@ -146,6 +147,8 @@ def perf_jobs(
     Exposed separately so callers (and the runner's prewarm) can submit
     the whole batch through the execution engine at once.
     """
+    for p in p_values:
+        TechnologyParameters(leakage_factor_p=p)  # reject a bad p before simulating
     names = list(benchmarks) if benchmarks else benchmark_names()
     jobs: List[SimulationJob] = []
     for name in names:
@@ -219,7 +222,6 @@ def run(
     alpha: float = DEFAULT_ALPHA,
     wakeup_latencies: Sequence[int] = DEFAULT_WAKEUP_LATENCIES,
     benchmarks: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
 ) -> PerfImpactResult:
     """Simulate (or reuse cached) baseline and closed-loop runs, then
     build the energy-savings-vs-slowdown points."""
@@ -232,7 +234,7 @@ def run(
         wakeup_latencies=wakeup_latencies,
         benchmarks=names,
     )
-    results = run_jobs(batch, workers=jobs)
+    results = run_jobs(batch)
     # run_jobs returns results in submission order; index by the job's
     # logical coordinates instead of re-hashing canonical cache keys.
     baselines: Dict[str, SimulationResult] = {}

@@ -132,6 +132,42 @@ class RobustnessResult:
         )
 
 
+def check_suite(
+    policies: Sequence[str], p: float, alpha: float
+) -> TechnologyParameters:
+    """Validate a ranked suite and its pricing point, before any work.
+
+    Rejects an out-of-range ``alpha`` or ``p``, an empty or duplicated
+    suite, and policies without a histogram closed form; returns the
+    technology parameters the pricing pass uses.
+    """
+    check_alpha(alpha)
+    names = list(policies)
+    if not names:
+        raise ValueError("robustness needs at least one policy")
+    for name in names:
+        if name not in POLICY_FACTORIES:
+            raise ValueError(
+                unknown_name_message("policy", name, POLICY_FACTORIES)
+            )
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate policy names in {names}")
+    return TechnologyParameters(leakage_factor_p=p)
+
+
+def window_scale(
+    scale: ExperimentScale, instructions: Optional[int]
+) -> ExperimentScale:
+    """``scale`` with its measured window overridden (warmup and seed kept)."""
+    if instructions is None:
+        return scale
+    return ExperimentScale(
+        window_instructions=instructions,
+        warmup_instructions=scale.warmup_instructions,
+        seed=scale.seed,
+    )
+
+
 def robustness_jobs(
     scenarios: Sequence[Scenario],
     scale: ExperimentScale = DEFAULT_SCALE,
@@ -159,7 +195,6 @@ def run(
     p: float = DEFAULT_P,
     alpha: float = DEFAULT_ROBUSTNESS_ALPHA,
     instructions: Optional[int] = None,
-    jobs: Optional[int] = None,
 ) -> RobustnessResult:
     """Sample the space, simulate it through the engine, price the suite.
 
@@ -175,29 +210,12 @@ def run(
     simulation switches to the chunked trace path automatically, so
     ``instructions=10_000_000`` is a time cost, not a memory cost.
     """
-    check_alpha(alpha)
-    if instructions is not None:
-        scale = ExperimentScale(
-            window_instructions=instructions,
-            warmup_instructions=scale.warmup_instructions,
-            seed=scale.seed,
-        )
+    params = check_suite(policies, p, alpha)
     names = list(policies)
-    if not names:
-        raise ValueError("robustness needs at least one policy")
-    for name in names:
-        if name not in POLICY_FACTORIES:
-            raise ValueError(
-                unknown_name_message("policy", name, POLICY_FACTORIES)
-            )
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate policy names in {names}")
-
     scenarios = sample_scenarios(count, seed=seed, families=families)
-    batch = robustness_jobs(scenarios, scale=scale)
-    results = run_jobs(batch, workers=jobs)
+    batch = robustness_jobs(scenarios, scale=window_scale(scale, instructions))
+    results = run_jobs(batch)
 
-    params = TechnologyParameters(leakage_factor_p=p)
     evaluated = list(dict.fromkeys([*names, _ALWAYS_ACTIVE]))
     outcomes: List[ScenarioOutcome] = []
     for scenario, job, result in zip(scenarios, batch, results):

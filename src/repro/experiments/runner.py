@@ -25,7 +25,6 @@ import time
 from typing import Callable, List, Optional, Tuple
 
 from repro.cpu import kernel as kernel_mod
-from repro.cpu import stream
 from repro.exec import cache as result_cache
 from repro.exec import engine
 from repro.obs import tracer
@@ -168,24 +167,6 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         help="disable the persistent result cache for this run",
     )
     parser.add_argument(
-        "--streaming",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="force bounded-memory chunked trace streaming on "
-        "(--streaming) or off (--no-streaming) for the walk kernel (the "
-        "batch kernel always streams); default: automatic — "
-        f"runs of >= {stream.STREAMING_THRESHOLD:,} total instructions "
-        "stream. Results are float-for-float identical either way",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="instructions per streamed trace chunk "
-        f"(default: {stream.DEFAULT_CHUNK_SIZE:,})",
-    )
-    parser.add_argument(
         "--kernel",
         choices=kernel_mod.KERNELS,
         default=None,
@@ -258,7 +239,6 @@ def apply_execution_arguments(args: argparse.Namespace) -> None:
     if args.jobs is not None:
         set_default_workers(resolve_workers(args.jobs))
     engine.set_default_backend(getattr(args, "backend", None))
-    stream.set_default_streaming(args.streaming, chunk_size=args.chunk_size)
     kernel_mod.set_default_kernel(args.kernel)
     tracer.configure(
         getattr(args, "trace_out", None)

@@ -111,6 +111,8 @@ class SweepGrid:
             raise ValueError("sweep needs at least one policy")
         for alpha in self.alphas:
             check_alpha(alpha)
+        for p in self.p_values:
+            self.technology(p)  # rejects an out-of-range leakage factor
         unknown = [name for name in self.policies if name not in POLICY_FACTORIES]
         if unknown:
             known = ", ".join(sorted(POLICY_FACTORIES))
@@ -290,13 +292,12 @@ def run(
     scale: ExperimentScale = DEFAULT_SCALE,
     grid: Optional[SweepGrid] = None,
     benchmarks: Sequence[str] = (),
-    jobs: Optional[int] = None,
 ) -> SweepResult:
     """Simulate (or reuse cached) benchmark data, then evaluate the grid."""
     if grid is None:
         grid = SweepGrid(p_values=DEFAULT_P_GRID, alphas=DEFAULT_ALPHA_GRID)
     names = list(benchmarks) if benchmarks else None
-    data = collect_benchmark_data(scale=scale, benchmarks=names, jobs=jobs)
+    data = collect_benchmark_data(scale=scale, benchmarks=names)
     return evaluate_grid(data, grid)
 
 

@@ -7,9 +7,10 @@ A serve request is JSON::
      "params": {...}}
 
 :func:`build_request` validates the payload and normalizes it into a
-:class:`ServeRequest` — the same defaults, grid parsing, and name
-splitting the direct CLI applies, so a request built from CLI flags
-renders byte-identical text on the server. Normalization also gives
+:class:`ServeRequest`. It is the one normalizer of sweep/perf/robustness
+parameters: the local CLI builds the same payload from its flags
+(:func:`payload_from_args`) and prints :meth:`ServeRequest.render`, so a
+``--server`` run renders byte-identical text. Normalization also gives
 every request a canonical identity: :attr:`ServeRequest.key` hashes the
 normalized parameters together with the sorted cache keys of every
 simulation the request needs (which already fold in the model
@@ -28,13 +29,16 @@ same cache entries and render the same report.
   ``warmup``, ``seed``, ``fus``.
 
 Any other top-level field or ``params`` name is rejected, so a typo can
-never fall back to a default and share another request's key.
+never fall back to a default and share another request's key. So is
+any value the request's experiment or jobs would refuse (an unknown
+policy, benchmark or family, an out-of-range ``p`` or ``alpha``, a
+window too short): every check runs before a simulation is scheduled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.cpu.config import MachineConfig
 from repro.cpu.workloads import benchmark_names, get_benchmark
@@ -100,8 +104,8 @@ class ServeRequest:
     ``params`` is the fully-defaulted, JSON-ready parameter set;
     ``key`` is the canonical coalescing identity. :meth:`jobs` and
     :meth:`render` are the two halves of execution: the simulations the
-    request needs (for warm probing and batch folding), and the exact
-    text the equivalent direct CLI invocation would print.
+    request needs (for warm probing and batch folding), and the text
+    the CLI prints for it, locally or through ``--server``.
     """
 
     kind: str
@@ -119,12 +123,16 @@ class ServeRequest:
     def render(self) -> str:
         return _RENDERERS[self.kind](self.params, self.scale)
 
+    def scenarios(self):
+        """The scenarios a robustness request samples (``--catalog``)."""
+        return _robustness_scenarios(self.params)
+
 
 # --- sweep ---------------------------------------------------------------
 
 
 def _sweep_params(params: Mapping[str, Any]) -> Dict[str, Any]:
-    return {
+    normalized = {
         "p_values": list(
             _grid(params.get("p_grid") or sweep.DEFAULT_P_SPEC, "p_grid")
         ),
@@ -136,6 +144,8 @@ def _sweep_params(params: Mapping[str, Any]) -> Dict[str, Any]:
         ),
         "benchmarks": list(_names(params.get("benchmarks"), "benchmarks")),
     }
+    _sweep_grid(normalized)  # rejects bad policies, alphas and p values
+    return normalized
 
 
 def _sweep_grid(params: Mapping[str, Any]) -> sweep.SweepGrid:
@@ -198,28 +208,23 @@ def _perf_params(params: Mapping[str, Any]) -> Dict[str, Any]:
     }
 
 
+def _perf_args(params: Mapping[str, Any]) -> Dict[str, Any]:
+    """Keyword arguments shared by ``perf_jobs`` and ``perf_impact.run``."""
+    return {
+        "policies": tuple(params["policies"]),
+        "p_values": tuple(params["p_values"]),
+        "alpha": params["alpha"],
+        "wakeup_latencies": tuple(params["wakeup_latencies"]),
+        "benchmarks": tuple(params["benchmarks"]) or None,
+    }
+
+
 def _perf_jobs(params: Mapping[str, Any], scale: ExperimentScale):
-    return perf_impact.perf_jobs(
-        scale=scale,
-        policies=tuple(params["policies"]),
-        p_values=tuple(params["p_values"]),
-        alpha=params["alpha"],
-        wakeup_latencies=tuple(params["wakeup_latencies"]),
-        benchmarks=tuple(params["benchmarks"]) or None,
-    )
+    return perf_impact.perf_jobs(scale=scale, **_perf_args(params))
 
 
 def _perf_render(params: Mapping[str, Any], scale: ExperimentScale) -> str:
-    return perf_impact.render(
-        perf_impact.run(
-            scale=scale,
-            policies=tuple(params["policies"]),
-            p_values=tuple(params["p_values"]),
-            alpha=params["alpha"],
-            wakeup_latencies=tuple(params["wakeup_latencies"]),
-            benchmarks=tuple(params["benchmarks"]) or None,
-        )
-    )
+    return perf_impact.render(perf_impact.run(scale=scale, **_perf_args(params)))
 
 
 # --- robustness ----------------------------------------------------------
@@ -227,7 +232,7 @@ def _perf_render(params: Mapping[str, Any], scale: ExperimentScale) -> str:
 
 def _robustness_params(params: Mapping[str, Any]) -> Dict[str, Any]:
     instructions = params.get("instructions")
-    return {
+    normalized = {
         "scenarios": _integer(
             params.get("scenarios", robustness.DEFAULT_SCENARIO_COUNT), "scenarios"
         ),
@@ -248,30 +253,26 @@ def _robustness_params(params: Mapping[str, Any]) -> Dict[str, Any]:
             None if instructions is None else _integer(instructions, "instructions")
         ),
     }
-
-
-def _robustness_scale(
-    params: Mapping[str, Any], scale: ExperimentScale
-) -> ExperimentScale:
-    if params["instructions"] is None:
-        return scale
-    return ExperimentScale(
-        window_instructions=params["instructions"],
-        warmup_instructions=scale.warmup_instructions,
-        seed=scale.seed,
+    robustness.check_suite(
+        normalized["policies"], normalized["p"], normalized["alpha"]
     )
+    return normalized
 
 
-def _robustness_jobs(params: Mapping[str, Any], scale: ExperimentScale):
+def _robustness_scenarios(params: Mapping[str, Any]):
     from repro.scenarios.space import sample_scenarios
 
-    scenarios = sample_scenarios(
+    return sample_scenarios(
         params["scenarios"],
         seed=params["scenario_seed"],
         families=tuple(params["families"]) or None,
     )
+
+
+def _robustness_jobs(params: Mapping[str, Any], scale: ExperimentScale):
     return robustness.robustness_jobs(
-        scenarios, scale=_robustness_scale(params, scale)
+        _robustness_scenarios(params),
+        scale=robustness.window_scale(scale, params["instructions"]),
     )
 
 
@@ -386,8 +387,10 @@ def build_request(payload: Any) -> ServeRequest:
 
     Raises :class:`RequestError` for anything malformed — unknown kind,
     unknown fields or parameter names, wrong types, unparseable grids,
-    unknown benchmark — so the service can answer 400 before any work
-    is scheduled.
+    and any value the request's experiment or jobs refuse (unknown
+    policy, benchmark or family, out-of-range ``p``/``alpha``/FU count,
+    too short a window) — so the service can answer 400, and the CLI
+    exit 2, before any work is scheduled.
     """
     if not isinstance(payload, Mapping):
         raise RequestError(f"request body must be a JSON object, got {payload!r}")
@@ -402,8 +405,15 @@ def build_request(payload: Any) -> ServeRequest:
     if not isinstance(raw, Mapping):
         raise RequestError(f"'params' must be a JSON object, got {raw!r}")
     _reject_unknown(raw, _PARAM_NAMES[kind], f"{kind} params")
-    params = _NORMALIZERS[kind](raw)
-    request = ServeRequest(kind=kind, quick=quick, params=params, key="")
+    try:
+        params = _NORMALIZERS[kind](raw)
+        request = ServeRequest(kind=kind, quick=quick, params=params, key="")
+        jobs = sorted(job.cache_key() for job in request.jobs())
+    except (KeyError, ValueError) as error:
+        # Whatever the experiment or its jobs refuse is the client's
+        # error, answered before anything is scheduled. ``args[0]``:
+        # ``str(KeyError)`` would quote the message.
+        raise RequestError(error.args[0]) from None
     # The key folds the normalized parameters AND every needed
     # simulation's cache key (already model-fingerprint-versioned): two
     # requests share a key exactly when they share cache entries and
@@ -414,7 +424,7 @@ def build_request(payload: Any) -> ServeRequest:
             "kind": kind,
             "quick": quick,
             "params": dict(params),
-            "jobs": sorted(job.cache_key() for job in request.jobs()),
+            "jobs": jobs,
         },
         versioned=False,
     )
@@ -424,39 +434,16 @@ def build_request(payload: Any) -> ServeRequest:
 def payload_from_args(kind: str, args: Any) -> Dict[str, Any]:
     """Build a serve payload from parsed ``repro`` CLI arguments.
 
-    The thin-client half of ``--server``: ships the *raw* CLI values
-    (grid spec strings, comma lists, None for defaulted flags) so the
-    server's normalization — the same code the local path uses — decides
-    every default. That is what keeps remote output byte-identical to a
-    local run of the same argv.
+    Carries the *raw* CLI values (grid spec strings, comma lists, None
+    for defaulted flags), so :func:`build_request` decides every
+    default. A local run renders this payload's request in-process and
+    ``--server`` ships it, which is what keeps remote output
+    byte-identical to a local run of the same argv.
     """
-    if kind == "sweep":
-        params: Dict[str, Any] = {
-            "p_grid": args.p_grid,
-            "alpha_grid": args.alpha_grid,
-            "policies": args.policies,
-            "benchmarks": args.benchmarks,
-        }
-    elif kind == "perf":
-        params = {
-            "p_grid": args.p_grid,
-            "policies": args.policies,
-            "alpha": args.alpha,
-            "wakeup_latencies": args.wakeup_latencies,
-            "benchmarks": args.benchmarks,
-        }
-    elif kind == "robustness":
-        params = {
-            "scenarios": args.scenarios,
-            "scenario_seed": args.scenario_seed,
-            "families": args.families,
-            "policies": args.policies,
-            "p": args.p,
-            "alpha": args.alpha,
-            "instructions": args.instructions,
-        }
-    else:
+    if kind not in ("sweep", "perf", "robustness"):
         raise RequestError(f"--server does not support the {kind!r} subcommand")
+    # Each param is the same-named CLI flag's attribute.
+    params = {name: getattr(args, name) for name in _PARAM_NAMES[kind].split()}
     return {
         "kind": kind,
         "quick": bool(getattr(args, "quick", False)),

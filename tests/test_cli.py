@@ -6,7 +6,6 @@ import pytest
 
 import repro
 from repro import cli
-from repro.cpu import stream
 from repro.exec import cache, engine
 from repro.exec.backends import SerialBackend, resolve_backend, set_default_backend
 from repro.exec.cache import ResultCache
@@ -16,14 +15,13 @@ from repro.exec.stores import LayeredStore
 
 @pytest.fixture
 def restore_engine_state(preserve_cache_config):
-    """Restore the cache, worker, backend, streaming, and tracer
-    configuration ``main`` mutates through the execution flags."""
+    """Restore the cache, worker, backend, and tracer configuration
+    ``main`` mutates through the execution flags."""
     from repro.obs import tracer
 
     yield
     set_default_workers(None)
     set_default_backend(None)
-    stream.set_default_streaming(None)
     tracer.configure(None)
     tracer.reset()
 
@@ -193,6 +191,29 @@ class TestRobustnessSubcommand:
         assert len(scenarios) == 6
         assert {s.family for s in scenarios} == {"ilp_rich", "bursty_idle"}
 
+    def test_catalog_holds_the_rendered_scenarios(
+        self, capsys, restore_engine_state, tmp_path
+    ):
+        """``--catalog`` holds exactly the scenarios the printed report
+        evaluated, including every worst case it names."""
+        from repro.experiments import robustness
+        from repro.scenarios import load_catalog
+
+        catalog_path = tmp_path / "catalog.json"
+        families = ["phased", "fp_dense"]
+        argv = ["robustness", "--quick", "--scenarios", "5", "--scenario-seed", "4",
+                "--families", ",".join(families), "--catalog", str(catalog_path)]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        result = robustness.run(
+            scale=cli.QUICK_SCALE, count=5, seed=4, families=families
+        )
+        assert out == robustness.render(result) + "\n"
+        _, scenarios = load_catalog(catalog_path)
+        assert tuple(scenarios) == result.scenarios
+        for policy in result.policies:
+            assert result.worst_case(policy).scenario_id in out
+
 
 class TestVersionFlag:
     def test_version_exits_zero_and_reports(self, capsys):
@@ -211,24 +232,17 @@ class TestVersionFlag:
 
 
 class TestStreamingFlags:
-    def test_flags_parse(self):
-        args = cli.build_parser().parse_args(
-            ["table3", "--streaming", "--chunk-size", "4096"]
-        )
-        assert args.streaming is True
-        assert args.chunk_size == 4096
-        args = cli.build_parser().parse_args(["table3", "--no-streaming"])
-        assert args.streaming is False
-
-    def test_default_is_auto(self):
-        args = cli.build_parser().parse_args(["table3"])
-        assert args.streaming is None
-        assert args.chunk_size is None
-
-    def test_main_sets_process_default(self, capsys, restore_engine_state):
-        assert cli.main(["table1", "--streaming", "--chunk-size", "8192"]) == 0
-        assert stream.get_default_streaming() is True
-        assert stream.get_default_chunk_size() == 8192
+    @pytest.mark.parametrize(
+        "flags",
+        [["--streaming"], ["--no-streaming"], ["--chunk-size", "4096"]],
+        ids=["streaming", "no-streaming", "chunk-size"],
+    )
+    def test_streaming_flags_are_gone(self, flags, capsys):
+        """The walk chooses its trace delivery by length alone."""
+        with pytest.raises(SystemExit) as excinfo:
+            cli.build_parser().parse_args(["table3", *flags])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_robustness_instructions_override(
         self, capsys, restore_engine_state
@@ -241,14 +255,41 @@ class TestStreamingFlags:
                     "--scenarios", "2",
                     "--families", "ilp_rich",
                     "--instructions", "1500",
-                    "--streaming",
-                    "--chunk-size", "128",
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
         assert "Policy robustness: 2 scenarios" in out
+
+
+class TestServableFlagErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--p-grid", "foo"], "p_grid"),
+            (["perf", "--wakeup-latencies", "1,x"], "wakeup_latencies"),
+            (["robustness", "--scenarios", "0"], "count must be >= 1"),
+            (["robustness", "--families", "nofam"], "unknown scenario family"),
+        ],
+        ids=["sweep-p-grid", "perf-wakeup-latencies", "robustness-scenarios",
+             "robustness-families"],
+    )
+    def test_malformed_flag_is_a_usage_error(
+        self, argv, message, capsys, restore_engine_state
+    ):
+        """One ``repro: error:`` line and exit 2, before any simulation."""
+        from repro.obs import metrics
+
+        with metrics.scope() as scoped, pytest.raises(SystemExit) as excinfo:
+            cli.main([*argv, "--quick"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("repro: error:")]
+        assert len(errors) == 1 and message in errors[0]
+        assert "Traceback" not in err
+        ran = scoped.snapshot()["counters"]
+        assert not [name for name in ran if name.startswith("sim.kernel_")]
 
 
 class TestBackendAndStoreFlags:

@@ -10,6 +10,7 @@ answers entirely from the caches with ``executed=0`` (the warm path).
 import asyncio
 import io
 import contextlib
+import json
 import socket
 import threading
 import time
@@ -271,6 +272,47 @@ class TestServiceLifecycle:
         with pytest.raises(serve_client.ServeClientError, match="cannot reach"):
             serve_client.health("http://127.0.0.1:9", timeout=2.0)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            _sweep(policies="Nope"),
+            {"kind": "robustness", "quick": True,
+             "params": {"policies": "Nope", "scenarios": 2}},
+            _sweep(alpha_grid="2"),
+            _sweep(benchmarks="nosuch"),
+            {"kind": "robustness", "quick": True, "params": {"families": "nofam"}},
+            {"kind": "robustness", "quick": True, "params": {"scenarios": 0}},
+            {"kind": "robustness", "quick": True, "params": {"instructions": 10}},
+            {"kind": "perf", "quick": True, "params": {"policies": "Nope"}},
+            _simulate(fus=0),
+        ],
+        ids=[
+            "sweep-policy", "robustness-policy", "sweep-alpha", "sweep-benchmark",
+            "robustness-family", "robustness-count", "robustness-window",
+            "perf-policy", "simulate-fus",
+        ],
+    )
+    def test_invalid_value_is_400_before_any_simulation(self, serve_url, gate, payload):
+        """A value the experiment would refuse is refused up front: a 400
+        that counts as a serve error, never a 200 with an ``error`` event
+        after simulating, nor a closed connection."""
+        gate.release.set()  # a simulation, if one ran, must not block
+
+        def errors():
+            counters = serve_client.metrics_snapshot(serve_url)["metrics"]["counters"]
+            return counters.get("serve.errors", 0.0)
+
+        before = errors()
+        body = json.dumps(payload).encode()
+        answer = _exchange(
+            serve_url,
+            b"POST /v1/run HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body) + body,
+        )
+        assert answer.startswith(b"HTTP/1.1 400 ")
+        assert b'"error"' in answer
+        assert gate.calls == 0
+        assert errors() - before == 1
+
 
 class TestRequestHeads:
     @pytest.mark.parametrize(
@@ -442,6 +484,25 @@ class TestThinClientCli:
         )
         assert code_remote == code_local == 0
         assert remote == local
+
+    @pytest.mark.parametrize(
+        "argv, header",
+        [
+            (["perf", "--quick", "--benchmarks", "gzip"], "Closed-loop perf impact"),
+            (["robustness", "--quick", "--scenarios", "2", "--scenario-seed", "3"],
+             "Policy robustness: 2 scenarios"),
+        ],
+        ids=["perf", "robustness"],
+    )
+    def test_perf_and_robustness_output_byte_identical(
+        self, serve_url, tmp_path, argv, header
+    ):
+        cache_dir = str(tmp_path / "cli-cache")
+        code_remote, remote = _run_cli([*argv, "--server", serve_url, "--cache-dir", cache_dir])
+        code_local, local = _run_cli([*argv, "--cache-dir", cache_dir])
+        assert code_remote == code_local == 0
+        assert remote == local
+        assert remote.startswith(header)
 
     def test_server_flag_limited_to_servable_subcommands(self):
         with pytest.raises(SystemExit):

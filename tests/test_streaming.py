@@ -13,16 +13,14 @@ sliding window's eviction contract, bounded buffering, and the
 mode-resolution rules.
 """
 
-import dataclasses
-
 import pytest
 
-from repro.cpu import stream
 from repro.cpu.kernel import KERNEL_WALK
 from repro.cpu.pipeline import Pipeline
-from repro.cpu.simulator import Simulator, simulate_workload
+from repro.cpu.simulator import Simulator
 from repro.cpu.sleep import SleepRuntimeSpec
 from repro.cpu.stream import (
+    DEFAULT_CHUNK_SIZE,
     MIN_CHUNK_SIZE,
     RETAIN_CHUNKS,
     STREAMING_THRESHOLD,
@@ -34,8 +32,6 @@ from repro.cpu.stream import (
 )
 from repro.cpu.trace import trace_digest
 from repro.cpu.workloads import benchmark_names, generate_trace, get_benchmark, iter_trace
-from repro.exec.engine import lookup
-from repro.exec.jobs import SimulationJob
 from repro.obs import metrics
 from repro.scenarios import sample_scenarios
 
@@ -45,13 +41,6 @@ TINY_CHUNK = MIN_CHUNK_SIZE
 #: Closed-loop runtime used by the equivalence matrix: a nonzero wakeup
 #: latency so sleep decisions really feed back into timing.
 CLOSED_LOOP = SleepRuntimeSpec(policy="MaxSleep", wakeup_latency=2)
-
-
-@pytest.fixture(autouse=True)
-def _reset_streaming_default():
-    """Tests may set the process-wide mode; always restore auto."""
-    yield
-    stream.set_default_streaming(None)
 
 
 def _run(profile, streaming, sleep=None, window=2_500, warmup=500):
@@ -274,83 +263,20 @@ class TestStreamingTrace:
         assert streaming_trace.peak_buffered <= RETAIN_CHUNKS * TINY_CHUNK
 
 
-# -- mode resolution and cache interaction -------------------------------------
+# -- mode resolution -----------------------------------------------------------
 
 
 class TestModeResolution:
     def test_explicit_beats_everything(self):
-        stream.set_default_streaming(False)
         assert resolve_streaming(True, 10) is True
         assert resolve_streaming(False, 10**9) is False
 
-    def test_process_default_beats_threshold(self):
-        stream.set_default_streaming(True)
-        assert resolve_streaming(None, 10) is True
-        stream.set_default_streaming(False)
-        assert resolve_streaming(None, 10**9) is False
-
     def test_auto_uses_threshold(self):
-        stream.set_default_streaming(None)
         assert resolve_streaming(None, STREAMING_THRESHOLD - 1) is False
         assert resolve_streaming(None, STREAMING_THRESHOLD) is True
 
     def test_chunk_size_resolution(self):
-        assert resolve_chunk_size(None) == stream.get_default_chunk_size()
+        assert resolve_chunk_size(None) == DEFAULT_CHUNK_SIZE
         assert resolve_chunk_size(4_096) == 4_096
         with pytest.raises(ValueError, match="chunk_size"):
             resolve_chunk_size(1)
-        with pytest.raises(ValueError, match="chunk_size"):
-            stream.set_default_streaming(True, chunk_size=1)
-
-    def test_engine_stamps_default_into_jobs(self):
-        job = SimulationJob(profile=get_benchmark("gzip"), num_instructions=1_000)
-        assert job.with_stamped_defaults() is job  # auto resolves anywhere
-        stream.set_default_streaming(True, chunk_size=8_192)
-        stamped = job.with_stamped_defaults()
-        assert stamped.streaming is True
-        assert stamped.chunk_size == 8_192
-        explicit = dataclasses.replace(job, streaming=False)
-        assert explicit.with_stamped_defaults().streaming is False
-
-    def test_engine_stamps_chunk_size_even_under_auto_mode(self):
-        """A user --chunk-size must reach auto-streamed worker jobs."""
-        job = SimulationJob(profile=get_benchmark("gzip"), num_instructions=1_000)
-        stream.set_default_streaming(None, chunk_size=1_024)
-        stamped = job.with_stamped_defaults()
-        assert stamped.streaming is None  # mode stays auto
-        assert stamped.chunk_size == 1_024
-
-    def test_set_default_resets_and_validates_atomically(self):
-        stream.set_default_streaming(True, chunk_size=8_192)
-        stream.set_default_streaming(None)  # full reset, chunk size too
-        assert stream.get_default_streaming() is None
-        assert stream.get_default_chunk_size() == stream.DEFAULT_CHUNK_SIZE
-        with pytest.raises(ValueError, match="chunk_size"):
-            stream.set_default_streaming(True, chunk_size=1)
-        # The failed call changed nothing.
-        assert stream.get_default_streaming() is None
-        assert stream.get_default_chunk_size() == stream.DEFAULT_CHUNK_SIZE
-
-
-class TestCacheNeutrality:
-    def test_streaming_is_not_part_of_the_cache_key(self):
-        base = SimulationJob(profile=get_benchmark("gzip"), num_instructions=1_000)
-        streamed = dataclasses.replace(
-            base, streaming=True, chunk_size=MIN_CHUNK_SIZE
-        )
-        assert streamed.cache_key() == base.cache_key()
-
-    def test_streamed_result_serves_materialized_lookups(self):
-        """The memo is shared across modes — safe exactly because of the
-        equivalence gate above."""
-        profile = get_benchmark("health")
-        streamed = simulate_workload(
-            profile,
-            1_500,
-            seed=23,
-            streaming=True,
-            chunk_size=TINY_CHUNK,
-        )
-        job = SimulationJob(profile=profile, num_instructions=1_500, seed=23)
-        hit = lookup(job.cache_key())
-        assert hit is streamed
