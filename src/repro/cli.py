@@ -392,7 +392,7 @@ def _run_servable(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             parser.error(str(error))
         text = request.render()
         if args.catalog is not None:
-            write_catalog(request.scenarios(), args.catalog)
+            write_catalog(request.scenarios, args.catalog)
         print(text)
         return 0
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.cpu.config import MachineConfig
 from repro.cpu.kernel import (
@@ -29,11 +29,18 @@ from repro.cpu.sleep import SleepRuntimeSpec
 from repro.cpu.stats import SimulationStats
 from repro.cpu.stream import (
     StreamingTrace,
+    TraceChunk,
     resolve_chunk_size,
     resolve_streaming,
 )
 from repro.cpu.workloads import WorkloadProfile, generate_trace, iter_trace
 from repro.obs import metrics
+
+#: Registry counter of traces generated for simulations: one per run
+#: that draws its own, one per trace a group of runs shares (see
+#: :func:`repro.exec.worker.run_group_observed`). Pool and SSH workers
+#: relay it with the rest of their metrics.
+TRACES = "sim.traces"
 
 
 @dataclass(frozen=True)
@@ -106,6 +113,7 @@ class Simulator:
         num_instructions: int,
         warmup_instructions: int = 0,
         record_sequences: bool = True,
+        chunks: Optional[Sequence[TraceChunk]] = None,
     ) -> SimulationResult:
         """Generate the trace and simulate it to completion.
 
@@ -116,6 +124,12 @@ class Simulator:
         resident at once (for bounded *total* memory on long runs, also
         pass ``record_sequences=False`` — ordered per-unit interval
         lists grow with the run).
+
+        ``chunks`` is the whole trace, already drawn from
+        :func:`~repro.cpu.workloads.iter_trace` with this workload's
+        seed and length, so several runs can share one generation. The
+        batch kernel reads it as its chunk stream; the walk flattens it
+        into its materialized trace, whatever ``streaming`` says.
         """
         total = num_instructions + warmup_instructions
         kernel = resolve_kernel(self.kernel)
@@ -127,20 +141,17 @@ class Simulator:
                     f"use kernel='walk' (the reference path)"
                 )
             stats = BatchPipeline(
-                iter_trace(
-                    self.profile,
-                    total,
-                    seed=self.seed,
-                    chunk_size=resolve_chunk_size(self.chunk_size),
-                ),
+                chunks if chunks is not None else self._iter_trace(total),
                 total,
                 config=self.config,
                 record_sequences=record_sequences,
                 sleep_spec=self.sleep,
             ).run(warmup_instructions=warmup_instructions)
         else:
-            stats = self._run_walk(total, warmup_instructions, record_sequences)
+            stats = self._run_walk(total, warmup_instructions, record_sequences, chunks)
         count_run(kernel)
+        if chunks is None:
+            metrics.registry().counter(TRACES).inc()
         return SimulationResult(
             workload_name=self.profile.name,
             num_instructions=num_instructions,
@@ -152,25 +163,31 @@ class Simulator:
             record_sequences=record_sequences,
         )
 
+    def _iter_trace(self, total: int):
+        return iter_trace(
+            self.profile,
+            total,
+            seed=self.seed,
+            chunk_size=resolve_chunk_size(self.chunk_size),
+        )
+
     def _run_walk(
-        self, total: int, warmup_instructions: int, record_sequences: bool
+        self,
+        total: int,
+        warmup_instructions: int,
+        record_sequences: bool,
+        chunks: Optional[Sequence[TraceChunk]],
     ) -> SimulationStats:
         """The per-instruction reference walk, streamed or materialized."""
-        if resolve_streaming(self.streaming, total):
+        if chunks is not None:
+            with metrics.timed("generate"):
+                trace = [instruction for chunk in chunks for instruction in chunk.instructions]
+        elif resolve_streaming(self.streaming, total):
             # Generation happens lazily inside the pipeline's pulls; the
             # timed iterator attributes it, and the walk's own time is
             # the remainder (subtracted below).
             trace = StreamingTrace(
-                metrics.timed_iterator(
-                    "generate",
-                    iter_trace(
-                        self.profile,
-                        total,
-                        seed=self.seed,
-                        chunk_size=resolve_chunk_size(self.chunk_size),
-                    ),
-                ),
-                total,
+                metrics.timed_iterator("generate", self._iter_trace(total)), total
             )
         else:
             with metrics.timed("generate"):

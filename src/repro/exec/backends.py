@@ -20,10 +20,15 @@ resolution, and deterministic result ordering; everything below that —
   full wire protocol is exercisable in CI and tests.
 
 A backend receives jobs already stamped with an explicit process-wide
-``--kernel`` (:meth:`SimulationJob.with_stamped_defaults`) and streams
-back ``(index, result)`` pairs in any completion order; the engine
+``--kernel`` (:meth:`SimulationJob.with_stamped_defaults`), with jobs
+that share a trace next to each other, and streams back
+``(index, result)`` pairs in any completion order; the engine
 reassembles submission order. Results are therefore byte-identical
-across backends — the backend-equivalence CI gate asserts it.
+across backends — the backend-equivalence CI gate asserts it. The
+serial and pool backends run each run of equal
+:attr:`SimulationJob.trace_identity` as one group
+(:func:`~repro.exec.worker.run_group_observed`), which generates the
+trace once; SSH workers run one job per frame.
 
 Failure propagation: :class:`SerialBackend` raises the job's exception
 directly; :class:`ProcessPoolBackend` propagates whatever the pool
@@ -35,6 +40,7 @@ failed job always aborts its batch — partial batches are never returned.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import queue
 import subprocess
@@ -62,7 +68,7 @@ from repro.exec.worker import (
     decode_payload,
     encode_payload,
     read_frame,
-    run_job_observed,
+    run_group_observed,
     write_frame,
 )
 from repro.obs import metrics as obs_metrics
@@ -116,16 +122,32 @@ class ExecutionBackend(Protocol):
         ...
 
 
-def _execute_job_observed(job: SimulationJob, trace: bool = False):
-    """Worker-process entry point: simulate (no cache access) and ship
-    the job's observability alongside the result.
+def _trace_groups(jobs: Sequence[SimulationJob]) -> List[List[int]]:
+    """The indices of ``jobs``, cut into runs of equal trace identity.
 
-    The job runs inside its own metrics scope, so the relayed snapshot
-    holds exactly this job's stage wall time, latency, and kernel
-    counts (workers are reused across jobs), plus the drained span
-    buffer when ``trace``. The submitting process absorbs both into the
-    batch's scope, so ``--verbose`` stage reports and ``--trace-out``
-    cover pooled runs too.
+    The engine hands a batch over with jobs that share a trace next to
+    each other, so each run is one group of
+    :func:`~repro.exec.worker.run_group_observed`.
+    """
+    runs = itertools.groupby(enumerate(jobs), key=lambda item: item[1].trace_identity)
+    return [[index for index, _ in run] for _, run in runs]
+
+
+def _run_inline(jobs: Sequence[SimulationJob]) -> Iterator[Tuple[int, SimulationResult]]:
+    for group in _trace_groups(jobs):
+        yield from zip(group, run_group_observed([jobs[index] for index in group]))
+
+
+def _execute_group_observed(jobs: Sequence[SimulationJob], trace: bool = False):
+    """Worker-process entry point: simulate one trace group (no cache
+    access) and ship its observability alongside the results.
+
+    The group runs inside its own metrics scope, so the relayed snapshot
+    holds exactly this group's stage wall time, job latencies, and
+    kernel and trace counts (workers are reused across tasks), plus the
+    drained span buffer when ``trace``. The submitting process absorbs
+    both into the batch's scope, so ``--verbose`` stage reports and
+    ``--trace-out`` cover pooled runs too.
     """
     from repro.obs import metrics, tracer
 
@@ -134,24 +156,24 @@ def _execute_job_observed(job: SimulationJob, trace: bool = False):
     # On fork-start pools the parent's buffered spans are inherited;
     # drop them so they are not relayed back as duplicates.
     tracer.drain()
-    with metrics.scope() as job_metrics:
-        result = run_job_observed(job)
-    return result, {
-        "metrics": job_metrics.snapshot(),
+    with metrics.scope() as group_metrics:
+        results = list(run_group_observed(jobs))
+    return results, {
+        "metrics": group_metrics.snapshot(),
         "spans": tracer.drain() if trace else [],
     }
 
 
 class SerialBackend:
-    """Run every job inline in the submitting process."""
+    """Run every job inline in the submitting process, one trace group
+    after another."""
 
     name = "serial"
 
     def submit_batch(
         self, jobs: Sequence[SimulationJob]
     ) -> Iterator[Tuple[int, SimulationResult]]:
-        for index, job in enumerate(jobs):
-            yield index, run_job_observed(job)
+        return _run_inline(jobs)
 
     def workers_for(self, pending: int) -> int:
         return 1
@@ -166,7 +188,10 @@ class ProcessPoolBackend:
     ``workers=None`` defers to the process-wide default
     (:func:`repro.exec.engine.resolve_workers`); ``0`` means all cores.
     A resolved worker count of 1 — or a single-job batch — runs inline,
-    exactly like the historical engine.
+    exactly like the historical engine. Each pool task is a slice of
+    one trace group, of at most ⌈jobs/workers⌉ jobs, that generates the
+    trace once; a batch still occupies as many workers as one task per
+    job would.
     """
 
     name = "pool"
@@ -184,18 +209,24 @@ class ProcessPoolBackend:
     ) -> Iterator[Tuple[int, SimulationResult]]:
         workers = self._resolved_workers()
         if workers <= 1 or len(jobs) == 1:
-            for index, job in enumerate(jobs):
-                yield index, run_job_observed(job)
+            yield from _run_inline(jobs)
             return
-        run = functools.partial(_execute_job_observed, trace=tracer.is_enabled())
-        max_workers = min(workers, len(jobs))
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            # Executor.map preserves submission order, so indices line
-            # up with ``jobs`` regardless of completion order.
-            for index, (result, relay) in enumerate(pool.map(run, jobs)):
+        # A group's share of the workers, rounded up, is how many slices
+        # it is dealt into: no slice holds more than ⌈jobs/workers⌉ jobs,
+        # and there are always enough slices to keep every worker busy.
+        slices: List[List[int]] = []
+        for group in _trace_groups(jobs):
+            parts = min(len(group), -(-len(group) * workers // len(jobs)))
+            slices += [group[part::parts] for part in range(parts)]
+        run = functools.partial(_execute_group_observed, trace=tracer.is_enabled())
+        tasks = [[jobs[index] for index in indices] for indices in slices]
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            # Executor.map preserves submission order, so each task's
+            # results line up with its slice of indices.
+            for indices, (results, relay) in zip(slices, pool.map(run, tasks)):
                 obs_metrics.registry().absorb(relay.get("metrics") or {})
                 tracer.absorb(relay.get("spans") or [])
-                yield index, result
+                yield from zip(indices, results)
 
     def workers_for(self, pending: int) -> int:
         workers = self._resolved_workers()

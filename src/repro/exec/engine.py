@@ -11,7 +11,9 @@ simulation batches through. It
 3. hands the remaining jobs to an :class:`~repro.exec.backends.ExecutionBackend`
    — in-process serial, the local process pool, or SSH fan-out across
    hosts (:mod:`repro.exec.backends`) — after stamping an explicit
-   process-wide ``--kernel`` into them;
+   process-wide ``--kernel`` into them, with jobs that share a trace
+   (:attr:`SimulationJob.trace_identity`) next to each other so the
+   serial and pool backends generate each trace once;
 4. publishes fresh results into both tiers;
 5. returns results in the submission order of the *original* batch, so
    every backend is observationally identical (the backend-equivalence
@@ -308,17 +310,20 @@ def run_jobs(
     for key, job in zip(keys, ordered):
         unique.setdefault(key, job)
     results: Dict[str, SimulationResult] = {}
-    pending: List[Tuple[str, SimulationJob]] = []
 
     with tracer.span(
         "engine.run_jobs", category="engine", submitted=len(ordered)
     ) as run_span, obs_metrics.scope() as batch_metrics:
+        # Pending jobs that share a trace travel next to each other, so
+        # the backend can generate each trace once for its whole group.
+        groups: Dict[tuple, List[Tuple[str, SimulationJob]]] = {}
         for key, job in unique.items():
             hit = lookup(key) if use_cache else None
             if hit is not None:
                 results[key] = hit
             else:
-                pending.append((key, job))
+                groups.setdefault(job.trace_identity, []).append((key, job))
+        pending = [item for group in groups.values() for item in group]
         run_span.set(
             unique=len(unique),
             cache_hits=len(unique) - len(pending),

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.cpu import kernel as kernel_mod
 from repro.cpu.config import MachineConfig
 from repro.cpu.simulator import SimulationResult, Simulator
 from repro.cpu.sleep import SleepRuntimeSpec
+from repro.cpu.stream import TraceChunk
 from repro.cpu.workloads import WorkloadProfile
 from repro.exec.hashing import simulation_key
 
@@ -107,6 +108,20 @@ class SimulationJob:
             self.record_sequences,
         )
 
+    @property
+    def trace_identity(self) -> tuple:
+        """What the job's trace depends on: (profile, seed, total length).
+
+        Jobs with equal identities simulate the same instruction stream
+        under different machines or policies, so the backends can
+        generate it once for all of them.
+        """
+        return (
+            self.profile,
+            self.seed,
+            self.num_instructions + self.warmup_instructions,
+        )
+
     def with_stamped_defaults(self) -> "SimulationJob":
         """Materialize an explicit process-wide ``--kernel`` into the job.
 
@@ -122,8 +137,12 @@ class SimulationJob:
         kernel = self.kernel or kernel_mod.get_default_kernel()
         return self if kernel == self.kernel else replace(self, kernel=kernel)
 
-    def run(self) -> SimulationResult:
-        """Execute the simulation directly, bypassing every cache layer."""
+    def run(self, chunks: Optional[Sequence[TraceChunk]] = None) -> SimulationResult:
+        """Execute the simulation directly, bypassing every cache layer.
+
+        ``chunks`` is this job's trace, already drawn (shared by the jobs
+        of one :attr:`trace_identity`); ``None`` generates it.
+        """
         return Simulator(
             self.profile,
             config=self.config,
@@ -134,4 +153,5 @@ class SimulationJob:
             self.num_instructions,
             warmup_instructions=self.warmup_instructions,
             record_sequences=self.record_sequences,
+            chunks=chunks,
         )

@@ -56,8 +56,11 @@ import struct
 import sys
 import time
 import traceback
-from typing import BinaryIO, Optional
+from typing import BinaryIO, Iterator, Optional, Sequence
 
+from repro.cpu.simulator import TRACES
+from repro.cpu.stream import STREAMING_THRESHOLD
+from repro.cpu.workloads import iter_trace
 from repro.exec.hashing import CACHE_SCHEMA_VERSION, model_fingerprint
 from repro.obs import metrics, tracer
 
@@ -145,13 +148,14 @@ def ready_frame() -> dict:
     }
 
 
-def run_job_observed(job):
+def run_job_observed(job, chunks=None):
     """Run one job under a ``worker.job`` span, observing its latency.
 
     The single instrumented execution point every backend funnels
     through: the wall time lands in the :data:`repro.obs.metrics.JOB_SECONDS`
     histogram (the source of the batch p50/p90/p99 report) and, when
     tracing, the job becomes a span carrying the workload identity.
+    ``chunks`` is the job's trace when its group drew it already.
     """
     profile = getattr(job, "profile", None)
     started = time.perf_counter()
@@ -162,11 +166,32 @@ def run_job_observed(job):
         instructions=getattr(job, "num_instructions", None),
         seed=getattr(job, "seed", None),
     ):
-        result = job.run()
+        result = job.run(chunks)
     metrics.registry().histogram(metrics.JOB_SECONDS).observe(
         time.perf_counter() - started
     )
     return result
+
+
+def run_group_observed(jobs: Sequence) -> Iterator:
+    """Run jobs that share one trace identity, yielding results in order.
+
+    A group of two or more jobs whose trace is shorter than
+    :data:`~repro.cpu.stream.STREAMING_THRESHOLD` (below which the walk
+    materializes whole traces anyway) draws that trace once, as a chunk
+    list timed as the ``generate`` stage and charged to no job's
+    latency, and hands it to every job. A single job, or a trace that
+    long, is generated inside each run, which streams it in bounded
+    memory.
+    """
+    chunks = None
+    profile, seed, total = jobs[0].trace_identity
+    if len(jobs) > 1 and total < STREAMING_THRESHOLD:
+        with metrics.timed("generate"):
+            chunks = list(iter_trace(profile, total, seed=seed))
+        metrics.registry().counter(TRACES).inc()
+    for job in jobs:
+        yield run_job_observed(job, chunks)
 
 
 def serve(stdin: Optional[BinaryIO] = None, stdout: Optional[BinaryIO] = None) -> int:

@@ -27,6 +27,10 @@ from repro.exec.jobs import SimulationJob
 from repro.util.intervals import IntervalHistogram
 
 
+#: The shortest measured window an experiment accepts.
+MIN_WINDOW_INSTRUCTIONS = 1_000
+
+
 @dataclass(frozen=True)
 class ExperimentScale:
     """Simulation window sizing for the empirical experiments.
@@ -41,8 +45,8 @@ class ExperimentScale:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.window_instructions < 1_000:
-            raise ValueError("window must be >= 1000 instructions")
+        if self.window_instructions < MIN_WINDOW_INSTRUCTIONS:
+            raise ValueError(f"window must be >= {MIN_WINDOW_INSTRUCTIONS} instructions")
         if self.warmup_instructions < 0:
             raise ValueError("warmup must be >= 0")
 

@@ -145,10 +145,18 @@ def perf_jobs(
     """Every simulation the study needs: baselines plus closed-loop runs.
 
     Exposed separately so callers (and the runner's prewarm) can submit
-    the whole batch through the execution engine at once.
+    the whole batch through the execution engine at once. Rejects a bad
+    ``p``, duplicate policies or wakeup latencies (each would render its
+    rows twice) and an empty latency list before anything simulates.
     """
     for p in p_values:
-        TechnologyParameters(leakage_factor_p=p)  # reject a bad p before simulating
+        TechnologyParameters(leakage_factor_p=p)
+    if len(set(policies)) != len(policies):
+        raise ValueError(f"duplicate policy names in {list(policies)}")
+    if not wakeup_latencies:
+        raise ValueError("perf needs at least one wakeup latency")
+    if len(set(wakeup_latencies)) != len(wakeup_latencies):
+        raise ValueError(f"duplicate wakeup latencies in {list(wakeup_latencies)}")
     names = list(benchmarks) if benchmarks else benchmark_names()
     jobs: List[SimulationJob] = []
     for name in names:

@@ -195,6 +195,7 @@ def run(
     p: float = DEFAULT_P,
     alpha: float = DEFAULT_ROBUSTNESS_ALPHA,
     instructions: Optional[int] = None,
+    scenarios: Optional[Sequence[Scenario]] = None,
 ) -> RobustnessResult:
     """Sample the space, simulate it through the engine, price the suite.
 
@@ -209,10 +210,15 @@ def run(
     run in bounded memory: at or beyond the streaming threshold every
     simulation switches to the chunked trace path automatically, so
     ``instructions=10_000_000`` is a time cost, not a memory cost.
+
+    ``scenarios`` is the sample when the caller drew it already (it must
+    be ``sample_scenarios(count, seed=seed, families=families)``, as
+    :func:`repro.serve.schema.build_request` draws it); ``None`` draws it.
     """
     params = check_suite(policies, p, alpha)
     names = list(policies)
-    scenarios = sample_scenarios(count, seed=seed, families=families)
+    if scenarios is None:
+        scenarios = sample_scenarios(count, seed=seed, families=families)
     batch = robustness_jobs(scenarios, scale=window_scale(scale, instructions))
     results = run_jobs(batch)
 

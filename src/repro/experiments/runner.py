@@ -9,11 +9,11 @@ Usage::
 
 Before rendering, the runner enumerates every simulation any experiment
 will need at the requested scale and submits them to the execution
-engine as one deduplicated batch (:func:`enumerate_jobs`). With
-``--jobs N`` that batch fans out across N worker processes; either way
-the rendering pass then runs entirely against warm caches, so stdout is
-byte-identical regardless of the worker count (progress and timing go to
-stderr).
+engine as one deduplicated batch (:func:`enumerate_jobs`), so jobs that
+share a trace share its generation. With ``--jobs N`` that batch fans
+out across N worker processes; either way the rendering pass then runs
+entirely against warm caches, so stdout is byte-identical regardless of
+the worker count (progress and timing go to stderr).
 """
 
 from __future__ import annotations
@@ -114,18 +114,18 @@ def run_all(
     the in-process memo always applies.
     """
     out = stream if stream is not None else sys.stdout
-    if resolve_workers(jobs) > 1:
-        # Parallelism only helps if the whole batch is submitted at once;
-        # serially, the render pass fills the caches on demand instead.
-        start = time.time()
-        report = prewarm(scale, jobs=jobs)
-        print(
-            f"[repro] simulations: {report.unique} unique "
-            f"({report.cache_hits} cached, {report.executed} run on "
-            f"{report.workers_used} worker{'s' if report.workers_used != 1 else ''}) "
-            f"in {time.time() - start:.1f}s",
-            file=sys.stderr,
-        )
+    # One batch for the whole suite, whatever the worker count: the
+    # engine then sees every job that shares a trace at once, and the
+    # render pass below runs entirely against warm caches.
+    start = time.time()
+    report = prewarm(scale, jobs=jobs)
+    print(
+        f"[repro] simulations: {report.unique} unique "
+        f"({report.cache_hits} cached, {report.executed} run on "
+        f"{report.workers_used} worker{'s' if report.workers_used != 1 else ''}) "
+        f"in {time.time() - start:.1f}s",
+        file=sys.stderr,
+    )
     for name, runner in _experiments(scale):
         started = time.time()
         text = runner()

@@ -37,7 +37,7 @@ window too short): every check runs before a simulation is scheduled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.cpu.config import MachineConfig
@@ -45,7 +45,12 @@ from repro.cpu.workloads import benchmark_names, get_benchmark
 from repro.exec.hashing import canonical_key
 from repro.exec.jobs import SimulationJob
 from repro.experiments import perf_impact, robustness, sweep
-from repro.experiments.common import DEFAULT_SCALE, QUICK_SCALE, ExperimentScale
+from repro.experiments.common import (
+    DEFAULT_SCALE,
+    MIN_WINDOW_INSTRUCTIONS,
+    QUICK_SCALE,
+    ExperimentScale,
+)
 
 #: Schema tag stamped into every canonical request key and health reply.
 SERVE_SCHEMA = "repro.serve/1"
@@ -112,20 +117,19 @@ class ServeRequest:
     quick: bool
     params: Mapping[str, Any] = field(hash=False)
     key: str
+    #: The scenarios a robustness request evaluates (what ``--catalog``
+    #: writes), sampled once by :func:`build_request`; empty otherwise.
+    scenarios: Tuple[Any, ...] = field(default=(), hash=False, compare=False, repr=False)
 
     @property
     def scale(self) -> ExperimentScale:
         return QUICK_SCALE if self.quick else DEFAULT_SCALE
 
     def jobs(self) -> List[SimulationJob]:
-        return _JOB_BUILDERS[self.kind](self.params, self.scale)
+        return _JOB_BUILDERS[self.kind](self)
 
     def render(self) -> str:
-        return _RENDERERS[self.kind](self.params, self.scale)
-
-    def scenarios(self):
-        """The scenarios a robustness request samples (``--catalog``)."""
-        return _robustness_scenarios(self.params)
+        return _RENDERERS[self.kind](self)
 
 
 # --- sweep ---------------------------------------------------------------
@@ -156,16 +160,17 @@ def _sweep_grid(params: Mapping[str, Any]) -> sweep.SweepGrid:
     )
 
 
-def _sweep_jobs(params: Mapping[str, Any], scale: ExperimentScale):
-    return sweep.sweep_jobs(scale=scale, benchmarks=params["benchmarks"] or None)
+def _sweep_jobs(request: ServeRequest):
+    benchmarks = request.params["benchmarks"] or None
+    return sweep.sweep_jobs(scale=request.scale, benchmarks=benchmarks)
 
 
-def _sweep_render(params: Mapping[str, Any], scale: ExperimentScale) -> str:
+def _sweep_render(request: ServeRequest) -> str:
     return sweep.render(
         sweep.run(
-            scale=scale,
-            grid=_sweep_grid(params),
-            benchmarks=tuple(params["benchmarks"]),
+            scale=request.scale,
+            grid=_sweep_grid(request.params),
+            benchmarks=tuple(request.params["benchmarks"]),
         )
     )
 
@@ -219,12 +224,14 @@ def _perf_args(params: Mapping[str, Any]) -> Dict[str, Any]:
     }
 
 
-def _perf_jobs(params: Mapping[str, Any], scale: ExperimentScale):
-    return perf_impact.perf_jobs(scale=scale, **_perf_args(params))
+def _perf_jobs(request: ServeRequest):
+    return perf_impact.perf_jobs(scale=request.scale, **_perf_args(request.params))
 
 
-def _perf_render(params: Mapping[str, Any], scale: ExperimentScale) -> str:
-    return perf_impact.render(perf_impact.run(scale=scale, **_perf_args(params)))
+def _perf_render(request: ServeRequest) -> str:
+    return perf_impact.render(
+        perf_impact.run(scale=request.scale, **_perf_args(request.params))
+    )
 
 
 # --- robustness ----------------------------------------------------------
@@ -253,33 +260,42 @@ def _robustness_params(params: Mapping[str, Any]) -> Dict[str, Any]:
             None if instructions is None else _integer(instructions, "instructions")
         ),
     }
+    if normalized["scenarios"] < 1:
+        raise RequestError(f"scenarios must be >= 1, got {normalized['scenarios']}")
+    if instructions is not None and instructions < MIN_WINDOW_INSTRUCTIONS:
+        raise RequestError(
+            f"instructions must be >= {MIN_WINDOW_INSTRUCTIONS}, got {instructions}"
+        )
     robustness.check_suite(
         normalized["policies"], normalized["p"], normalized["alpha"]
     )
     return normalized
 
 
-def _robustness_scenarios(params: Mapping[str, Any]):
+def _robustness_scenarios(params: Mapping[str, Any]) -> Tuple[Any, ...]:
     from repro.scenarios.space import sample_scenarios
 
-    return sample_scenarios(
-        params["scenarios"],
-        seed=params["scenario_seed"],
-        families=tuple(params["families"]) or None,
+    return tuple(
+        sample_scenarios(
+            params["scenarios"],
+            seed=params["scenario_seed"],
+            families=tuple(params["families"]) or None,
+        )
     )
 
 
-def _robustness_jobs(params: Mapping[str, Any], scale: ExperimentScale):
+def _robustness_jobs(request: ServeRequest):
     return robustness.robustness_jobs(
-        _robustness_scenarios(params),
-        scale=robustness.window_scale(scale, params["instructions"]),
+        request.scenarios,
+        scale=robustness.window_scale(request.scale, request.params["instructions"]),
     )
 
 
-def _robustness_render(params: Mapping[str, Any], scale: ExperimentScale) -> str:
+def _robustness_render(request: ServeRequest) -> str:
+    params = request.params
     return robustness.render(
         robustness.run(
-            scale=scale,
+            scale=request.scale,
             count=params["scenarios"],
             seed=params["scenario_seed"],
             families=tuple(params["families"]) or None,
@@ -287,6 +303,7 @@ def _robustness_render(params: Mapping[str, Any], scale: ExperimentScale) -> str
             p=params["p"],
             alpha=params["alpha"],
             instructions=params["instructions"],
+            scenarios=request.scenarios,
         )
     )
 
@@ -331,13 +348,14 @@ def _simulate_job(params: Mapping[str, Any]) -> SimulationJob:
     )
 
 
-def _simulate_jobs(params: Mapping[str, Any], scale: ExperimentScale):
-    return [_simulate_job(params)]
+def _simulate_jobs(request: ServeRequest):
+    return [_simulate_job(request.params)]
 
 
-def _simulate_render(params: Mapping[str, Any], scale: ExperimentScale) -> str:
+def _simulate_render(request: ServeRequest) -> str:
     from repro.exec.engine import run_jobs
 
+    params = request.params
     result = run_jobs([_simulate_job(params)])[0]
     stats = result.stats
     return (
@@ -407,7 +425,10 @@ def build_request(payload: Any) -> ServeRequest:
     _reject_unknown(raw, _PARAM_NAMES[kind], f"{kind} params")
     try:
         params = _NORMALIZERS[kind](raw)
-        request = ServeRequest(kind=kind, quick=quick, params=params, key="")
+        scenarios = _robustness_scenarios(params) if kind == "robustness" else ()
+        request = ServeRequest(
+            kind=kind, quick=quick, params=params, key="", scenarios=scenarios
+        )
         jobs = sorted(job.cache_key() for job in request.jobs())
     except (KeyError, ValueError) as error:
         # Whatever the experiment or its jobs refuse is the client's
@@ -428,7 +449,7 @@ def build_request(payload: Any) -> ServeRequest:
         },
         versioned=False,
     )
-    return ServeRequest(kind=kind, quick=quick, params=params, key=key)
+    return replace(request, key=key)
 
 
 def payload_from_args(kind: str, args: Any) -> Dict[str, Any]:

@@ -214,6 +214,29 @@ class TestRobustnessSubcommand:
         for policy in result.policies:
             assert result.worst_case(policy).scenario_id in out
 
+    def test_scenarios_are_sampled_once(
+        self, capsys, restore_engine_state, tmp_path, monkeypatch
+    ):
+        """The request's jobs, the rendered report and ``--catalog`` all
+        use the one sample ``build_request`` draws."""
+        from repro.experiments import robustness
+        from repro.scenarios import space
+
+        calls = []
+        original = space.sample_scenarios
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(space, "sample_scenarios", counted)
+        monkeypatch.setattr(robustness, "sample_scenarios", counted)
+        argv = ["robustness", "--quick", "--scenarios", "2", "--families", "ilp_rich",
+                "--catalog", str(tmp_path / "catalog.json")]
+        assert cli.main(argv) == 0
+        assert "Policy robustness: 2 scenarios" in capsys.readouterr().out
+        assert len(calls) == 1
+
 
 class TestVersionFlag:
     def test_version_exits_zero_and_reports(self, capsys):
@@ -269,10 +292,16 @@ class TestServableFlagErrors:
         [
             (["sweep", "--p-grid", "foo"], "p_grid"),
             (["perf", "--wakeup-latencies", "1,x"], "wakeup_latencies"),
-            (["robustness", "--scenarios", "0"], "count must be >= 1"),
+            (["perf", "--benchmarks", "gzip", "--policies", "MaxSleep,MaxSleep"],
+             "duplicate policy names"),
+            (["perf", "--benchmarks", "gzip", "--wakeup-latencies", "4,4"],
+             "duplicate wakeup latencies"),
+            (["robustness", "--scenarios", "0"], "scenarios must be >= 1, got 0"),
+            (["robustness", "--instructions", "10"], "instructions must be >= 1000, got 10"),
             (["robustness", "--families", "nofam"], "unknown scenario family"),
         ],
-        ids=["sweep-p-grid", "perf-wakeup-latencies", "robustness-scenarios",
+        ids=["sweep-p-grid", "perf-wakeup-latencies", "perf-duplicate-policy",
+             "perf-duplicate-latency", "robustness-scenarios", "robustness-instructions",
              "robustness-families"],
     )
     def test_malformed_flag_is_a_usage_error(

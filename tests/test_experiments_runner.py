@@ -22,9 +22,9 @@ class TestExperimentScale:
 
 class TestRunner:
     def test_analytic_experiments_stream_output(self, monkeypatch):
-        """Run the runner with the empirical experiments stubbed out so
-        the harness logic (ordering, streaming, headers) is covered
-        without minutes of simulation."""
+        """Run the runner with the empirical experiments and their
+        simulation plan stubbed out so the harness logic (ordering,
+        streaming, headers) is covered without minutes of simulation."""
         from repro.experiments import runner
 
         def fake_experiments(scale):
@@ -34,6 +34,7 @@ class TestRunner:
             ]
 
         monkeypatch.setattr(runner, "_experiments", fake_experiments)
+        monkeypatch.setattr(runner, "enumerate_jobs", lambda scale: [])
         stream = io.StringIO()
         runner.run_all(QUICK_SCALE, stream=stream)
         output = stream.getvalue()

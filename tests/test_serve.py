@@ -19,7 +19,7 @@ import urllib.parse
 import pytest
 
 from repro import cli
-from repro.exec import backends, cache
+from repro.exec import cache, worker
 from repro.exec.engine import clear_memo
 from repro.serve import client as serve_client
 from repro.serve import service as service_mod
@@ -56,9 +56,10 @@ def serve_url(fresh_cache):
 
 
 class _Gate:
-    """Stands in for ``repro.exec.backends.run_job_observed``: counts the
-    simulations run, holds the first until :attr:`release` is set, and
-    fails any job whose seed is :attr:`fail_seed`."""
+    """Stands in for ``repro.exec.worker.run_job_observed``, through which
+    every in-process trace group runs its jobs: counts the simulations
+    run, holds the first until :attr:`release` is set, and fails any job
+    whose seed is :attr:`fail_seed`."""
 
     def __init__(self, run):
         self._run = run
@@ -68,7 +69,7 @@ class _Gate:
         self.entered = threading.Event()
         self.release = threading.Event()
 
-    def __call__(self, job):
+    def __call__(self, job, chunks=None):
         with self._lock:
             self.calls += 1
             first = self.calls == 1
@@ -77,14 +78,14 @@ class _Gate:
             assert self.release.wait(timeout=60)
         if job.seed == self.fail_seed:
             raise RuntimeError("injected simulation failure")
-        return self._run(job)
+        return self._run(job, chunks)
 
 
 @pytest.fixture
 def gate(monkeypatch):
     """Hold the first fold mid-run; released at teardown in any case."""
-    held = _Gate(backends.run_job_observed)
-    monkeypatch.setattr(backends, "run_job_observed", held)
+    held = _Gate(worker.run_job_observed)
+    monkeypatch.setattr(worker, "run_job_observed", held)
     yield held
     held.release.set()
 
@@ -284,12 +285,15 @@ class TestServiceLifecycle:
             {"kind": "robustness", "quick": True, "params": {"scenarios": 0}},
             {"kind": "robustness", "quick": True, "params": {"instructions": 10}},
             {"kind": "perf", "quick": True, "params": {"policies": "Nope"}},
+            {"kind": "perf", "quick": True, "params": {"wakeup_latencies": []}},
+            {"kind": "perf", "quick": True,
+             "params": {"policies": "MaxSleep,MaxSleep", "benchmarks": "gzip"}},
             _simulate(fus=0),
         ],
         ids=[
             "sweep-policy", "robustness-policy", "sweep-alpha", "sweep-benchmark",
             "robustness-family", "robustness-count", "robustness-window",
-            "perf-policy", "simulate-fus",
+            "perf-policy", "perf-no-latencies", "perf-duplicate-policy", "simulate-fus",
         ],
     )
     def test_invalid_value_is_400_before_any_simulation(self, serve_url, gate, payload):
