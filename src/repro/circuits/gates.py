@@ -68,11 +68,6 @@ class GateCharacterization:
     sleep_overhead_fj: Optional[float]
 
     @property
-    def leakage_ratio(self) -> float:
-        """HI-state over LO-state leakage (the paper's "factor of 2,000")."""
-        return self.leakage_hi_fj / self.leakage_lo_fj
-
-    @property
     def leakage_factor_p(self) -> float:
         """Leakage factor ``p = E_HI / E_D`` of the energy model."""
         return self.leakage_hi_fj / self.dynamic_energy_fj

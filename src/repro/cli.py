@@ -1,9 +1,11 @@
 """Command-line interface: ``python -m repro.cli <experiment> [--quick]``.
 
-Lists and runs the paper's experiments by name. ``all`` runs the full
-set (equivalent to ``python -m repro.experiments.runner``); ``sweep``
-evaluates a policy grid (``--p-grid`` x ``--alpha-grid`` x
-``--policies``) over the benchmark suite with the vectorized engine;
+``repro`` is the package's one command-line entry point. It lists and
+runs the paper's experiments by name, from one table
+(:data:`repro.experiments.runner.EXPERIMENTS`); ``all`` runs the full
+set as one simulation batch; ``sweep`` evaluates a policy grid
+(``--p-grid`` x ``--alpha-grid`` x ``--policies``) over the benchmark
+suite with the vectorized engine;
 ``perf`` runs the closed-loop study — policies inside the pipeline,
 sleeping units stalling issue on the wakeup latency — and reports
 energy savings against the measured IPC slowdown; ``robustness``
@@ -16,13 +18,17 @@ request schema (:mod:`repro.serve.schema`), locally or with
 a malformed value is a one-line usage error (exit 2) before anything
 is simulated.
 
-Execution-engine flags apply to every experiment: ``--jobs N`` fans
-simulation batches out across N worker processes, ``--cache-dir`` points
-the persistent result cache somewhere other than ``~/.cache/repro``, and
-``--no-cache`` disables the persistent layer (the in-process memo still
-applies). Traces stream in bounded memory (on the walk, from 500k
-total instructions), which is what lets ``repro robustness
---instructions 10000000`` run 10M+-instruction scenarios.
+Execution-engine flags apply to every subcommand. ``--jobs N`` sets
+the worker count of a bare ``pool`` backend, whether that spec comes
+from ``--backend pool``, ``$REPRO_BACKEND`` or the default (``0`` means
+all cores); ``pool:N``, ``serial`` and ``ssh:...`` ignore it. Without
+``--jobs`` a bare ``pool`` reads ``$REPRO_JOBS``, else runs one worker,
+inline. ``--cache-dir`` points the persistent result cache somewhere
+other than ``~/.cache/repro``, and ``--no-cache`` disables the
+persistent layer (the in-process memo still applies). Traces stream in
+bounded memory (on the walk, from 500k total instructions), which is
+what lets ``repro robustness --instructions 10000000`` run
+10M+-instruction scenarios.
 ``--kernel walk|batch`` overrides the simulation engine: ``walk`` is
 the per-instruction reference pipeline, ``batch`` the array-batched C
 kernel (~10x faster on long traces, compiled on first use). Without the
@@ -77,43 +83,25 @@ import argparse
 import os
 import sys
 import time
-from typing import Callable, Dict
+from typing import List, Optional
 
 from repro import package_version
+from repro.cpu import kernel as kernel_mod
+from repro.exec import backends, engine
+from repro.exec import cache as result_cache
+from repro.experiments import perf_impact, robustness, runner, sweep
+from repro.experiments.common import DEFAULT_SCALE, QUICK_SCALE
 from repro.obs import tracer
-from repro.experiments import (
-    ablations,
-    figure3,
-    figure4,
-    figure5,
-    figure7,
-    figure8,
-    figure9,
-    perf_impact,
-    robustness,
-    runner,
-    sweep,
-    table1,
-    table3,
-)
-from repro.experiments.common import DEFAULT_SCALE, QUICK_SCALE, ExperimentScale
 from repro.scenarios import family_names, write_catalog
 from repro.scenarios.space import PHASED_FAMILY
 from repro.serve import service as serve_defaults
 
+#: Subcommands the ``--server URL`` thin-client mode can run remotely.
+SERVABLE = ("sweep", "perf", "robustness")
 
-def _registry(scale: ExperimentScale) -> Dict[str, Callable[[], str]]:
-    return {
-        "table1": lambda: table1.render(table1.run()),
-        "figure3": lambda: figure3.render(figure3.run()),
-        "figure4": lambda: figure4.render(figure4.run()),
-        "figure5": lambda: figure5.render(figure5.run()),
-        "figure7": lambda: figure7.render(figure7.run(scale=scale)),
-        "figure8": lambda: figure8.render(figure8.run(scale=scale)),
-        "figure9": lambda: figure9.render(figure9.run(scale=scale)),
-        "table3": lambda: table3.render(table3.run(scale=scale)),
-        "ablations": lambda: ablations.render_all(scale=scale),
-    }
+
+def _experiment_names() -> List[str]:
+    return sorted(name for name, _, _ in runner.EXPERIMENTS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,8 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(_registry(DEFAULT_SCALE))
-        + ["perf", "robustness", "sweep", "all", "cache", "report", "serve", "list"],
+        choices=_experiment_names()
+        + sorted(SERVABLE)
+        + ["all", "cache", "report", "serve", "list"],
         help="experiment to run, 'sweep' for a policy-grid sweep, 'perf' "
         "for the closed-loop energy-vs-slowdown study, 'robustness' for "
         "the sampled-scenario policy-robustness study, 'all' for "
@@ -289,8 +278,139 @@ def build_parser() -> argparse.ArgumentParser:
         help="'repro cache stats|verify': emit one machine-readable JSON "
         "document on stdout instead of the per-tier text lines",
     )
-    runner.add_execution_arguments(parser)
+    _add_execution_arguments(parser)
     return parser
+
+
+def _jobs_count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (0 = all cores), got {value}")
+    return value
+
+
+def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
+    """The execution-engine flags every subcommand takes."""
+    parser.add_argument(
+        "--jobs",
+        type=_jobs_count,
+        default=None,
+        metavar="N",
+        help="worker processes of a bare 'pool' backend, whether from "
+        "--backend pool, $REPRO_BACKEND or the default (0 = all cores); "
+        "'pool:N', 'serial' and 'ssh:...' ignore it (default: $REPRO_JOBS "
+        "or 1)",
+    )
+    parser.add_argument(
+        "--cache-dir",
+        default=None,
+        metavar="DIR",
+        help="persistent result-cache directory "
+        "(default: $REPRO_CACHE_DIR or ~/.cache/repro)",
+    )
+    parser.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="disable the persistent result cache for this run",
+    )
+    parser.add_argument(
+        "--kernel",
+        choices=kernel_mod.KERNELS,
+        default=None,
+        help="simulation engine: 'walk' is the per-instruction reference "
+        "pipeline, 'batch' the array-batched C kernel (compiled on first "
+        "use; needs a C compiler, and fails with the build error without "
+        "one). The kernels are float-for-float identical — the choice "
+        "affects speed only, never results or cache keys (default: "
+        "batch when it builds, else walk; -v reports which ran and why)",
+    )
+    parser.add_argument(
+        "--backend",
+        default=None,
+        metavar="SPEC",
+        help="execution backend for simulation batches: 'serial' "
+        "(in-process, for debugging), 'pool[:N]' (N local worker "
+        "processes; a bare 'pool' takes N from --jobs), or "
+        "'ssh:host1,host2,...' (remote workers over SSH; the pseudo-host "
+        "'localhost' spawns a local worker without sshd). Results are "
+        "byte-identical across backends (default: $REPRO_BACKEND or pool)",
+    )
+    parser.add_argument(
+        "--store",
+        default=None,
+        metavar="SPEC",
+        help="persistent result store: 'local' (per-host --cache-dir), "
+        "'shared:DIR' (write-once shared-filesystem store), or "
+        "'layered:DIR' (read-through/write-back: local tier backed by "
+        "the shared DIR, so a fleet deduplicates globally; default: "
+        "$REPRO_STORE or local)",
+    )
+    parser.add_argument(
+        "--trace-out",
+        default=None,
+        metavar="FILE",
+        help="collect spans across the run (CLI dispatch, batch "
+        "scheduling, backend submission, per-job and per-stage work — "
+        "including spans relayed back from pool and SSH workers) and "
+        "write them as Chrome trace-event JSON, loadable in Perfetto "
+        "(https://ui.perfetto.dev) or chrome://tracing "
+        "(default: $REPRO_TRACE_OUT or disabled — disabled tracing "
+        "costs nothing)",
+    )
+    parser.add_argument(
+        "--run-manifest",
+        default=None,
+        metavar="FILE",
+        help="write a JSON run manifest (argv, model fingerprint, "
+        "backend/store configuration, cache tier stats, per-backend "
+        "counters, stage times, metrics snapshot) after the run; render "
+        "it later with 'repro report FILE'",
+    )
+    parser.add_argument(
+        "-v",
+        "--verbose",
+        action="store_true",
+        help="print per-backend execution counters "
+        "(submitted/hits/misses/executed/failed) and the simulations run "
+        "per kernel to stderr after the run",
+    )
+
+
+def _apply_execution_arguments(args: argparse.Namespace) -> None:
+    """Configure the process-wide engine state from parsed CLI flags."""
+    result_cache.configure(cache_dir=args.cache_dir, enabled=not args.no_cache, store=args.store)
+    backends.set_default_backend(backends.fill_pool_workers(args.backend, args.jobs))
+    kernel_mod.set_default_kernel(args.kernel)
+    tracer.configure(args.trace_out or os.environ.get(tracer.ENV_TRACE_OUT) or None)
+
+
+def _finalize_observability(
+    args: argparse.Namespace, argv: Optional[List[str]], exit_code: int, started: float
+) -> None:
+    """Write the Chrome trace when ``--trace-out``/``$REPRO_TRACE_OUT``
+    configured a path, and the run manifest when ``--run-manifest`` did."""
+    if tracer.output_path():
+        tracer.export_chrome_trace()
+    if args.run_manifest:
+        from repro.obs import manifest as manifest_mod
+
+        manifest_mod.write_run_manifest(
+            args.run_manifest, argv=argv, exit_code=exit_code, started=started
+        )
+
+
+def _print_telemetry() -> None:
+    """The ``--verbose`` report on stderr: per-backend execution counters,
+    then the per-kernel simulation counts when anything was simulated.
+    Stdout stays byte-identical with and without ``--verbose``."""
+    lines = engine.telemetry_lines()
+    if not lines:
+        print("[repro] no simulation batches were submitted", file=sys.stderr)
+    kernel_line = kernel_mod.telemetry_line()
+    if kernel_line is not None:
+        lines.append(kernel_line)
+    for line in lines:
+        print(line, file=sys.stderr)
 
 
 #: The machine-readable ``repro cache --json`` document schema tag.
@@ -299,7 +419,6 @@ CACHE_REPORT_SCHEMA = "repro.cache-report/1"
 
 def _run_cache(args: argparse.Namespace) -> int:
     """The ``repro cache [stats|verify|gc]`` operator subcommand."""
-    from repro.exec import cache as result_cache
     from repro.exec.stores import store_layers
     from repro.obs.manifest import to_json
 
@@ -373,10 +492,6 @@ def _run_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return 0
 
 
-#: Subcommands the ``--server URL`` thin-client mode can run remotely.
-SERVABLE = ("sweep", "perf", "robustness")
-
-
 def _run_servable(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """sweep/perf/robustness: one serve payload from the flags, rendered
     here or shipped to ``--server``. :mod:`repro.serve.schema` is the one
@@ -429,9 +544,10 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.experiment == "cache":
         return _run_cache(args)
     if args.experiment == "all":
-        runner.run_all(scale, jobs=args.jobs)
+        runner.run_all(scale)
         return 0
-    print(_registry(scale)[args.experiment]())
+    renderers = {name: render for name, _, render in runner.EXPERIMENTS}
+    print(renderers[args.experiment](scale))
     return 0
 
 
@@ -481,17 +597,17 @@ def _main(argv=None) -> int:
     args = parser.parse_args(argv)
     _validate_action(args, parser)
     if args.experiment == "list":
-        for name in sorted(_registry(DEFAULT_SCALE)) + ["perf", "robustness", "sweep"]:
+        for name in _experiment_names() + sorted(SERVABLE):
             print(name)
         return 0
     if args.experiment == "report":
         return _run_report(args, parser)
-    runner.apply_execution_arguments(args)
+    _apply_execution_arguments(args)
     with tracer.span(f"cli.{args.experiment}", category="cli"):
         code = _dispatch(args, parser)
     if args.verbose:
-        runner.print_telemetry()
-    runner.finalize_observability(
+        _print_telemetry()
+    _finalize_observability(
         args, list(argv) if argv is not None else sys.argv[1:], code, started
     )
     return code

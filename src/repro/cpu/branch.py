@@ -164,10 +164,6 @@ class CombiningPredictor:
             return self.pattern.predict(self._gshare_index(pc))
         return self.bimodal.predict(index)
 
-    def predict_taken_target(self, pc: int) -> Optional[int]:
-        """BTB target for a branch predicted/known taken, None on miss."""
-        return self.btb.lookup(pc)
-
     # -- training --------------------------------------------------------------
 
     def update(self, pc: int, taken: bool, target: int) -> bool:

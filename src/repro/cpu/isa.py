@@ -61,18 +61,3 @@ INT_PRODUCERS = frozenset(
 
 #: Op classes that produce a floating-point register result.
 FP_PRODUCERS = frozenset({OpClass.FP_ALU, OpClass.FP_MULT})
-
-
-def is_int_fu_op(op: OpClass) -> bool:
-    """Does this op occupy an integer functional unit?"""
-    return op in INT_FU_OPS
-
-
-def is_memory_op(op: OpClass) -> bool:
-    """Does this op use a memory port?"""
-    return op in MEMORY_OPS
-
-
-def is_control_op(op: OpClass) -> bool:
-    """Does this op resolve through the branch unit?"""
-    return op in CONTROL_OPS

@@ -337,6 +337,3 @@ class ControlledFunctionalUnitPool(FunctionalUnitPool):
     def next_wake_ready(self) -> Optional[int]:
         pending = [ready for ready in self._wake_ready if ready is not None]
         return min(pending) if pending else None
-
-    def total_wake_events(self) -> int:
-        return sum(tally.wake_events for tally in self.tallies)

@@ -14,7 +14,8 @@ This package is the substrate the experiments run on:
   schedulable work;
 * :mod:`repro.exec.backends` — the pluggable execution backends
   (in-process serial, local process pool, SSH fan-out) behind one
-  batch-submission protocol;
+  batch-submission protocol; the backend spec (``pool:4``) is the only
+  worker-count setting;
 * :mod:`repro.exec.worker` — the stdio job worker remote backends
   drive, speaking length-prefixed JSON frames;
 * :mod:`repro.exec.engine` — batch deduplication, result caching, and
@@ -36,15 +37,13 @@ _LAZY = {
     "SimulationJob": ("repro.exec.jobs", "SimulationJob"),
     "BatchReport": ("repro.exec.engine", "BatchReport"),
     "run_jobs": ("repro.exec.engine", "run_jobs"),
-    "resolve_workers": ("repro.exec.engine", "resolve_workers"),
-    "set_default_workers": ("repro.exec.engine", "set_default_workers"),
-    "get_default_workers": ("repro.exec.engine", "get_default_workers"),
     "ExecutionBackend": ("repro.exec.backends", "ExecutionBackend"),
     "SerialBackend": ("repro.exec.backends", "SerialBackend"),
     "ProcessPoolBackend": ("repro.exec.backends", "ProcessPoolBackend"),
     "SSHBackend": ("repro.exec.backends", "SSHBackend"),
     "parse_backend_spec": ("repro.exec.backends", "parse_backend_spec"),
     "resolve_backend": ("repro.exec.backends", "resolve_backend"),
+    "resolve_workers": ("repro.exec.backends", "resolve_workers"),
     "set_default_backend": ("repro.exec.backends", "set_default_backend"),
     "ResultStore": ("repro.exec.stores", "ResultStore"),
     "SharedDirectoryStore": ("repro.exec.stores", "SharedDirectoryStore"),
@@ -73,7 +72,6 @@ __all__ = [
     "canonical_key",
     "default_cache_dir",
     "engine",
-    "get_default_workers",
     "hashing",
     "jobs",
     "model_fingerprint",
@@ -83,7 +81,6 @@ __all__ = [
     "resolve_workers",
     "run_jobs",
     "set_default_backend",
-    "set_default_workers",
     "simulation_key",
     "stores",
     "worker",

@@ -8,10 +8,12 @@ resolution, and deterministic result ordering; everything below that —
 * :class:`SerialBackend` (``--backend serial``) runs jobs in-process,
   one after another. No subprocesses, no pickling: the debugging
   backend (breakpoints and profilers see the simulation directly).
-* :class:`ProcessPoolBackend` (``--backend pool``, the default) fans
-  out across local worker processes with
-  :class:`concurrent.futures.ProcessPoolExecutor` — exactly the
-  engine's historical behavior, now one plugin among peers.
+* :class:`ProcessPoolBackend` (``--backend pool[:N]``, the default)
+  fans out across N local worker processes with
+  :class:`concurrent.futures.ProcessPoolExecutor`. The spec is the only
+  worker-count setting: a bare ``pool`` takes its N from ``--jobs``
+  (:func:`fill_pool_workers`, which every other spec ignores), else
+  ``$REPRO_JOBS``, else 1, which runs inline.
 * :class:`SSHBackend` (``--backend ssh:host1,host2``) shards the batch
   round-robin across remote hosts, each running
   ``python -m repro.exec.worker`` and speaking the length-prefixed JSON
@@ -75,6 +77,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import tracer
 
 ENV_BACKEND = "REPRO_BACKEND"
+ENV_JOBS = "REPRO_JOBS"
 ENV_SSH_PYTHON = "REPRO_SSH_PYTHON"
 
 #: Hosts the SSH backend serves with a directly-spawned local worker
@@ -182,16 +185,44 @@ class SerialBackend:
         return "SerialBackend()"
 
 
+def resolve_workers(workers: Optional[int] = None) -> int:
+    """Normalize a worker-count request to a concrete positive integer.
+
+    ``None`` falls back to ``$REPRO_JOBS``, else 1; ``0`` means "all
+    cores".
+    """
+    if workers is None:
+        env = os.environ.get(ENV_JOBS, "")
+        text = env.strip()
+        # isdigit() admits 0, which means "all cores" exactly like
+        # --jobs 0. Malformed values fall back to serial — loudly, so a
+        # typo'd REPRO_JOBS=-2 cannot silently run single-worker.
+        if text.isdigit():
+            workers = int(text)
+        else:
+            if text:
+                print(
+                    f"[repro] ignoring {ENV_JOBS}={env!r}: expected a "
+                    "non-negative integer; running serial",
+                    file=sys.stderr,
+                )
+            workers = 1
+    if workers == 0:
+        workers = os.cpu_count() or 1
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
+    return workers
+
+
 class ProcessPoolBackend:
     """Fan the batch out across local worker processes.
 
-    ``workers=None`` defers to the process-wide default
-    (:func:`repro.exec.engine.resolve_workers`); ``0`` means all cores.
-    A resolved worker count of 1 — or a single-job batch — runs inline,
-    exactly like the historical engine. Each pool task is a slice of
-    one trace group, of at most ⌈jobs/workers⌉ jobs, that generates the
-    trace once; a batch still occupies as many workers as one task per
-    job would.
+    ``workers=None`` (a bare ``pool`` spec) reads ``$REPRO_JOBS``, else
+    1, once per instance; ``0`` means all cores. A resolved worker
+    count of 1 — or a single-job batch — runs inline, in the submitting
+    process. Each pool task is a slice of one trace group, of at most
+    ⌈jobs/workers⌉ jobs, that generates the trace once; a batch still
+    occupies as many workers as one task per job would.
     """
 
     name = "pool"
@@ -199,15 +230,14 @@ class ProcessPoolBackend:
     def __init__(self, workers: Optional[int] = None):
         self.workers = workers
 
+    @functools.cached_property
     def _resolved_workers(self) -> int:
-        from repro.exec.engine import resolve_workers
-
         return resolve_workers(self.workers)
 
     def submit_batch(
         self, jobs: Sequence[SimulationJob]
     ) -> Iterator[Tuple[int, SimulationResult]]:
-        workers = self._resolved_workers()
+        workers = self._resolved_workers
         if workers <= 1 or len(jobs) == 1:
             yield from _run_inline(jobs)
             return
@@ -229,7 +259,7 @@ class ProcessPoolBackend:
                 yield from zip(indices, results)
 
     def workers_for(self, pending: int) -> int:
-        workers = self._resolved_workers()
+        workers = self._resolved_workers
         return min(workers, pending) if workers > 1 else 1
 
     def __repr__(self) -> str:
@@ -518,30 +548,43 @@ def set_default_backend(spec: Optional[str]) -> None:
     _default_backend_spec = spec
 
 
+def _env_backend_spec() -> str:
+    return os.environ.get(ENV_BACKEND, "").strip() or DEFAULT_BACKEND_SPEC
+
+
 def get_default_backend_spec() -> str:
     """The backend spec ``resolve_backend(None)`` would use."""
     if _default_backend_spec is not None:
         return _default_backend_spec
-    env = os.environ.get(ENV_BACKEND, "").strip()
-    return env or DEFAULT_BACKEND_SPEC
+    return _env_backend_spec()
+
+
+def fill_pool_workers(spec: Optional[str], jobs: Optional[int]) -> Optional[str]:
+    """Apply ``--jobs``: the worker count of a bare ``pool`` spec.
+
+    ``spec`` is the ``--backend`` value, or ``None`` for
+    ``$REPRO_BACKEND`` or the default. When that spec is a bare ``pool``,
+    ``jobs`` fills in its count (``pool:JOBS``); ``pool:N``, ``serial``
+    and ``ssh:...`` are returned unchanged, as is any spec when ``jobs``
+    is ``None``.
+    """
+    if jobs is None:
+        return spec
+    text = spec if spec is not None else _env_backend_spec()
+    return f"pool:{jobs}" if text.strip() == "pool" else spec
 
 
 def resolve_backend(
     backend: Union[None, str, ExecutionBackend] = None,
-    workers: Optional[int] = None,
 ) -> ExecutionBackend:
     """Normalize a backend request to a concrete backend instance.
 
     ``None`` falls back to the process-wide default (itself defaulting
     to ``$REPRO_BACKEND`` or the process pool); a string is parsed as a
-    spec. An explicit ``workers`` count overrides a pool backend's own —
-    that is what keeps ``run_jobs(jobs, workers=4)`` meaning "four local
-    processes" regardless of configured defaults.
+    spec, so each call makes a new instance.
     """
     if backend is None:
         backend = get_default_backend_spec()
     if isinstance(backend, str):
         backend = parse_backend_spec(backend)
-    if workers is not None and isinstance(backend, ProcessPoolBackend):
-        backend = ProcessPoolBackend(workers=workers)
     return backend

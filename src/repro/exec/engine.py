@@ -25,15 +25,17 @@ memo is an LRU of :data:`MEMO_ENTRIES` results, so a long-lived
 ``repro serve`` stays bounded; ``cache.memo_evictions`` counts what it
 drops.
 
-The default worker count is process-wide state set by the CLIs'
-``--jobs`` flag (or ``$REPRO_JOBS``); the default backend by
-``--backend`` (or ``$REPRO_BACKEND``). Library callers can override
-both per batch.
+The backend decides where and on how many workers a batch runs; the
+engine takes no worker count. ``backend=None`` uses the process-wide
+default, which the CLI sets from ``--backend`` and ``--jobs`` (``--jobs
+N`` fills in the count of a bare ``pool`` spec only, see
+:func:`~repro.exec.backends.fill_pool_workers`); a string is a spec
+such as ``"pool:4"``, and library callers may also pass an
+:class:`~repro.exec.backends.ExecutionBackend` instance.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 from collections import OrderedDict
@@ -42,79 +44,22 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.cpu.simulator import SimulationResult
 from repro.exec import cache as result_cache
-from repro.exec.backends import (
-    ExecutionBackend,
-    resolve_backend,
-    set_default_backend,
-)
+from repro.exec.backends import ExecutionBackend, resolve_backend
 from repro.exec.jobs import SimulationJob
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracer
 
 __all__ = [
-    "ENV_JOBS",
     "MEMO_ENTRIES",
     "BatchReport",
     "backend_metrics",
     "backend_tallies",
     "clear_memo",
-    "get_default_workers",
     "lookup",
     "reset_telemetry",
-    "resolve_workers",
     "run_jobs",
-    "set_default_backend",
-    "set_default_workers",
     "telemetry_lines",
 ]
-
-ENV_JOBS = "REPRO_JOBS"
-
-_default_workers: Optional[int] = None
-
-
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Normalize a worker-count request to a concrete positive integer.
-
-    ``None`` falls back to the process-wide default (itself defaulting to
-    ``$REPRO_JOBS`` or 1); ``0`` means "all cores".
-    """
-    if workers is None:
-        workers = _default_workers
-    if workers is None:
-        env = os.environ.get(ENV_JOBS, "")
-        text = env.strip()
-        # isdigit() admits 0, which means "all cores" exactly like
-        # --jobs 0. Malformed values fall back to serial — loudly, so a
-        # typo'd REPRO_JOBS=-2 cannot silently run single-worker.
-        if text.isdigit():
-            workers = int(text)
-        else:
-            if text:
-                print(
-                    f"[repro] ignoring {ENV_JOBS}={env!r}: expected a "
-                    "non-negative integer; running serial",
-                    file=sys.stderr,
-                )
-            workers = 1
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
-    return workers
-
-
-def set_default_workers(workers: Optional[int]) -> None:
-    """Set the process-wide worker count used when callers pass ``None``."""
-    global _default_workers
-    if workers is not None and workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
-    _default_workers = workers
-
-
-def get_default_workers() -> int:
-    """The resolved process-wide worker count."""
-    return resolve_workers(None)
 
 
 @dataclass
@@ -288,7 +233,6 @@ def clear_memo() -> None:
 
 def run_jobs(
     jobs: Iterable[SimulationJob],
-    workers: Optional[int] = None,
     use_cache: bool = True,
     report: Optional[BatchReport] = None,
     backend: Union[None, str, ExecutionBackend] = None,
@@ -296,15 +240,15 @@ def run_jobs(
     """Execute a batch of simulation jobs, returning results in order.
 
     Duplicate jobs (by canonical key) are simulated once; results are
-    deterministic and independent of the worker count *and* of the
-    backend (``None`` uses the process-wide default, a string is a
-    ``--backend`` spec, anything else an
+    deterministic and independent of the backend and its worker count
+    (``None`` uses the process-wide default, a string is a
+    ``--backend`` spec such as ``"pool:4"``, anything else an
     :class:`~repro.exec.backends.ExecutionBackend` instance). A failed
     job aborts the batch: the exception propagates after the counters
     are recorded, and no partial result list is returned.
     """
     ordered = list(jobs)
-    backend_obj = resolve_backend(backend, workers=workers)
+    backend_obj = resolve_backend(backend)
     keys = [job.cache_key() for job in ordered]
     unique: Dict[str, SimulationJob] = {}
     for key, job in zip(keys, ordered):

@@ -1,8 +1,12 @@
 """Experiment harness: one module per table/figure of the paper.
 
 Every module exposes ``run(...)`` returning a result dataclass and
-``render(result)`` producing the text table/series the paper reports.
-:mod:`repro.experiments.runner` executes the full set.
+``render(result)`` producing the text table/series the paper reports;
+none is a command of its own. :data:`repro.experiments.runner.EXPERIMENTS`
+is the one table of the paper's experiments that ``repro <name>``,
+``repro list`` and ``repro all`` read, and the simulations run on the
+backend the CLI configures (``--backend``; ``--jobs`` sizes a bare
+``pool``).
 
 | Module     | Reproduces                                            |
 |------------|-------------------------------------------------------|

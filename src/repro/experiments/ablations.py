@@ -228,17 +228,6 @@ class PredictivePolicyResult:
     p: float
     energies: Dict[str, float]
 
-    def complex_beats_gradual(self) -> bool:
-        gradual = min(
-            v for k, v in self.energies.items() if k.startswith("GradualSleep")
-        )
-        complex_best = min(
-            v
-            for k, v in self.energies.items()
-            if k.startswith(("PredictiveSleep", "TimeoutSleep", "BreakevenOracle"))
-        )
-        return complex_best < gradual
-
 
 def predictive_policy(
     scale: ExperimentScale = DEFAULT_SCALE,
@@ -390,11 +379,3 @@ def render_all(scale: ExperimentScale = DEFAULT_SCALE) -> str:
         )
     )
     return "\n\n".join(parts)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render_all())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -5,8 +5,8 @@ each benchmark, the per-functional-unit active-cycle counts and
 idle-interval histograms at that benchmark's Table 3 FU count.
 :func:`collect_benchmark_data` submits those simulations as one batch
 through the execution engine (:mod:`repro.exec.engine`) — deduplicated,
-cached persistently, and fanned out across cores when ``--jobs`` asks
-for it; Figures 7, 8, and 9 then share them, exactly as the paper
+cached persistently, and run on the configured backend (``--backend``,
+``--jobs``); Figures 7, 8, and 9 then share them, exactly as the paper
 derives all three from the same runs.
 """
 
@@ -101,9 +101,6 @@ class BenchmarkEnergyData:
 
     def per_fu_histograms(self) -> List[IntervalHistogram]:
         return [usage.idle_histogram for usage in self.result.stats.fu_usage]
-
-    def per_fu_interval_sequences(self) -> List[List[int]]:
-        return [usage.idle_intervals for usage in self.result.stats.fu_usage]
 
     def per_fu_batches(self) -> List[HistogramBatch]:
         """Array-backed histogram views, built once per benchmark."""
@@ -215,8 +212,6 @@ def collect_benchmark_data(
     l2_latency: Optional[int] = None,
     benchmarks: Optional[Iterable[str]] = None,
     fu_override: Optional[int] = None,
-    jobs: Optional[int] = None,
-    use_cache: bool = True,
     record_sequences: bool = False,
 ) -> List[BenchmarkEnergyData]:
     """Simulate the suite at each benchmark's Table 3 FU count.
@@ -225,8 +220,7 @@ def collect_benchmark_data(
     ``fu_override`` forces a fixed FU count (the FU-count ablation).
     The batch goes through the execution engine: results come from the
     in-process memo or the persistent cache when available, and pending
-    simulations fan out across ``jobs`` worker processes (defaulting to
-    the process-wide ``--jobs`` setting).
+    simulations run on the process-wide backend.
     """
     batch = benchmark_jobs(
         scale=scale,
@@ -235,7 +229,7 @@ def collect_benchmark_data(
         fu_override=fu_override,
         record_sequences=record_sequences,
     )
-    results = run_jobs(batch, workers=jobs, use_cache=use_cache)
+    results = run_jobs(batch)
     return [
         BenchmarkEnergyData(
             name=job.profile.name, num_fus=job.config.num_int_fus, result=result

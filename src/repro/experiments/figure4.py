@@ -117,11 +117,3 @@ def render(result: Figure4Result) -> str:
             )
         )
     return "\n\n".join(parts)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -71,11 +71,3 @@ def render(result: Figure5Result) -> str:
         + f"\nanalytic break-even interval: {result.breakeven:.1f} cycles; "
         + f"measured crossover: {curves.crossover_interval()} cycles"
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

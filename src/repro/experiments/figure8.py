@@ -163,11 +163,3 @@ def render(result: Figure8Result, alpha: float = PRIMARY_ALPHA) -> str:
             f"MaxSleep captures {s.max_sleep_fraction_of_potential:.0%} of potential"
         )
     return "\n\n".join(parts)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -147,11 +147,3 @@ def render(result: Figure9Result) -> str:
         f"MaxSleep overtakes AlwaysActive at p ~= {crossover_p(result):.2f}"
     )
     return "\n\n".join(parts)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -144,19 +144,22 @@ def perf_jobs(
 ) -> List[SimulationJob]:
     """Every simulation the study needs: baselines plus closed-loop runs.
 
-    Exposed separately so callers (and the runner's prewarm) can submit
-    the whole batch through the execution engine at once. Rejects a bad
-    ``p``, duplicate policies or wakeup latencies (each would render its
-    rows twice) and an empty latency list before anything simulates.
+    Exposed separately so callers can submit the whole batch through the
+    execution engine at once. Rejects a bad ``p``, duplicate policies,
+    ``p`` values or wakeup latencies (each would render its rows twice)
+    and an empty latency list before anything simulates.
     """
     for p in p_values:
         TechnologyParameters(leakage_factor_p=p)
-    if len(set(policies)) != len(policies):
-        raise ValueError(f"duplicate policy names in {list(policies)}")
     if not wakeup_latencies:
         raise ValueError("perf needs at least one wakeup latency")
-    if len(set(wakeup_latencies)) != len(wakeup_latencies):
-        raise ValueError(f"duplicate wakeup latencies in {list(wakeup_latencies)}")
+    for label, values in (
+        ("policy names", policies),
+        ("p values", p_values),
+        ("wakeup latencies", wakeup_latencies),
+    ):
+        if len(set(values)) != len(values):
+            raise ValueError(f"duplicate {label} in {list(values)}")
     names = list(benchmarks) if benchmarks else benchmark_names()
     jobs: List[SimulationJob] = []
     for name in names:
@@ -364,11 +367,3 @@ def render(result: PerfImpactResult) -> str:
                 )
             )
     return "\n\n".join(parts)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

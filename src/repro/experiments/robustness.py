@@ -372,11 +372,3 @@ def render(result: RobustnessResult) -> str:
         title="Worst-case scenario per policy (lowest savings)",
     ))
     return "\n\n".join(parts)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

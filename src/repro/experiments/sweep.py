@@ -117,8 +117,13 @@ class SweepGrid:
         if unknown:
             known = ", ".join(sorted(POLICY_FACTORIES))
             raise ValueError(f"unknown policies {unknown}; known: {known}")
-        if len(set(self.policies)) != len(self.policies):
-            raise ValueError(f"duplicate policy names in {self.policies}")
+        for label, values in (
+            ("policy names", self.policies),
+            ("p values", self.p_values),
+            ("alphas", self.alphas),
+        ):
+            if len(set(values)) != len(values):
+                raise ValueError(f"duplicate {label} in {values}")
 
     def technology(self, p: float) -> TechnologyParameters:
         return TechnologyParameters(
@@ -346,11 +351,3 @@ def render(result: SweepResult) -> str:
         )
     )
     return "\n\n".join(parts)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

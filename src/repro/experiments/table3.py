@@ -9,7 +9,7 @@ reports measured values next to the paper's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.cpu.config import MachineConfig
 from repro.cpu.workloads import WorkloadProfile, benchmark_names, get_benchmark
@@ -88,7 +88,6 @@ def run(
     scale: ExperimentScale = DEFAULT_SCALE,
     benchmarks: Sequence[str] = (),
     fu_range: Sequence[int] = FU_RANGE,
-    jobs: Optional[int] = None,
 ) -> Table3Result:
     """Sweep FU counts for every benchmark and apply the 95% rule.
 
@@ -98,7 +97,7 @@ def run(
     """
     names = list(benchmarks) if benchmarks else benchmark_names()
     batch = sweep_jobs(scale=scale, benchmarks=names, fu_range=fu_range)
-    results = run_jobs(batch, workers=jobs)
+    results = run_jobs(batch)
     ipc_by_job = {
         (job.profile.name, job.config.num_int_fus): result.stats.ipc
         for job, result in zip(batch, results)
@@ -139,11 +138,3 @@ def render(result: Table3Result) -> str:
         + f"\nFU selection matches the paper on {result.num_matching}"
         + f"/{len(result.selections)} benchmarks"
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

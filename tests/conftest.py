@@ -62,6 +62,15 @@ def preserve_cache_config():
     result_cache.restore(previous)
 
 
+@pytest.fixture
+def restore_backend_default():
+    """Reset the process-wide backend spec after a test that sets it."""
+    from repro.exec.backends import set_default_backend
+
+    yield
+    set_default_backend(None)
+
+
 @pytest.fixture(scope="session")
 def device_params():
     """The Table 1-calibrated device parameters."""

@@ -7,20 +7,24 @@ import pytest
 import repro
 from repro import cli
 from repro.exec import cache, engine
-from repro.exec.backends import SerialBackend, resolve_backend, set_default_backend
+from repro.exec.backends import (
+    ProcessPoolBackend,
+    SerialBackend,
+    resolve_backend,
+    resolve_workers,
+    set_default_backend,
+)
 from repro.exec.cache import ResultCache
-from repro.exec.engine import set_default_workers
 from repro.exec.stores import LayeredStore
 
 
 @pytest.fixture
 def restore_engine_state(preserve_cache_config):
-    """Restore the cache, worker, backend, and tracer configuration
-    ``main`` mutates through the execution flags."""
+    """Restore the cache, backend, and tracer configuration ``main``
+    mutates through the execution flags."""
     from repro.obs import tracer
 
     yield
-    set_default_workers(None)
     set_default_backend(None)
     tracer.configure(None)
     tracer.reset()
@@ -299,10 +303,17 @@ class TestServableFlagErrors:
             (["robustness", "--scenarios", "0"], "scenarios must be >= 1, got 0"),
             (["robustness", "--instructions", "10"], "instructions must be >= 1000, got 10"),
             (["robustness", "--families", "nofam"], "unknown scenario family"),
+            (["sweep", "--benchmarks", "gzip", "--p-grid", "0.5,0.5", "--alpha-grid", "0.5",
+              "--policies", "MaxSleep"], "duplicate p values"),
+            (["sweep", "--benchmarks", "gzip", "--p-grid", "0.5", "--alpha-grid", "0.5,0.5",
+              "--policies", "MaxSleep"], "duplicate alphas"),
+            (["perf", "--benchmarks", "gzip", "--p-grid", "0.5,0.5", "--policies", "MaxSleep",
+              "--wakeup-latencies", "1"], "duplicate p values"),
         ],
         ids=["sweep-p-grid", "perf-wakeup-latencies", "perf-duplicate-policy",
              "perf-duplicate-latency", "robustness-scenarios", "robustness-instructions",
-             "robustness-families"],
+             "robustness-families", "sweep-duplicate-p", "sweep-duplicate-alpha",
+             "perf-duplicate-p"],
     )
     def test_malformed_flag_is_a_usage_error(
         self, argv, message, capsys, restore_engine_state
@@ -336,9 +347,71 @@ class TestBackendAndStoreFlags:
         assert args.store is None
         assert not args.verbose
 
-    def test_main_sets_the_process_backend(self, capsys, restore_engine_state):
-        assert cli.main(["table1", "--backend", "serial"]) == 0
-        assert isinstance(resolve_backend(None), SerialBackend)
+    @pytest.mark.parametrize(
+        "argv, env_backend, backend, workers",
+        [
+            (["--backend", "serial"], None, SerialBackend, None),
+            (["--jobs", "3"], None, ProcessPoolBackend, 3),
+            (["--backend", "pool", "--jobs", "0"], None, ProcessPoolBackend, resolve_workers(0)),
+            (["--backend", "pool:2", "--jobs", "1"], None, ProcessPoolBackend, 2),
+            (["--jobs", "3"], "serial", SerialBackend, None),
+        ],
+        ids=["serial", "jobs-fills-the-default-pool", "jobs-0-is-all-cores",
+             "pool-count-wins-over-jobs", "jobs-ignored-by-env-serial"],
+    )
+    def test_main_sets_the_process_backend(
+        self, argv, env_backend, backend, workers, capsys, monkeypatch, restore_engine_state
+    ):
+        """``--jobs`` fills in the count of a bare ``pool`` spec only."""
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        if env_backend is not None:
+            monkeypatch.setenv("REPRO_BACKEND", env_backend)
+        assert cli.main(["table1", *argv]) == 0
+        resolved = resolve_backend(None)
+        assert isinstance(resolved, backend)
+        if workers is not None:
+            assert resolved.workers_for(1 << 16) == workers
+
+    @pytest.mark.parametrize("experiment", ["all", "table3"])
+    def test_jobs_means_the_same_on_every_subcommand(
+        self, experiment, capsys, monkeypatch, restore_engine_state
+    ):
+        """Regression: ``repro all`` handed ``--jobs`` to the engine as a
+        worker count that overrode the backend's own, so ``--backend pool:2
+        --jobs 1`` ran ``all`` on 1 worker and ``table3`` on 2."""
+        from repro.cpu.config import MachineConfig
+        from repro.cpu.workloads import get_benchmark
+        from repro.exec.engine import run_jobs
+        from repro.exec.jobs import SimulationJob
+        from repro.experiments import runner
+
+        jobs = [
+            SimulationJob(
+                profile=get_benchmark("gzip"),
+                num_instructions=1_200,
+                warmup_instructions=300,
+                seed=seed,
+                config=MachineConfig(),
+            )
+            for seed in (11, 12)
+        ]
+
+        def render(scale):
+            run_jobs(jobs)
+            return "TABLE3-BODY"
+
+        monkeypatch.setattr(runner, "EXPERIMENTS", (("table3", "Table 3", render),))
+        monkeypatch.setattr(runner, "enumerate_jobs", lambda scale: jobs)
+        engine.clear_memo()
+        engine.reset_telemetry()
+        argv = [experiment, "--quick", "--no-cache", "--backend", "pool:2", "--jobs", "1", "-v"]
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert "TABLE3-BODY" in captured.out
+        (line,) = [
+            line for line in captured.err.splitlines() if line.startswith("[repro] backend pool:")
+        ]
+        assert line.endswith("executed=2 failed=0 workers=2")
 
     def test_main_installs_the_store(self, capsys, restore_engine_state, tmp_path):
         assert (

@@ -22,8 +22,10 @@ from repro.exec.backends import (
     RemoteJobError,
     SerialBackend,
     SSHBackend,
+    fill_pool_workers,
     parse_backend_spec,
     resolve_backend,
+    resolve_workers,
     set_default_backend,
     validate_ready,
 )
@@ -57,12 +59,6 @@ def fresh_cache(tmp_path, preserve_cache_config):
     clear_memo()
     yield store
     clear_memo()
-
-
-@pytest.fixture
-def restore_backend_default():
-    yield
-    set_default_backend(None)
 
 
 def _job(name="gzip", instructions=1200, warmup=300, seed=1, **kwargs):
@@ -247,14 +243,23 @@ class TestBackendSpecs:
         with pytest.raises(ValueError):
             set_default_backend("nope")
 
-    def test_workers_param_overrides_pool(self):
-        assert resolve_backend("pool", workers=6).workers == 6
-        assert resolve_backend("pool:2", workers=6).workers == 6
+    def test_jobs_fills_in_a_bare_pool(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        assert fill_pool_workers("pool", 6) == "pool:6"
+        assert fill_pool_workers(None, 6) == "pool:6"
+        assert fill_pool_workers(None, 0) == "pool:0"
+        monkeypatch.setenv("REPRO_BACKEND", " pool ")
+        assert fill_pool_workers(None, 6) == "pool:6"
+        assert resolve_backend(fill_pool_workers(None, 6)).workers == 6
 
-    def test_workers_param_ignored_by_other_backends(self):
-        assert isinstance(resolve_backend("serial", workers=6), SerialBackend)
-        ssh = resolve_backend("ssh:h1", workers=6)
-        assert isinstance(ssh, SSHBackend)
+    def test_jobs_ignored_by_other_specs(self, monkeypatch):
+        assert fill_pool_workers("pool:2", 6) == "pool:2"
+        assert fill_pool_workers("serial", 6) == "serial"
+        assert fill_pool_workers("ssh:h1", 6) == "ssh:h1"
+        assert fill_pool_workers("pool", None) == "pool"
+        assert fill_pool_workers(None, None) is None
+        monkeypatch.setenv("REPRO_BACKEND", "serial")
+        assert isinstance(resolve_backend(fill_pool_workers(None, 6)), SerialBackend)
 
     def test_backend_instances_pass_through(self):
         backend = SerialBackend()
@@ -263,6 +268,71 @@ class TestBackendSpecs:
     def test_ssh_needs_hosts(self):
         with pytest.raises(ValueError):
             SSHBackend(())
+
+
+def _pool_workers() -> int:
+    """The worker count a bare ``pool`` backend resolves to."""
+    return ProcessPoolBackend().workers_for(1 << 16)
+
+
+class TestWorkerResolution:
+    """``$REPRO_JOBS`` sizes a bare ``pool`` backend when ``--jobs``
+    did not."""
+
+    def test_explicit_and_unset(self, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        assert resolve_workers(3) == 3
+        assert resolve_workers(None) == 1
+        assert _pool_workers() == 1
+
+    def test_zero_means_all_cores(self):
+        assert resolve_workers(0) >= 1
+
+    def test_env_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "5")
+        assert _pool_workers() == 5
+
+    def test_env_zero_means_all_cores(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        assert _pool_workers() == resolve_workers(0) >= 1
+
+    def test_env_yields_to_the_spec_count(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "5")
+        assert parse_backend_spec("pool:2").workers_for(1 << 16) == 2
+
+    def test_env_malformed_falls_back_to_serial(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_JOBS", "-2")
+        assert _pool_workers() == 1
+        assert "REPRO_JOBS='-2'" in capsys.readouterr().err
+
+    def test_env_with_whitespace_parses(self, monkeypatch, capsys):
+        """Regression: REPRO_JOBS=' 8' must mean 8 workers, not a silent
+        fall back to serial."""
+        monkeypatch.setenv("REPRO_JOBS", " 8")
+        assert _pool_workers() == 8
+        assert capsys.readouterr().err == ""
+
+    def test_env_malformed_warns_once_per_resolution(self, fresh_cache, monkeypatch, capsys):
+        """Regression: a batch read ``$REPRO_JOBS`` once for
+        ``workers_for`` and again for ``submit_batch``, so a malformed
+        value warned twice per batch."""
+        monkeypatch.setenv("REPRO_JOBS", "eight")
+        report = BatchReport()
+        run_jobs([_job()], backend="pool", use_cache=False, report=report)
+        assert report.workers_used == report.executed == 1
+        err = capsys.readouterr().err
+        assert err.count("[repro] ignoring REPRO_JOBS='eight'") == 1
+        assert "expected a non-negative integer" in err
+        assert "running serial" in err
+
+    def test_env_empty_stays_silent(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_JOBS", "   ")
+        assert _pool_workers() == 1
+        assert capsys.readouterr().err == ""
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            resolve_workers(-1)
 
 
 class TestWorkersFor:

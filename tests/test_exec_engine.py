@@ -12,14 +12,8 @@ from repro.cpu.simulator import simulate_workload
 from repro.cpu.workloads import get_benchmark
 from repro.exec import cache, engine, hashing
 from repro.exec import jobs as jobs_mod
-from repro.exec.engine import (
-    BatchReport,
-    clear_memo,
-    lookup,
-    resolve_workers,
-    run_jobs,
-    set_default_workers,
-)
+from repro.exec.backends import set_default_backend
+from repro.exec.engine import BatchReport, clear_memo, lookup, run_jobs
 from repro.exec.jobs import SimulationJob
 from repro.experiments.common import QUICK_SCALE, collect_benchmark_data
 from repro.obs import metrics as obs_metrics
@@ -118,90 +112,47 @@ class TestRunJobs:
 
     def test_parallel_equals_serial(self, fresh_cache):
         jobs = [_job(name) for name in ("gzip", "mcf", "mst")]
-        parallel = run_jobs(jobs, workers=3)
+        parallel = run_jobs(jobs, backend="pool:3")
         serial = [job.run() for job in jobs]
         for par, ser in zip(parallel, serial):
             assert pickle.dumps(par) == pickle.dumps(ser)
 
     def test_results_land_in_both_cache_layers(self, fresh_cache):
         job = _job()
-        run_jobs([job], workers=2)
+        run_jobs([job], backend="pool:2")
         assert lookup(job.cache_key()) is not None
         assert len(fresh_cache) == 1
 
 
-class TestWorkerResolution:
-    def test_explicit_and_default(self):
-        assert resolve_workers(3) == 3
-        set_default_workers(2)
-        try:
-            assert resolve_workers(None) == 2
-        finally:
-            set_default_workers(None)
-        assert resolve_workers(None) == 1
-
-    def test_zero_means_all_cores(self):
-        assert resolve_workers(0) >= 1
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "5")
-        assert resolve_workers(None) == 5
-
-    def test_env_zero_means_all_cores(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "0")
-        assert resolve_workers(None) == resolve_workers(0) >= 1
-
-    def test_env_malformed_falls_back_to_serial(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_JOBS", "-2")
-        assert resolve_workers(None) == 1
-        assert "REPRO_JOBS='-2'" in capsys.readouterr().err
-
-    def test_env_with_whitespace_parses(self, monkeypatch, capsys):
-        """Regression: REPRO_JOBS=' 8' must mean 8 workers, not a silent
-        fall back to serial."""
-        monkeypatch.setenv("REPRO_JOBS", " 8")
-        assert resolve_workers(None) == 8
-        assert capsys.readouterr().err == ""
-
-    def test_env_malformed_warns_once_per_resolution(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_JOBS", "eight")
-        assert resolve_workers(None) == 1
-        err = capsys.readouterr().err
-        assert "expected a non-negative integer" in err
-        assert "running serial" in err
-
-    def test_env_empty_stays_silent(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_JOBS", "   ")
-        assert resolve_workers(None) == 1
-        assert capsys.readouterr().err == ""
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_workers(-1)
-
-
 class TestCollectBenchmarkDataParallel:
-    def test_full_batch_parallel_equals_serial(self, fresh_cache):
+    """The experiments run on the process-wide backend, which the CLI
+    sets from ``--backend`` and ``--jobs``."""
+
+    def test_full_batch_parallel_equals_serial(self, fresh_cache, restore_backend_default):
         """The acceptance bar: a full collect_benchmark_data batch is
         bit-for-bit identical whether run serially or fanned out."""
-        serial = collect_benchmark_data(scale=QUICK_SCALE, use_cache=False)
+        set_default_backend("serial")
+        serial = collect_benchmark_data(scale=QUICK_SCALE)
         fresh_cache.clear()
         clear_memo()
-        parallel = collect_benchmark_data(scale=QUICK_SCALE, jobs=4)
+        set_default_backend("pool:4")
+        parallel = collect_benchmark_data(scale=QUICK_SCALE)
         assert len(serial) == len(parallel) == 9
         for ser, par in zip(serial, parallel):
             assert ser.name == par.name
             assert ser.num_fus == par.num_fus
             assert pickle.dumps(ser.result) == pickle.dumps(par.result)
 
-    def test_table3_ipc_identical_across_workers(self, fresh_cache):
+    def test_table3_ipc_identical_across_workers(self, fresh_cache, restore_backend_default):
         from repro.experiments import table3
 
         subset = ("gzip", "mcf")
-        serial = table3.run(scale=QUICK_SCALE, benchmarks=subset, jobs=1)
+        set_default_backend("pool:1")
+        serial = table3.run(scale=QUICK_SCALE, benchmarks=subset)
         fresh_cache.clear()
         clear_memo()
-        parallel = table3.run(scale=QUICK_SCALE, benchmarks=subset, jobs=2)
+        set_default_backend("pool:2")
+        parallel = table3.run(scale=QUICK_SCALE, benchmarks=subset)
         for ser, par in zip(serial.selections, parallel.selections):
             assert ser.ipc_by_fus == par.ipc_by_fus
             assert ser.selected_fus == par.selected_fus

@@ -1,5 +1,7 @@
 """Tests for the closed-loop energy-vs-slowdown experiment."""
 
+import pytest
+
 from repro.experiments import perf_impact
 from repro.experiments.common import QUICK_SCALE
 
@@ -71,6 +73,14 @@ class TestPerfImpact:
         assert sum(1 for job in jobs if job.sleep is None) == 1
         assert all(not job.record_sequences for job in jobs)
         assert len({job.cache_key() for job in jobs}) == 3
+
+    def test_perf_jobs_rejects_duplicate_p_values(self):
+        """Regression: a repeated ``p`` rendered its frontier rows twice."""
+        with pytest.raises(ValueError, match="duplicate p values"):
+            perf_impact.perf_jobs(
+                scale=QUICK_SCALE, policies=("MaxSleep",), p_values=(0.5, 0.5),
+                wakeup_latencies=(1,), benchmarks=("gzip",),
+            )
 
     def test_stateful_policy_supported_closed_loop(self):
         result = small_run(

@@ -27,13 +27,11 @@ class TestRunner:
         streaming, headers) is covered without minutes of simulation."""
         from repro.experiments import runner
 
-        def fake_experiments(scale):
-            return [
-                ("Table 1", lambda: "TABLE1-BODY"),
-                ("Figure 3", lambda: "FIGURE3-BODY"),
-            ]
-
-        monkeypatch.setattr(runner, "_experiments", fake_experiments)
+        fake_experiments = (
+            ("table1", "Table 1", lambda scale: "TABLE1-BODY"),
+            ("figure3", "Figure 3", lambda scale: "FIGURE3-BODY"),
+        )
+        monkeypatch.setattr(runner, "EXPERIMENTS", fake_experiments)
         monkeypatch.setattr(runner, "enumerate_jobs", lambda scale: [])
         stream = io.StringIO()
         runner.run_all(QUICK_SCALE, stream=stream)
@@ -44,12 +42,34 @@ class TestRunner:
     def test_experiment_list_covers_the_paper(self):
         from repro.experiments import runner
 
-        names = [name for name, _ in runner._experiments(QUICK_SCALE)]
-        for expected in (
+        titles = [title for _, title, _ in runner.EXPERIMENTS]
+        assert titles == [
             "Table 1", "Figure 3", "Figure 4", "Figure 5",
             "Table 3", "Figure 7", "Figure 8", "Figure 9", "Ablations",
-        ):
-            assert expected in names
+        ]
+
+    def test_one_table_names_every_experiment_once(self, capsys):
+        """The CLI's choices and ``repro list`` read the same table as
+        ``repro all``."""
+        from repro import cli
+        from repro.experiments import runner
+
+        names = [name for name, _, _ in runner.EXPERIMENTS]
+        assert len(set(names)) == len(names) == 9
+        for name in names:
+            assert cli.build_parser().parse_args([name]).experiment == name
+        assert cli.main(["list"]) == 0
+        listed = capsys.readouterr().out.split()
+        assert listed == sorted(names) + ["perf", "robustness", "sweep"]
+
+    def test_renderers_look_up_module_functions_when_called(self, monkeypatch):
+        """A wrapper installed on an experiment module's ``run`` or
+        ``render`` (a profiler, a tracer) must see the table's calls."""
+        from repro.experiments import runner, table1
+
+        monkeypatch.setattr(table1, "render", lambda result: "WRAPPED")
+        (render,) = [render for name, _, render in runner.EXPERIMENTS if name == "table1"]
+        assert render(QUICK_SCALE) == "WRAPPED"
 
 
 class TestJobEnumeration:
@@ -83,13 +103,16 @@ class TestJobEnumeration:
     def test_prewarm_makes_collection_a_pure_cache_hit(
         self, tmp_path, preserve_cache_config
     ):
+        """The plan ``run_all`` submits before rendering covers every
+        batch the suite asks for, so collecting it again simulates
+        nothing."""
         from repro.exec import cache
         from repro.exec.engine import BatchReport, run_jobs
         from repro.experiments import runner
 
         cache.configure(cache_dir=tmp_path / "prewarm-cache")
         small = ExperimentScale(window_instructions=1_200, warmup_instructions=300)
-        runner.prewarm(small, jobs=2)
+        run_jobs(runner.enumerate_jobs(small), backend="pool:2")
         report = BatchReport()
         run_jobs(runner.enumerate_jobs(small), report=report)
         assert report.executed == 0

@@ -73,6 +73,13 @@ class TestSweepGrid:
         with pytest.raises(ValueError):
             SweepGrid(p_values=(0.1,), alphas=())
 
+    def test_rejects_duplicate_grid_values(self):
+        """Regression: a repeated ``p`` or alpha rendered its rows twice."""
+        with pytest.raises(ValueError, match="duplicate p values"):
+            SweepGrid(p_values=(0.5, 0.5), alphas=(0.5,))
+        with pytest.raises(ValueError, match="duplicate alphas"):
+            SweepGrid(p_values=(0.5,), alphas=(0.25, 0.5, 0.25))
+
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             SweepGrid(p_values=(0.1,), alphas=(1.5,))

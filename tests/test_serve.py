@@ -289,11 +289,16 @@ class TestServiceLifecycle:
             {"kind": "perf", "quick": True,
              "params": {"policies": "MaxSleep,MaxSleep", "benchmarks": "gzip"}},
             _simulate(fus=0),
+            _sweep(p_grid="0.5,0.5"),
+            _sweep(alpha_grid="0.5,0.5"),
+            {"kind": "perf", "quick": True,
+             "params": {"p_grid": "0.5,0.5", "benchmarks": "gzip"}},
         ],
         ids=[
             "sweep-policy", "robustness-policy", "sweep-alpha", "sweep-benchmark",
             "robustness-family", "robustness-count", "robustness-window",
             "perf-policy", "perf-no-latencies", "perf-duplicate-policy", "simulate-fus",
+            "sweep-duplicate-p", "sweep-duplicate-alpha", "perf-duplicate-p",
         ],
     )
     def test_invalid_value_is_400_before_any_simulation(self, serve_url, gate, payload):

@@ -26,6 +26,7 @@ from repro.cpu.simulator import TRACES
 from repro.cpu.sleep import SleepRuntimeSpec
 from repro.cpu.workloads import benchmark_names, get_benchmark
 from repro.exec import cache, worker
+from repro.exec.backends import set_default_backend
 from repro.exec.engine import BatchReport, clear_memo, run_jobs
 from repro.exec.jobs import SimulationJob
 from repro.experiments import runner
@@ -206,13 +207,14 @@ class TestBackends:
         assert results == [job.run() for job in _group(get_benchmark("vpr"))[:4]]
 
 
-def test_cold_quick_suite_generates_each_trace_once(fresh_cache):
+def test_cold_quick_suite_generates_each_trace_once(fresh_cache, restore_backend_default):
     """``repro all --quick`` prewarms its whole plan as one batch: 81
     simulations over 9 distinct traces generate 9 traces."""
     plan = runner.enumerate_jobs(QUICK_SCALE)
     identities = {job.trace_identity for job in plan}
+    set_default_backend("pool:1")
     with metrics.scope() as scoped:
-        runner.run_all(QUICK_SCALE, stream=io.StringIO(), jobs=1)
+        runner.run_all(QUICK_SCALE, stream=io.StringIO())
     counters = scoped.snapshot()["counters"]
     simulated = sum(
         value for name, value in counters.items() if name.startswith("sim.kernel_")
