@@ -71,7 +71,7 @@ def test_bench_batch_kernel_speedup(bench_record):
     trace = list(generate_trace(get_benchmark("gcc"), TRACE_LENGTH, seed=11))
 
     start = time.perf_counter()
-    walk_stats = Pipeline(trace).run()
+    walk_stats = Pipeline(chunk_instructions(trace, CHUNK_SIZE), TRACE_LENGTH).run()
     walk_seconds = time.perf_counter() - start
 
     batch_seconds = float("inf")
@@ -111,7 +111,7 @@ def test_bench_cold_batch_end_to_end(bench_record):
 
     start = time.perf_counter()
     trace = generate_trace(profile, TRACE_LENGTH, seed=11)
-    walk_stats = Pipeline(trace).run()
+    walk_stats = Pipeline(chunk_instructions(trace, CHUNK_SIZE), TRACE_LENGTH).run()
     walk_seconds = time.perf_counter() - start
     del trace
 

@@ -4,11 +4,11 @@ The streaming trace engine's whole claim is that scenario *length* costs
 time, never memory. This bench runs the same sampled scenario in fresh
 subprocesses at 100k and at 10M instructions — a 100x growth — and
 asserts the children's peak RSS (``ru_maxrss``) stays flat. It does so
-for both kernels: the per-instruction walk, streaming, and the default
-C batch kernel, which always consumes the trace chunk by chunk. A
-materialized 10M-instruction trace alone would occupy well over a
-gigabyte; under streaming the large run must fit in a small multiple of
-the small run's footprint (interpreter + model + a few resident chunks).
+for both kernels, the per-instruction walk and the default C batch
+kernel, which both consume the trace chunk by chunk. A materialized
+10M-instruction trace alone would occupy well over a gigabyte; streamed,
+the large run must fit in a small multiple of the small run's footprint
+(interpreter + model + at most two chunks).
 
 Runs in subprocesses on purpose: ``ru_maxrss`` is a process-lifetime
 high-water mark, so in-process measurement would be polluted by
@@ -50,7 +50,7 @@ from repro.scenarios import sample_scenarios
 
 n, kernel = int(sys.argv[1]), sys.argv[2]
 scenario = sample_scenarios(1, seed=5, families=["ilp_rich"])[0]
-result = Simulator(scenario.profile, streaming=True, kernel=kernel).run(
+result = Simulator(scenario.profile, kernel=kernel).run(
     n, record_sequences=False
 )
 assert result.stats.committed_instructions == n

@@ -25,10 +25,10 @@ all cores); ``pool:N``, ``serial`` and ``ssh:...`` ignore it. Without
 ``--jobs`` a bare ``pool`` reads ``$REPRO_JOBS``, else runs one worker,
 inline. ``--cache-dir`` points the persistent result cache somewhere
 other than ``~/.cache/repro``, and ``--no-cache`` disables the
-persistent layer (the in-process memo still applies). Traces stream in
-bounded memory (on the walk, from 500k total instructions), which is
-what lets ``repro robustness --instructions 10000000`` run
-10M+-instruction scenarios.
+persistent layer (the in-process memo still applies). Both kernels
+stream every trace chunk by chunk, in bounded memory, which is what
+lets ``repro robustness --instructions 10000000`` run 10M+-instruction
+scenarios.
 ``--kernel walk|batch`` overrides the simulation engine: ``walk`` is
 the per-instruction reference pipeline, ``batch`` the array-batched C
 kernel (~10x faster on long traces, compiled on first use). Without the
@@ -376,10 +376,23 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _apply_execution_arguments(args: argparse.Namespace) -> None:
-    """Configure the process-wide engine state from parsed CLI flags."""
-    result_cache.configure(cache_dir=args.cache_dir, enabled=not args.no_cache, store=args.store)
-    backends.set_default_backend(backends.fill_pool_workers(args.backend, args.jobs))
+def _apply_execution_arguments(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> None:
+    """Configure the process-wide engine state from parsed CLI flags.
+
+    The backend and store specs in effect, from a flag or the
+    environment, are parsed here, so a bad one is a usage error before
+    anything runs.
+    """
+    try:
+        result_cache.configure(
+            cache_dir=args.cache_dir, enabled=not args.no_cache, store=args.store
+        )
+        backends.set_default_backend(backends.fill_pool_workers(args.backend, args.jobs))
+        backends.resolve_backend(None)
+    except ValueError as error:
+        parser.error(str(error))
     kernel_mod.set_default_kernel(args.kernel)
     tracer.configure(args.trace_out or os.environ.get(tracer.ENV_TRACE_OUT) or None)
 
@@ -602,7 +615,7 @@ def _main(argv=None) -> int:
         return 0
     if args.experiment == "report":
         return _run_report(args, parser)
-    _apply_execution_arguments(args)
+    _apply_execution_arguments(args, parser)
     with tracer.span(f"cli.{args.experiment}", category="cli"):
         code = _dispatch(args, parser)
     if args.verbose:

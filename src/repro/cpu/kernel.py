@@ -76,7 +76,7 @@ from repro.cpu.config import MachineConfig
 from repro.cpu.pipeline import DeadlockError
 from repro.cpu.sleep import SleepRuntimeSpec, price_stateless_outcomes
 from repro.cpu.stats import FunctionalUnitUsage, SimulationStats
-from repro.cpu.stream import TraceChunk
+from repro.cpu.stream import TraceChunk, checked_chunks
 from repro.obs import metrics
 from repro.util.intervals import IntervalHistogram
 
@@ -209,12 +209,13 @@ def _u8_ptr(column: array) -> "ctypes._Pointer":
 class BatchPipeline:
     """One batched simulation instance; construct, then :meth:`run` once.
 
-    The drop-in counterpart of :class:`repro.cpu.pipeline.Pipeline` for
-    chunk-delivered traces: ``chunks`` is any iterable of contiguous
+    The drop-in counterpart of :class:`repro.cpu.pipeline.Pipeline`,
+    with the same constructor: ``chunks`` is any iterable of contiguous
     :class:`~repro.cpu.stream.TraceChunk` blocks starting at index 0
-    and covering exactly ``total_instructions``. Validation mirrors the
-    walk (empty traces, warmup range, RAS sizing, single use) so both
-    kernels reject the same inputs with the same messages.
+    and covering exactly ``total_instructions``, read through the same
+    :func:`~repro.cpu.stream.checked_chunks`. Validation mirrors the
+    walk (empty traces, chunk stream, warmup range, RAS sizing, single
+    use) so both kernels reject the same inputs with the same messages.
     """
 
     def __init__(
@@ -225,18 +226,12 @@ class BatchPipeline:
         record_sequences: bool = True,
         sleep_spec: Optional[SleepRuntimeSpec] = None,
     ):
-        if total_instructions == 0:
-            raise ValueError("cannot simulate an empty trace")
-        if total_instructions < 0:
-            raise ValueError(
-                f"total_instructions must be >= 1, got {total_instructions}"
-            )
+        self._chunks = checked_chunks(chunks, total_instructions)
         self.config = config if config is not None else MachineConfig()
         ras_entries = self.config.branch_predictor.ras_entries
         if ras_entries < 1:
             # The walk raises in ReturnAddressStack.__init__; same text.
             raise ValueError(f"RAS needs >= 1 entry, got {ras_entries}")
-        self._chunks = iter(chunks)
         self.total_instructions = total_instructions
         self.record_sequences = record_sequences
         self.sleep_spec = sleep_spec
@@ -340,22 +335,7 @@ class BatchPipeline:
                 callback,
             )
 
-        total = self.total_instructions
-        fed = 0
-        status = ST_NEED_DATA
-        # Lazy generators do their work inside next(), which the timed
-        # iterator charges to "generate"; the C cycle loop is "kernel".
-        for chunk in metrics.timed_iterator("generate", self._chunks):
-            if chunk.start != fed:
-                raise ValueError(
-                    f"non-contiguous chunk: expected start {fed}, "
-                    f"got {chunk.start}"
-                )
-            if chunk.end > total:
-                raise ValueError(
-                    f"chunk [{chunk.start}, {chunk.end}) overruns the "
-                    f"declared length {total}"
-                )
+        for chunk in self._chunks:
             op, pc, dep1, dep2, addr, taken, target = chunk.columns
             with metrics.timed("kernel"):
                 status = lib.repro_feed(
@@ -369,18 +349,12 @@ class BatchPipeline:
                     _i64_ptr(target),
                     len(chunk),
                 )
-            fed = chunk.end
             if status == ST_DEADLOCK:
                 self._raise_deadlock(lib, sim)
             if status not in (ST_NEED_DATA, ST_DONE):
                 raise RuntimeError(f"batch kernel failed (status {status})")
             if status == ST_DONE:
                 break
-        if status != ST_DONE:
-            raise RuntimeError(
-                f"trace stream ended at {fed} instructions before the run "
-                f"completed (declared length {total})"
-            )
         if lib.repro_finalize(sim) != ST_DONE:
             raise RuntimeError("batch kernel finalize failed")
         with metrics.timed("pricing"):

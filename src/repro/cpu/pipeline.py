@@ -25,15 +25,15 @@ runs closed-loop: units sleep under online policy control, an acquire
 that hits a sleeping unit triggers a wakeup and stalls until it
 completes, and those cycles are attributed as ``wakeup_stall_cycles``.
 
-The trace operand is any length-aware sequence. The model reads it
-through two near-sequential cursors — the fetch index, and the
-fetch-queue head during dispatch (which trails fetch by at most the
-fetch-queue depth) — and every statistic (idle histograms, sleep
-tallies, stall counts) accumulates online, cycle by cycle. A
-:class:`~repro.cpu.stream.StreamingTrace` therefore drops in for the
-materialized list unchanged: chunks are pulled on demand and evicted
-behind the dispatch cursor, so 10M+-instruction runs execute in
-bounded memory with bit-identical results.
+The trace arrives as contiguous :class:`~repro.cpu.stream.TraceChunk`
+blocks, through the same constructor and stream checks as the batch
+kernel's. Fetch reads them through one forward cursor over the current
+chunk's instructions, and each fetched instruction carries what
+dispatch needs (its dependency distances) in its in-flight record, so
+nothing ever indexes back into the trace. Every statistic (idle
+histograms, sleep tallies, stall counts) accumulates online, cycle by
+cycle, so a run holds at most two chunks at once whatever its length,
+and where the chunk boundaries fall never changes a result.
 
 This walked model is the *reference* implementation — the ``walk`` side
 of the ``--kernel walk|batch`` knob. :mod:`repro.cpu.kernel` runs the
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from repro.cpu.branch import CombiningPredictor
 from repro.cpu.config import MachineConfig
@@ -57,6 +57,7 @@ from repro.cpu.isa import OpClass
 from repro.cpu.memory import MemoryHierarchy
 from repro.cpu.sleep import SleepRuntimeSpec
 from repro.cpu.stats import FunctionalUnitUsage, SimulationStats
+from repro.cpu.stream import TraceChunk, checked_chunks
 from repro.cpu.trace import TraceInstruction
 
 # Fast int aliases for the hot loop.
@@ -91,6 +92,8 @@ class _InflightOp:
         "seq",
         "op",
         "address",
+        "dep1",
+        "dep2",
         "pending",
         "consumers",
         "done",
@@ -98,10 +101,12 @@ class _InflightOp:
         "forwarded",
     )
 
-    def __init__(self, seq: int, op: int, address: int):
+    def __init__(self, seq: int, op: int, address: int, dep1: int, dep2: int):
         self.seq = seq
         self.op = op
         self.address = address
+        self.dep1 = dep1
+        self.dep2 = dep2
         self.pending = 0
         self.consumers: List["_InflightOp"] = []
         self.done = False
@@ -116,22 +121,28 @@ class DeadlockError(RuntimeError):
 class Pipeline:
     """One simulation instance; construct, then :meth:`run` once.
 
-    ``trace`` may be a materialized list or a bounded-memory
-    :class:`~repro.cpu.stream.StreamingTrace`; the model's access
-    pattern (two monotone cursors, bounded lag) is exactly what the
-    streaming view's sliding window supports.
+    ``chunks`` is any iterable of contiguous
+    :class:`~repro.cpu.stream.TraceChunk` blocks starting at index 0
+    and covering exactly ``total_instructions``, read once, front to
+    back, through :func:`~repro.cpu.stream.checked_chunks` — the same
+    constructor and the same stream checks as
+    :class:`~repro.cpu.kernel.BatchPipeline`.
     """
 
     def __init__(
         self,
-        trace: Sequence[TraceInstruction],
+        chunks: Iterable[TraceChunk],
+        total_instructions: int,
         config: Optional[MachineConfig] = None,
         record_sequences: bool = True,
         sleep_spec: Optional[SleepRuntimeSpec] = None,
     ):
-        if len(trace) == 0:
-            raise ValueError("cannot simulate an empty trace")
-        self.trace = trace
+        self._chunks = checked_chunks(chunks, total_instructions)
+        self.total_instructions = total_instructions
+        # The fetch cursor: the current chunk's instructions and the
+        # next one's position in them.
+        self._instructions: List[TraceInstruction] = []
+        self._cursor = 0
         self.config = config if config is not None else MachineConfig()
         self.memory = MemoryHierarchy.from_machine_config(self.config)
         self.predictor = CombiningPredictor(self.config.branch_predictor)
@@ -368,8 +379,7 @@ class Pipeline:
             self._inflight[iop.seq] = iop
 
             # Register dependencies via trace distances.
-            instr = self.trace[iop.seq]
-            for distance in (instr.dep1, instr.dep2):
+            for distance in (iop.dep1, iop.dep2):
                 if distance:
                     producer = self._inflight.get(iop.seq - distance)
                     if producer is not None and not producer.done:
@@ -392,7 +402,9 @@ class Pipeline:
         return dispatched > 0
 
     def _fetch(self) -> bool:
-        if self._fetch_index >= len(self.trace):
+        total = self.total_instructions
+        fetch_index = self._fetch_index
+        if fetch_index >= total:
             return False
         if self._waiting_branch is not None or self.cycle < self._fetch_stalled_until:
             self.fetch_stall_cycles += 1
@@ -400,14 +412,18 @@ class Pipeline:
         width = self.config.fetch_width
         queue_limit = self.config.fetch_queue_entries
         fetch_queue = self._fetch_queue
-        trace = self.trace
+        instructions = self._instructions
+        cursor = self._cursor
         fetched = 0
         while (
             fetched < width
             and len(fetch_queue) < queue_limit
-            and self._fetch_index < len(trace)
+            and fetch_index < total
         ):
-            instr = trace[self._fetch_index]
+            if cursor == len(instructions):
+                instructions = self._instructions = next(self._chunks).instructions
+                cursor = 0
+            instr = instructions[cursor]
             line = instr.pc >> self._line_bits
             if line != self._current_fetch_line:
                 latency = self.memory.instruction_fetch_latency(instr.pc)
@@ -419,9 +435,12 @@ class Pipeline:
                     self._fetch_stalled_until = self.cycle + (latency - hit_latency)
                     break
 
-            iop = _InflightOp(self._fetch_index, int(instr.op), instr.address)
+            iop = _InflightOp(
+                fetch_index, int(instr.op), instr.address, instr.dep1, instr.dep2
+            )
             fetch_queue.append(iop)
-            self._fetch_index += 1
+            fetch_index += 1
+            cursor += 1
             fetched += 1
 
             op = iop.op
@@ -449,6 +468,8 @@ class Pipeline:
                     iop.mispredicted = True
                     self._waiting_branch = iop
                 break  # returns always redirect fetch
+        self._fetch_index = fetch_index
+        self._cursor = cursor
         return fetched > 0
 
     # -- main loop -----------------------------------------------------------
@@ -469,7 +490,7 @@ class Pipeline:
         if self._ran:
             raise RuntimeError("pipeline instances are single-use")
         self._ran = True
-        trace_length = len(self.trace)
+        trace_length = self.total_instructions
         if warmup_instructions < 0 or warmup_instructions >= trace_length:
             raise ValueError(
                 f"warmup must be in [0, {trace_length}), got {warmup_instructions}"
@@ -535,7 +556,7 @@ class Pipeline:
         if self._completions:
             candidates.append(self._completions[0][0])
         fetch_possible = (
-            self._fetch_index < len(self.trace)
+            self._fetch_index < self.total_instructions
             and self._waiting_branch is None
             and len(self._fetch_queue) < self.config.fetch_queue_entries
         )
@@ -558,7 +579,7 @@ class Pipeline:
         # branch is unresolved or fetch is stalled on a redirect/I-miss.
         # The skip must account those cycles identically or the stat
         # would depend on whether stretches were skipped or walked.
-        if self._fetch_index < len(self.trace):
+        if self._fetch_index < self.total_instructions:
             if self._waiting_branch is not None:
                 stall_horizon = target
             else:

@@ -1,7 +1,7 @@
 """Simulator façade: workload in, statistics out.
 
-:class:`Simulator` generates a workload's trace and runs it through the
-pipeline, always simulating. :func:`simulate_workload` is the cached
+:class:`Simulator` streams a workload's trace into a pipeline kernel,
+always simulating. :func:`simulate_workload` is the cached
 convenience entry for one run: it submits a one-job batch to
 :func:`repro.exec.engine.run_jobs`, which owns every result cache, so
 e.g. Figure 7 and Figure 8 share the same simulations within one run,
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.cpu.config import MachineConfig
 from repro.cpu.kernel import (
@@ -27,13 +27,8 @@ from repro.cpu.kernel import (
 from repro.cpu.pipeline import Pipeline
 from repro.cpu.sleep import SleepRuntimeSpec
 from repro.cpu.stats import SimulationStats
-from repro.cpu.stream import (
-    StreamingTrace,
-    TraceChunk,
-    resolve_chunk_size,
-    resolve_streaming,
-)
-from repro.cpu.workloads import WorkloadProfile, generate_trace, iter_trace
+from repro.cpu.stream import TraceChunk
+from repro.cpu.workloads import WorkloadProfile, iter_trace
 from repro.obs import metrics
 
 #: Registry counter of traces generated for simulations: one per run
@@ -64,30 +59,16 @@ class SimulationResult:
 
 
 class Simulator:
-    """Builds traces and runs the pipeline for one workload profile.
-
-    ``streaming`` selects how the walk receives its trace: ``True``
-    streams it chunk by chunk through a bounded-memory
-    :class:`~repro.cpu.stream.StreamingTrace`, ``False`` materializes
-    the full list, and ``None`` (default) streams at or above
-    :data:`~repro.cpu.stream.STREAMING_THRESHOLD` total instructions.
-    The two modes are float-for-float identical (enforced by the
-    streaming-equivalence CI gate), so the choice affects peak memory
-    only — results, statistics, and cache keys are untouched. Only
-    direct callers force it: the equivalence gate and the peak-RSS
-    bench. ``chunk_size`` sets the instructions per streamed chunk
-    (default :data:`~repro.cpu.stream.DEFAULT_CHUNK_SIZE`).
+    """Streams traces through a pipeline kernel for one workload profile.
 
     ``kernel`` selects the simulation engine: ``"walk"`` is the
     per-instruction reference pipeline, ``"batch"`` the array-batched C
     kernel of :mod:`repro.cpu.kernel`, and ``None`` defers to the
     process default, which chooses the batch kernel whenever it builds
-    (see :func:`repro.cpu.kernel.resolve_kernel`). The
-    kernels are float-for-float identical (the kernel-equivalence CI
-    gate), so — exactly like ``streaming`` — the knob affects speed
-    only, never results or cache keys. The batch kernel always consumes
-    the trace chunk by chunk, so it is bounded-memory regardless of the
-    ``streaming`` setting, which only the walk reads.
+    (see :func:`repro.cpu.kernel.resolve_kernel`). The kernels are
+    float-for-float identical (the kernel-equivalence CI gate), so the
+    knob affects speed only, never results or cache keys. Both read the
+    trace chunk by chunk, so neither ever holds it whole.
     """
 
     def __init__(
@@ -96,16 +77,12 @@ class Simulator:
         config: Optional[MachineConfig] = None,
         seed: int = 1,
         sleep: Optional[SleepRuntimeSpec] = None,
-        streaming: Optional[bool] = None,
-        chunk_size: Optional[int] = None,
         kernel: Optional[str] = None,
     ):
         self.profile = profile
         self.config = config if config is not None else MachineConfig()
         self.seed = seed
         self.sleep = sleep
-        self.streaming = streaming
-        self.chunk_size = chunk_size
         self.kernel = kernel
 
     def run(
@@ -113,26 +90,25 @@ class Simulator:
         num_instructions: int,
         warmup_instructions: int = 0,
         record_sequences: bool = True,
-        chunks: Optional[Sequence[TraceChunk]] = None,
+        chunks: Optional[Iterable[TraceChunk]] = None,
     ) -> SimulationResult:
-        """Generate the trace and simulate it to completion.
+        """Stream the trace through the kernel to completion.
 
         The trace covers warmup plus the measured window; statistics are
-        collected only after ``warmup_instructions`` commit. In
-        streaming mode generation is interleaved with consumption: the
-        pipeline pulls chunks on demand and at most a few chunks are
-        resident at once (for bounded *total* memory on long runs, also
-        pass ``record_sequences=False`` — ordered per-unit interval
-        lists grow with the run).
+        collected only after ``warmup_instructions`` commit. Generation
+        is interleaved with simulation: the kernel pulls chunks on
+        demand, so at most two are alive at once (for bounded *total*
+        memory on long runs, also pass ``record_sequences=False`` —
+        ordered per-unit interval lists grow with the run).
 
         ``chunks`` is the whole trace, already drawn from
         :func:`~repro.cpu.workloads.iter_trace` with this workload's
-        seed and length, so several runs can share one generation. The
-        batch kernel reads it as its chunk stream; the walk flattens it
-        into its materialized trace, whatever ``streaming`` says.
+        seed and length, so several runs can share one generation;
+        either kernel reads it as its chunk stream.
         """
         total = num_instructions + warmup_instructions
         kernel = resolve_kernel(self.kernel)
+        engine = Pipeline
         if kernel == KERNEL_BATCH:
             reason = batch_kernel_unavailable_reason()
             if reason is not None:
@@ -140,17 +116,34 @@ class Simulator:
                     f"kernel 'batch' requested but unavailable: {reason}; "
                     f"use kernel='walk' (the reference path)"
                 )
-            stats = BatchPipeline(
-                chunks if chunks is not None else self._iter_trace(total),
-                total,
-                config=self.config,
-                record_sequences=record_sequences,
-                sleep_spec=self.sleep,
-            ).run(warmup_instructions=warmup_instructions)
+            engine = BatchPipeline
+        drawn = chunks is None
+        if drawn:
+            chunks = iter_trace(self.profile, total, seed=self.seed)
+        # Lazy generation does its work inside next(), which the timed
+        # iterator charges to "generate"; the batch kernel times its C
+        # cycle loop as "kernel" itself, and the walk's share is the
+        # rest of its run.
+        pipeline = engine(
+            metrics.timed_iterator("generate", chunks),
+            total,
+            config=self.config,
+            record_sequences=record_sequences,
+            sleep_spec=self.sleep,
+        )
+        if kernel == KERNEL_BATCH:
+            stats = pipeline.run(warmup_instructions=warmup_instructions)
         else:
-            stats = self._run_walk(total, warmup_instructions, record_sequences, chunks)
+            with metrics.scope() as nested:
+                run_start = time.perf_counter()
+                stats = pipeline.run(warmup_instructions=warmup_instructions)
+                elapsed = time.perf_counter() - run_start
+            generated = sum(metrics.stage_seconds(nested.snapshot()).values())
+            metrics.registry().counter(metrics.STAGE_PREFIX + "kernel").add(
+                max(0.0, elapsed - generated)
+            )
         count_run(kernel)
-        if chunks is None:
+        if drawn:
             metrics.registry().counter(TRACES).inc()
         return SimulationResult(
             workload_name=self.profile.name,
@@ -162,51 +155,6 @@ class Simulator:
             sleep=self.sleep,
             record_sequences=record_sequences,
         )
-
-    def _iter_trace(self, total: int):
-        return iter_trace(
-            self.profile,
-            total,
-            seed=self.seed,
-            chunk_size=resolve_chunk_size(self.chunk_size),
-        )
-
-    def _run_walk(
-        self,
-        total: int,
-        warmup_instructions: int,
-        record_sequences: bool,
-        chunks: Optional[Sequence[TraceChunk]],
-    ) -> SimulationStats:
-        """The per-instruction reference walk, streamed or materialized."""
-        if chunks is not None:
-            with metrics.timed("generate"):
-                trace = [instruction for chunk in chunks for instruction in chunk.instructions]
-        elif resolve_streaming(self.streaming, total):
-            # Generation happens lazily inside the pipeline's pulls; the
-            # timed iterator attributes it, and the walk's own time is
-            # the remainder (subtracted below).
-            trace = StreamingTrace(
-                metrics.timed_iterator("generate", self._iter_trace(total)), total
-            )
-        else:
-            with metrics.timed("generate"):
-                trace = generate_trace(self.profile, total, seed=self.seed)
-        pipeline = Pipeline(
-            trace,
-            config=self.config,
-            record_sequences=record_sequences,
-            sleep_spec=self.sleep,
-        )
-        with metrics.scope() as nested:
-            run_start = time.perf_counter()
-            stats = pipeline.run(warmup_instructions=warmup_instructions)
-            elapsed = time.perf_counter() - run_start
-        generated = sum(metrics.stage_seconds(nested.snapshot()).values())
-        metrics.registry().counter(metrics.STAGE_PREFIX + "kernel").add(
-            max(0.0, elapsed - generated)
-        )
-        return stats
 
 
 def simulate_workload(

@@ -24,10 +24,9 @@ nonzero latency then yields empirical (not assumed) slowdown numbers.
 
 Because controllers react to acquire/release events and tallies
 accumulate cycle by cycle, the closed loop needs no access to the trace
-beyond the pipeline's own cursors: streamed
-(:class:`~repro.cpu.stream.StreamingTrace`) and materialized runs are
-bit-identical here too, which the streaming-equivalence gate asserts
-for closed-loop specs explicitly.
+beyond the pipeline's forward fetch cursor: runs fed chunks of any size
+are bit-identical here too, which the walk's chunk-size gate
+(``tests/test_streaming.py``) asserts for closed-loop specs explicitly.
 
 Modeling choices, kept deliberately simple and documented here:
 

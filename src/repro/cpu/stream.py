@@ -1,20 +1,20 @@
-"""Bounded-memory trace streaming: column-backed chunks and the window.
+"""Trace chunks, and the one check on a stream of them.
 
 The generator in :mod:`repro.cpu.workloads` historically materialized
 every :class:`~repro.cpu.trace.TraceInstruction` into one Python list,
-so *memory* — not CPU — capped scenario length. This module provides the
-streaming counterparts:
+so *memory* — not CPU — capped scenario length. Traces now travel as
+chunks:
 
 * :class:`TraceChunk` — a contiguous block of committed-path
   instructions starting at a known trace position. The chunked iterator
   protocol (:func:`repro.cpu.workloads.iter_trace`) yields these.
-* :class:`StreamingTrace` — a read-only, length-aware sequence over a
-  chunk iterator that keeps only a small sliding window of chunks
-  resident. The pipeline reads its trace through two near-sequential
-  cursors (the fetch index, and the fetch-queue head during dispatch,
-  which trails it by at most the fetch-queue depth), so a window of a
-  few chunks is sufficient — and accesses behind the window raise
-  rather than silently re-generating.
+* :func:`checked_chunks` — the stream contract both pipeline kernels
+  read through: chunks start at 0, follow each other without gaps, stop
+  at the declared length, and reach it. The walk
+  (:class:`~repro.cpu.pipeline.Pipeline`) holds one chunk at a time
+  behind a forward cursor; the batch kernel
+  (:class:`~repro.cpu.kernel.BatchPipeline`) copies each into its
+  engine. Either way a run's memory is independent of its length.
 
 A chunk holds one of two representations and derives the other on
 demand. The compiled trace walker emits structure-of-arrays chunks:
@@ -26,47 +26,27 @@ reference walk, which runs where the walker cannot, emits object-backed
 chunks (:func:`chunk_instructions`) whose columns are projected on
 first access instead.
 
-The streaming path is *observationally identical* to the materialized
-one: the same walk produces the same instructions in the same order,
-and the pipeline code consuming them is unchanged. That float-for-float
-equivalence is enforced by ``tests/test_streaming.py`` (the CI gate)
-and is what licenses streaming's absence from simulation cache keys;
+Where the chunk boundaries fall never changes a result: every
+statistic accumulates online, cycle by cycle, and neither kernel looks
+back into an earlier chunk. ``tests/test_streaming.py`` (the CI gate)
+holds the walk ``==`` across chunk sizes, which is what licenses the
+chunk size's absence from simulation cache keys;
 ``tests/test_columnar.py`` enforces the stronger digest-identity of the
 compiled walker and the reference walk.
-
-:func:`resolve_streaming` picks the walk's delivery mode: streamed at or
-above :data:`STREAMING_THRESHOLD` total instructions, materialized below
-it, unless a :class:`~repro.cpu.simulator.Simulator` caller forces one.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
-from typing import Deque, Iterable, Iterator, List, Optional, Sequence, Tuple, overload
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.cpu.isa import OpClass
 from repro.cpu.trace import TraceInstruction
 
 #: Instructions per chunk. Large enough that per-chunk Python overhead
-#: vanishes against per-instruction simulation cost; small enough that a
-#: handful of resident chunks stays in the tens of megabytes.
+#: vanishes against per-instruction simulation cost; small enough that
+#: the chunks alive at once stay in the tens of megabytes.
 DEFAULT_CHUNK_SIZE = 32_768
-
-#: Auto-streaming threshold: total trace lengths (window + warmup) at or
-#: above this stream by default. Below it, a materialized list is cheap
-#: (< ~100 MB) and marginally faster to index.
-STREAMING_THRESHOLD = 500_000
-
-#: Chunks kept resident by :class:`StreamingTrace`. The pipeline's
-#: backward reach is the fetch-queue depth (8 instructions), so two
-#: chunks always suffice at any legal chunk size; three leaves margin.
-RETAIN_CHUNKS = 3
-
-#: Floor on configurable chunk sizes: the sliding window must always
-#: cover the pipeline's backward reach (fetch-queue depth) with a chunk
-#: to spare.
-MIN_CHUNK_SIZE = 64
 
 
 #: The per-field columns of a chunk, in canonical order — the order the
@@ -242,10 +222,8 @@ class TraceChunk:
 
 def check_chunk_size(chunk_size: int) -> int:
     """Validate a chunk size, returning it for chaining."""
-    if chunk_size < MIN_CHUNK_SIZE:
-        raise ValueError(
-            f"chunk_size must be >= {MIN_CHUNK_SIZE}, got {chunk_size}"
-        )
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     return chunk_size
 
 
@@ -255,10 +233,8 @@ def chunk_instructions(
 ) -> Iterator[TraceChunk]:
     """Batch an instruction iterable into contiguous object-backed chunks.
 
-    Every chunk holds ``chunk_size`` instructions except the last, which
-    carries the remainder. Any size >= 1 works: the
-    :data:`MIN_CHUNK_SIZE` floor is for streamed traces, and
-    :func:`~repro.cpu.workloads.iter_trace` enforces it.
+    Every chunk holds ``chunk_size`` instructions (>= 1) except the
+    last, which carries the remainder.
     """
     start = 0
     buffer: List[TraceInstruction] = []
@@ -272,136 +248,43 @@ def chunk_instructions(
         yield TraceChunk(start, buffer)
 
 
-class StreamingTrace(Sequence):
-    """A length-aware, read-only sequence over a chunk iterator.
+def checked_chunks(
+    chunks: Iterable[TraceChunk], total_instructions: int
+) -> Iterator[TraceChunk]:
+    """Re-yield ``chunks``, checking they tile ``[0, total_instructions)``.
 
-    Drop-in for the materialized trace list anywhere access is
-    near-sequential (the pipeline, ``validate_trace``, one-shot
-    iteration): ``len()`` is known up front, ``trace[i]`` loads chunks
-    forward on demand, and chunks more than :attr:`retain_chunks` behind
-    the newest loaded one are evicted. An access behind the window
-    raises :class:`RuntimeError` — bounded memory is a contract here,
-    not a cache heuristic that silently degrades.
+    The one stream check both kernels read their trace through. The
+    length is checked here, eagerly; each chunk as it is pulled: it
+    must start where the previous one ended and must not run past the
+    declared length. A stream that ends short of it raises on the pull
+    that finds it exhausted, so a kernel that pulls only while it still
+    needs instructions never reads past the end.
     """
+    if total_instructions == 0:
+        raise ValueError("cannot simulate an empty trace")
+    if total_instructions < 0:
+        raise ValueError(
+            f"total_instructions must be >= 1, got {total_instructions}"
+        )
+    return _checked(iter(chunks), total_instructions)
 
-    __slots__ = (
-        "_chunks",
-        "_loaded",
-        "_length",
-        "_next_start",
-        "retain_chunks",
-        "chunks_loaded",
-        "peak_buffered",
-    )
 
-    def __init__(
-        self,
-        chunks: Iterable[TraceChunk],
-        length: int,
-        retain_chunks: int = RETAIN_CHUNKS,
-    ):
-        if length < 1:
-            raise ValueError(f"trace length must be >= 1, got {length}")
-        if retain_chunks < 2:
+def _checked(chunks: Iterator[TraceChunk], total: int) -> Iterator[TraceChunk]:
+    fed = 0
+    for chunk in chunks:
+        if chunk.start != fed:
             raise ValueError(
-                f"retain_chunks must be >= 2 (dispatch trails fetch), "
-                f"got {retain_chunks}"
+                f"non-contiguous chunk: expected start {fed}, got {chunk.start}"
             )
-        self._chunks = iter(chunks)
-        self._loaded: Deque[TraceChunk] = deque()
-        self._length = length
-        self._next_start = 0
-        self.retain_chunks = retain_chunks
-        #: Total chunks pulled from the source (observability for tests).
-        self.chunks_loaded = 0
-        #: High-water mark of simultaneously resident instructions — the
-        #: bounded-memory assertion in the streaming bench reads this.
-        self.peak_buffered = 0
-
-    def __len__(self) -> int:
-        return self._length
-
-    @overload
-    def __getitem__(self, index: int) -> TraceInstruction: ...
-
-    @overload
-    def __getitem__(self, index: slice) -> Sequence[TraceInstruction]: ...
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            raise TypeError("streaming traces do not support slicing")
-        if index < 0:
-            index += self._length
-        if not 0 <= index < self._length:
-            raise IndexError(f"trace index {index} out of range")
-        loaded = self._loaded
-        if loaded and index < loaded[-1].end:
-            # Resident window (the hot path: fetch hits the newest chunk,
-            # dispatch at worst the one before it).
-            for chunk in reversed(loaded):
-                if index >= chunk.start:
-                    return chunk.instructions[index - chunk.start]
-            raise RuntimeError(
-                f"trace index {index} was evicted from the streaming "
-                f"window (oldest resident: {loaded[0].start}); streaming "
-                f"traces only support near-sequential access"
+        if chunk.end > total:
+            raise ValueError(
+                f"chunk [{chunk.start}, {chunk.end}) overruns the "
+                f"declared length {total}"
             )
-        return self._load_until(index)
-
-    def _load_until(self, index: int) -> TraceInstruction:
-        """Pull chunks forward until ``index`` is resident; return it."""
-        loaded = self._loaded
-        while True:
-            try:
-                chunk = next(self._chunks)
-            except StopIteration:
-                raise RuntimeError(
-                    f"trace stream ended at {self._next_start} instructions "
-                    f"before reaching index {index} (declared length "
-                    f"{self._length})"
-                ) from None
-            if chunk.start != self._next_start:
-                raise ValueError(
-                    f"non-contiguous chunk: expected start "
-                    f"{self._next_start}, got {chunk.start}"
-                )
-            if chunk.end > self._length:
-                raise ValueError(
-                    f"chunk [{chunk.start}, {chunk.end}) overruns the "
-                    f"declared length {self._length}"
-                )
-            self._next_start = chunk.end
-            loaded.append(chunk)
-            self.chunks_loaded += 1
-            while len(loaded) > self.retain_chunks:
-                loaded.popleft()
-            buffered = sum(len(resident) for resident in loaded)
-            if buffered > self.peak_buffered:
-                self.peak_buffered = buffered
-            if index < chunk.end:
-                return chunk.instructions[index - chunk.start]
-
-
-# -- mode resolution -----------------------------------------------------------
-
-
-def resolve_streaming(
-    streaming: Optional[bool], total_instructions: int
-) -> bool:
-    """Decide whether a run of ``total_instructions`` should stream.
-
-    An explicit request wins; ``None`` streams at or above
-    :data:`STREAMING_THRESHOLD`. Because streaming and materialized runs
-    are float-for-float identical (the equivalence gate), this choice
-    affects memory only — never results, and never cache keys.
-    """
-    if streaming is not None:
-        return streaming
-    return total_instructions >= STREAMING_THRESHOLD
-
-
-def resolve_chunk_size(chunk_size: Optional[int]) -> int:
-    """Normalize an optional chunk-size request against the default."""
-    if chunk_size is None:
-        return DEFAULT_CHUNK_SIZE
-    return check_chunk_size(chunk_size)
+        fed = chunk.end
+        yield chunk
+    if fed < total:
+        raise RuntimeError(
+            f"trace stream ended at {fed} instructions before the run "
+            f"completed (declared length {total})"
+        )

@@ -1,12 +1,12 @@
 """Dynamic instruction traces.
 
 A trace is a sequence of :class:`TraceInstruction` — the committed-path
-instruction stream the pipeline model consumes — delivered either as a
-materialized list or chunk by chunk (:mod:`repro.cpu.stream`). Traces
-carry everything the timing model needs: op class, PC (for the front
-end), register dependency *distances* (how many instructions back each
-source operand's producer is), data addresses for memory ops, and
-resolved control-flow outcomes for branches.
+instruction stream the pipeline model consumes, chunk by chunk
+(:mod:`repro.cpu.stream`). Traces carry everything the timing model
+needs: op class, PC (for the front end), register dependency
+*distances* (how many instructions back each source operand's producer
+is), data addresses for memory ops, and resolved control-flow outcomes
+for branches.
 
 Dependency distances, rather than architectural register numbers, are the
 standard representation for synthetic traces: they directly encode the

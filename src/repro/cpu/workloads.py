@@ -812,8 +812,9 @@ def _walk_chunks(
     the reference and reuses the packed static program across traces;
     where it cannot run, the reference walk is cut into object-backed
     chunks. Same stream either way. A generator, so the walker build
-    and the static-program build happen on the first pull, which the
-    batch kernel charges to its ``generate`` stage.
+    and the static-program build happen on the first pull, which
+    :meth:`~repro.cpu.simulator.Simulator.run` charges to the
+    ``generate`` stage.
     """
     if _trace_kernel_usable(profile):
         yield from _drain_walk_c(profile, num_instructions, seed, chunk_size)
@@ -831,10 +832,10 @@ def iter_trace(
 ) -> Iterator[TraceChunk]:
     """Stream a committed-path trace as contiguous fixed-size chunks.
 
-    The chunked iterator protocol behind every bounded-memory run:
-    at most ``chunk_size`` instructions exist per yielded block, so
-    wrapping this in a :class:`~repro.cpu.stream.StreamingTrace` keeps
-    peak memory independent of ``num_instructions``. The instruction
+    The chunked iterator protocol behind every simulation: at most
+    ``chunk_size`` instructions exist per yielded block, and both
+    pipeline kernels pull blocks only as they need them, so peak memory
+    is independent of ``num_instructions``. The instruction
     stream — values and order — depends only on (profile,
     num_instructions, seed); chunking only decides where the block
     boundaries fall.

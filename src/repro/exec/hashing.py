@@ -38,8 +38,8 @@ CACHE_SCHEMA_VERSION = 2
 #: *during* simulation, so the policy-defining core modules are in;
 #: phased composite profiles build their traces in
 #: ``scenarios/phased.py``, so it is in too. The ``cpu`` entry is a
-#: directory glob, so the streaming machinery (``cpu/stream.py``) — a
-#: trace-delivery layer whose equivalence gate makes it outcome-neutral,
+#: directory glob, so the chunk machinery (``cpu/stream.py``) — a
+#: trace-delivery layer whose chunk-size gate makes it outcome-neutral,
 #: but which sits on the trace path all the same — is fingerprinted
 #: automatically. The downstream-only accounting/vectorization modules
 #: (and the scenario *sampling* code, which only decides which profiles

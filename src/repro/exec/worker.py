@@ -59,7 +59,6 @@ import traceback
 from typing import BinaryIO, Iterator, Optional, Sequence
 
 from repro.cpu.simulator import TRACES
-from repro.cpu.stream import STREAMING_THRESHOLD
 from repro.cpu.workloads import iter_trace
 from repro.exec.hashing import CACHE_SCHEMA_VERSION, model_fingerprint
 from repro.obs import metrics, tracer
@@ -71,6 +70,11 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 #: Wire protocol generation this checkout speaks. Version 2 added the
 #: ``hello``/``metrics`` observability relay.
 PROTOCOL_VERSION = 2
+
+#: Trace length (window + warmup) from which a group of jobs stops
+#: sharing one generated trace: a shared trace is a list of all its
+#: chunks, while a job that draws its own holds at most two at a time.
+STREAMING_THRESHOLD = 500_000
 
 _LENGTH = struct.Struct(">I")
 
@@ -177,12 +181,10 @@ def run_group_observed(jobs: Sequence) -> Iterator:
     """Run jobs that share one trace identity, yielding results in order.
 
     A group of two or more jobs whose trace is shorter than
-    :data:`~repro.cpu.stream.STREAMING_THRESHOLD` (below which the walk
-    materializes whole traces anyway) draws that trace once, as a chunk
-    list timed as the ``generate`` stage and charged to no job's
-    latency, and hands it to every job. A single job, or a trace that
-    long, is generated inside each run, which streams it in bounded
-    memory.
+    :data:`STREAMING_THRESHOLD` draws that trace once, as a chunk list
+    timed as the ``generate`` stage and charged to no job's latency,
+    and hands it to every job. A single job, or a trace that long, is
+    generated inside each run, which streams it in bounded memory.
     """
     chunks = None
     profile, seed, total = jobs[0].trace_identity

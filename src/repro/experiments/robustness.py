@@ -207,9 +207,9 @@ def run(
     ``instructions`` overrides the scale's measured window per scenario
     (warmup and seed are kept). Long horizons are the point of the
     override — idle-interval tails only show up over them — and they
-    run in bounded memory: at or beyond the streaming threshold every
-    simulation switches to the chunked trace path automatically, so
-    ``instructions=10_000_000`` is a time cost, not a memory cost.
+    run in bounded memory: every simulation streams its trace chunk by
+    chunk, so ``instructions=10_000_000`` is a time cost, not a memory
+    cost.
 
     ``scenarios`` is the sample when the caller drew it already (it must
     be ``sample_scenarios(count, seed=seed, families=families)``, as

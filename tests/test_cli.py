@@ -413,6 +413,37 @@ class TestBackendAndStoreFlags:
         ]
         assert line.endswith("executed=2 failed=0 workers=2")
 
+    @pytest.mark.parametrize(
+        "argv, env, message",
+        [
+            (["table1", "--backend", "bogus"], {}, "unknown backend spec 'bogus'"),
+            (["table1", "--store", "bogus"], {}, "unknown store spec 'bogus'"),
+            (["figure7", "--quick"], {"REPRO_BACKEND": "bogus"}, "unknown backend spec 'bogus'"),
+            (["table1"], {"REPRO_STORE": "bogus"}, "unknown store spec 'bogus'"),
+        ],
+        ids=["backend-flag", "store-flag", "backend-env", "store-env"],
+    )
+    def test_bad_spec_is_a_usage_error(
+        self, argv, env, message, capsys, monkeypatch, restore_engine_state
+    ):
+        """A bad backend or store spec, from a flag or the environment,
+        is one ``repro: error:`` line and exit 2, before any simulation."""
+        from repro.obs import metrics
+
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        with metrics.scope() as scoped, pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("repro: error:")]
+        assert len(errors) == 1 and message in errors[0]
+        assert "Traceback" not in err
+        ran = scoped.snapshot()["counters"]
+        assert not [name for name in ran if name.startswith("sim.kernel_")]
+
     def test_main_installs_the_store(self, capsys, restore_engine_state, tmp_path):
         assert (
             cli.main(

@@ -370,23 +370,22 @@ class TestColumnarSimulationGate:
         ).run(4_000, warmup_instructions=400)
         assert batch.stats == walk.stats
 
-    @pytest.mark.parametrize("streaming", (False, True))
-    def test_streaming_on_off(self, streaming):
-        """Columnar chunks feed both regimes: materialized (object view
-        of the columns) and streamed (chunks pulled on demand)."""
+    @pytest.mark.parametrize("chunk_size", (64, 4_000))
+    def test_walk_reads_columnar_chunks(self, chunk_size):
+        """Columnar chunks feed the walk through their object view, many
+        small ones or one whole-trace chunk alike."""
         profile = get_benchmark("vpr")
-        walk = Simulator(
-            profile, seed=5, streaming=streaming, kernel=KERNEL_WALK
-        ).run(4_000)
+        chunks = iter_trace(profile, 4_000, seed=5, chunk_size=chunk_size)
+        walk = Simulator(profile, seed=5, kernel=KERNEL_WALK).run(4_000, chunks=chunks)
         batch = Simulator(profile, seed=5, kernel=KERNEL_BATCH).run(4_000)
         assert batch.stats == walk.stats
 
     @pytest.mark.parametrize("chunk_size", (1, 7, 1_024, 6_000))
     def test_chunk_sizes_incl_degenerate(self, chunk_size):
-        """Sizes the streaming generators refuse (1, 7) still reach the
-        kernel via re-chunking; boundaries can never affect results."""
+        """Degenerate sizes (1, 7) reach the kernel via re-chunking;
+        boundaries can never affect results."""
         trace = generate_trace(get_benchmark("gcc"), 6_000, seed=11)
-        reference = Pipeline(list(trace)).run()
+        reference = Pipeline([TraceChunk(0, trace)], len(trace)).run()
         batch = BatchPipeline(chunk_instructions(trace, chunk_size), len(trace)).run()
         assert batch == reference
 

@@ -13,14 +13,19 @@ The unit half covers the machinery itself: chunk-boundary edge cases
 (size-1 chunks, a single full-trace chunk, warmup and redirects landing
 on boundaries), the per-policy online-sleep-threshold contract the
 engine's acquire path relies on, the 2^31 cycle-count overflow
-regression, knob resolution, and error parity with the walk.
+regression, knob resolution, and error parity with the walk: both
+kernels read their trace through one chunk-stream check, so a bad
+stream fails the same way on either.
 
-The whole module skips when no C compiler is available — the batch
-kernel then simply cannot exist, and the walk is unaffected. CI runs it
-on a runner with ``cc``, so the gate cannot silently skip there.
+Everything that runs the batch kernel skips when no C compiler is
+available — the batch kernel then simply cannot exist, and the walk is
+unaffected; the walk's side of the parity tests still runs. CI runs
+the module on a runner with ``cc``, so the gate cannot silently skip
+there.
 """
 
 import dataclasses
+import re
 
 import pytest
 
@@ -48,10 +53,19 @@ from repro.exec.jobs import SimulationJob
 from repro.obs import metrics as obs_metrics
 from repro.scenarios import sample_scenarios
 
-pytestmark = pytest.mark.skipif(
+needs_batch = pytest.mark.skipif(
     not batch_kernel_available(),
     reason="no C compiler: the batch kernel cannot be built",
 )
+
+#: Both kernels, the batch one only where it builds.
+BOTH_KERNELS = [
+    pytest.param(KERNEL_WALK, id=KERNEL_WALK),
+    pytest.param(KERNEL_BATCH, id=KERNEL_BATCH, marks=needs_batch),
+]
+
+#: The kernel classes behind the knob's names.
+ENGINES = {KERNEL_WALK: Pipeline, KERNEL_BATCH: BatchPipeline}
 
 #: Chunk sizes spanning the degenerate, the awkward, and the typical.
 CHUNK_SIZES = (1, 7, 1_024)
@@ -69,9 +83,10 @@ def _reset_kernel_default():
 
 
 def _walk(trace, sleep=None, warmup=0, config=None):
-    return Pipeline(list(trace), config=config, sleep_spec=sleep).run(
-        warmup_instructions=warmup
-    )
+    trace = list(trace)
+    return Pipeline(
+        [TraceChunk(0, trace)], len(trace), config=config, sleep_spec=sleep
+    ).run(warmup_instructions=warmup)
 
 
 def _batch(trace, chunk_size, sleep=None, warmup=0, config=None):
@@ -84,6 +99,7 @@ def _batch(trace, chunk_size, sleep=None, warmup=0, config=None):
     ).run(warmup_instructions=warmup)
 
 
+@needs_batch
 class TestEquivalenceGate:
     """Batch == walk, ``==`` exact, across the whole modeled space."""
 
@@ -121,7 +137,9 @@ class TestEquivalenceGate:
 
     def test_record_sequences_off_matches(self):
         trace = list(generate_trace(get_benchmark("vpr"), 3_000, seed=9))
-        reference = Pipeline(trace, record_sequences=False).run()
+        reference = Pipeline(
+            [TraceChunk(0, trace)], len(trace), record_sequences=False
+        ).run()
         batch = BatchPipeline(
             chunk_instructions(trace, 500), len(trace), record_sequences=False
         ).run()
@@ -139,6 +157,7 @@ class TestEquivalenceGate:
         assert batch.stats == walk.stats
 
 
+@needs_batch
 class TestChunkBoundaryEdges:
     """Boundary placement can never matter — by construction, and here."""
 
@@ -189,6 +208,7 @@ class TestChunkBoundaryEdges:
             assert _batch(trace, chunk_size, sleep=spec) == reference
 
 
+@needs_batch
 class TestOnlineThresholdContract:
     """`online_sleep_threshold` must reproduce `sleeps_at` exactly — the
     engine's acquire path substitutes the comparison for the call."""
@@ -216,6 +236,7 @@ class TestOnlineThresholdContract:
                 assert policy.sleeps_at(elapsed) == expected, (length, elapsed)
 
 
+@needs_batch
 class TestOverflowRegression:
     """int64 accumulators: cycle counts past 2^31 stay exact."""
 
@@ -232,7 +253,9 @@ class TestOverflowRegression:
             for i in range(3)
         ]
         max_cycles = 2**40
-        reference = Pipeline(trace, config=config).run(max_cycles=max_cycles)
+        reference = Pipeline(
+            [TraceChunk(0, trace)], len(trace), config=config
+        ).run(max_cycles=max_cycles)
         batch = BatchPipeline(
             chunk_instructions(trace, 2), len(trace), config=config
         ).run(max_cycles=max_cycles)
@@ -240,6 +263,7 @@ class TestOverflowRegression:
         assert batch.total_cycles > 2**31
 
 
+@needs_batch
 class TestKernelKnob:
     """Resolution rules, cache-key exclusion, and worker stamping."""
 
@@ -288,38 +312,55 @@ class TestKernelKnob:
 class TestErrorParity:
     """Both kernels reject the same inputs with the same messages."""
 
-    def test_empty_trace(self):
-        with pytest.raises(ValueError, match="empty trace"):
-            BatchPipeline(iter(()), 0)
+    @staticmethod
+    def _trace(length=100):
+        return list(generate_trace(get_benchmark("gzip"), length, seed=1))
 
-    def test_warmup_out_of_range(self):
-        trace = list(generate_trace(get_benchmark("gzip"), 100, seed=1))
-        with pytest.raises(ValueError, match="warmup"):
-            BatchPipeline(chunk_instructions(trace, 50), 100).run(
-                warmup_instructions=100
-            )
+    @pytest.mark.parametrize("kernel", BOTH_KERNELS)
+    def test_empty_trace(self, kernel):
+        with pytest.raises(ValueError, match="^cannot simulate an empty trace$"):
+            ENGINES[kernel](iter(()), 0)
 
-    def test_single_use(self):
-        trace = list(generate_trace(get_benchmark("gzip"), 100, seed=1))
-        pipeline = BatchPipeline(chunk_instructions(trace, 50), 100)
+    @pytest.mark.parametrize("kernel", BOTH_KERNELS)
+    def test_warmup_out_of_range(self, kernel):
+        pipeline = ENGINES[kernel](chunk_instructions(self._trace(), 50), 100)
+        with pytest.raises(ValueError, match=re.escape("warmup must be in [0, 100), got 100")):
+            pipeline.run(warmup_instructions=100)
+
+    @pytest.mark.parametrize("kernel", BOTH_KERNELS)
+    def test_single_use(self, kernel):
+        pipeline = ENGINES[kernel](chunk_instructions(self._trace(), 50), 100)
         pipeline.run()
         with pytest.raises(RuntimeError, match="single-use"):
             pipeline.run()
 
-    def test_non_contiguous_chunks(self):
-        trace = list(generate_trace(get_benchmark("gzip"), 100, seed=1))
+    @pytest.mark.parametrize("kernel", BOTH_KERNELS)
+    def test_non_contiguous_chunks(self, kernel):
+        trace = self._trace()
         chunks = [TraceChunk(0, trace[:50]), TraceChunk(60, trace[60:])]
-        with pytest.raises(ValueError, match="non-contiguous"):
-            BatchPipeline(iter(chunks), 100).run()
+        message = "non-contiguous chunk: expected start 50, got 60"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ENGINES[kernel](iter(chunks), 100).run()
 
-    def test_truncated_stream(self):
-        trace = list(generate_trace(get_benchmark("gzip"), 100, seed=1))
-        with pytest.raises(RuntimeError, match="stream ended"):
-            BatchPipeline(chunk_instructions(trace[:50], 50), 100).run()
+    @pytest.mark.parametrize("kernel", BOTH_KERNELS)
+    def test_overrunning_chunk(self, kernel):
+        chunks = [TraceChunk(0, self._trace())]
+        message = "chunk [0, 100) overruns the declared length 50"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ENGINES[kernel](iter(chunks), 50).run()
 
-    def test_deadlock_matches_walk(self):
+    @pytest.mark.parametrize("kernel", BOTH_KERNELS)
+    def test_short_stream(self, kernel):
+        chunks = chunk_instructions(self._trace()[:50], 50)
+        message = (
+            "trace stream ended at 50 instructions before the run completed "
+            "(declared length 100)"
+        )
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            ENGINES[kernel](chunks, 100).run()
+
+    @pytest.mark.parametrize("kernel", BOTH_KERNELS)
+    def test_deadlock(self, kernel):
         trace = list(generate_trace(get_benchmark("mcf"), 400, seed=1))
-        with pytest.raises(DeadlockError):
-            Pipeline(trace).run(max_cycles=10)
-        with pytest.raises(DeadlockError):
-            BatchPipeline(chunk_instructions(trace, 100), len(trace)).run(max_cycles=10)
+        with pytest.raises(DeadlockError, match="no forward progress by cycle"):
+            ENGINES[kernel](chunk_instructions(trace, 100), len(trace)).run(max_cycles=10)

@@ -48,7 +48,8 @@ from repro.core.policies import (
 from repro.core.vectorized import exact_weighted_sum
 from repro.cpu import _trace_build
 from repro.cpu._trace_build import trace_kernel_available
-from repro.cpu.stream import MIN_CHUNK_SIZE, StreamingTrace
+from repro.cpu.pipeline import Pipeline
+from repro.cpu.stream import TraceChunk
 from repro.cpu.trace import trace_digest
 from repro.cpu.workloads import (
     _walk_trace,
@@ -365,8 +366,8 @@ class TestChunkBoundaryInvarianceRandomized:
 
     For random profiles, lengths, and chunk sizes: the chunked iterator
     flattens to exactly the materialized trace, chunks tile the index
-    space contiguously, and a :class:`StreamingTrace` read sequentially
-    reproduces the same digest.
+    space contiguously, and the walk reading those chunks simulates
+    ``==`` to the walk reading the whole trace as one chunk.
     """
 
     @pytest.mark.parametrize("seed", range(6))
@@ -378,7 +379,7 @@ class TestChunkBoundaryInvarianceRandomized:
         length = rng.randint(200, 4_000)
         trace_seed = rng.randint(1, 10_000)
         reference = generate_trace(profile, length, seed=trace_seed)
-        chunk_size = rng.randint(MIN_CHUNK_SIZE, 2_048)
+        chunk_size = rng.randint(64, 2_048)
         chunks = list(
             iter_trace(profile, length, seed=trace_seed, chunk_size=chunk_size)
         )
@@ -390,11 +391,8 @@ class TestChunkBoundaryInvarianceRandomized:
         flat = [instr for chunk in chunks for instr in chunk.instructions]
         assert flat == reference
 
-        streaming = StreamingTrace(
-            iter_trace(profile, length, seed=trace_seed, chunk_size=chunk_size),
-            length,
-        )
-        assert trace_digest(streaming) == trace_digest(reference)
+        chunked = Pipeline(iter(chunks), length).run()
+        assert chunked == Pipeline([TraceChunk(0, reference)], length).run()
 
 
 class TestColumnarDigestRandomized:
@@ -438,7 +436,7 @@ class TestColumnarDigestRandomized:
         profile = self._random_profile(rng)
         length = rng.randint(500, 6_000)
         trace_seed = rng.randint(1, 10_000)
-        chunk_size = rng.randint(MIN_CHUNK_SIZE, 4_096)
+        chunk_size = rng.randint(64, 4_096)
         reference = list(_walk_trace(profile, length, trace_seed))
         chunks = list(
             iter_trace(profile, length, seed=trace_seed, chunk_size=chunk_size)
@@ -463,7 +461,7 @@ class TestColumnarDigestRandomized:
         profile = self._random_profile(rng)
         length = rng.randint(500, 5_000)
         trace_seed = rng.randint(1, 10_000)
-        chunk_size = rng.randint(MIN_CHUNK_SIZE, 2_048)
+        chunk_size = rng.randint(64, 2_048)
 
         def run():
             chunks = list(

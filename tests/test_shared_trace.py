@@ -136,8 +136,8 @@ class TestWhereSharingApplies:
         assert _traces(scoped.snapshot()) == 1
 
     def test_streaming_length_groups_generate_per_job(self, monkeypatch):
-        """At or above the walk's streaming threshold nothing is shared,
-        so the trace never has to be resident whole."""
+        """At or above the streaming threshold nothing is shared, so the
+        trace never has to be resident whole."""
         jobs = _group(get_benchmark("gzip"))[:3]
         total = jobs[0].num_instructions + jobs[0].warmup_instructions
         monkeypatch.setattr(worker, "STREAMING_THRESHOLD", total)

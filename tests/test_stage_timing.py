@@ -9,11 +9,13 @@ they silently reported nonsense. Each test reads its own
 show up in its numbers.
 """
 
+import time
+
 import pytest
 
 from repro.cpu.kernel import KERNEL_BATCH, KERNEL_WALK, batch_kernel_available
 from repro.cpu.simulator import Simulator
-from repro.cpu.workloads import get_benchmark
+from repro.cpu.workloads import get_benchmark, iter_trace
 from repro.exec.engine import (
     BatchReport,
     backend_tallies,
@@ -106,23 +108,28 @@ class TestStageHelpers:
 
 
 class TestSimulationStageCapture:
-    def test_walk_run_accrues_generate_and_kernel(self):
+    def test_walk_run_attributes_generation(self):
         with metrics.scope() as scoped:
-            Simulator(
-                get_benchmark("gzip"), seed=3, streaming=False, kernel=KERNEL_WALK
-            ).run(2_000)
-        stages = _stages(scoped)
-        assert stages.get("generate", 0.0) > 0.0
-        assert "kernel" in stages
-
-    def test_streaming_walk_attributes_generation(self):
-        with metrics.scope() as scoped:
-            Simulator(
-                get_benchmark("gzip"), seed=3, streaming=True, kernel=KERNEL_WALK
-            ).run(2_000)
+            Simulator(get_benchmark("gzip"), seed=3, kernel=KERNEL_WALK).run(2_000)
         stages = _stages(scoped)
         assert stages.get("generate", 0.0) > 0.0
         assert set(stages) == {"generate", "kernel"}
+
+    def test_walk_generation_is_not_kernel_time(self):
+        """The walk pulls chunks inside its cycle loop; their generation
+        time is charged to ``generate`` and subtracted from ``kernel``."""
+        profile = get_benchmark("gzip")
+
+        def slow_chunks():
+            for chunk in iter_trace(profile, 2_000, seed=3, chunk_size=500):
+                time.sleep(0.1)
+                yield chunk
+
+        with metrics.scope() as scoped:
+            Simulator(profile, seed=3, kernel=KERNEL_WALK).run(2_000, chunks=slow_chunks())
+        stages = _stages(scoped)
+        assert stages["generate"] >= 0.4
+        assert stages["kernel"] < stages["generate"]
 
     @pytest.mark.skipif(
         not batch_kernel_available(),

@@ -1,93 +1,77 @@
-"""The streaming-equivalence gate (CI) plus streaming-machinery units.
+"""The walk's chunk-size gate (CI) plus chunk-stream units.
 
-The keystone contract of the streaming trace engine: a streamed run
-reproduces a materialized run *float-for-float* (``==``, not approx) —
-same idle histograms, same sleep-controller tallies, same stall counts —
-for every seed benchmark and for sampled scenarios, open- and
-closed-loop. This is what licenses streaming's absence from the
-simulation cache keys: the two modes must be observationally identical,
-so they may share cache entries.
+The keystone contract of chunked trace delivery: the walk reproduces
+itself *float-for-float* (``==``, not approx) whatever size the chunks
+it reads — same idle histograms, same sleep-controller tallies, same
+stall counts — for every seed benchmark and for sampled scenarios,
+open- and closed-loop. Tiny chunks are compared with one chunk holding
+the whole trace, so a walk that looked back into an earlier chunk, or
+lost state at a boundary, fails here. This is what licenses the chunk
+size's absence from the simulation cache keys.
 
-The unit half covers the machinery itself: chunk contiguity, the
-sliding window's eviction contract, bounded buffering, and the
-mode-resolution rules.
+The unit half covers the machinery itself: chunk contiguity, the stream
+checks both kernels read through, and bounded residency: a run never
+holds more than two chunks at once.
 """
 
 import pytest
 
-from repro.cpu.kernel import KERNEL_WALK
+from repro.cpu.kernel import KERNEL_BATCH, KERNEL_WALK, BatchPipeline, batch_kernel_available
 from repro.cpu.pipeline import Pipeline
 from repro.cpu.simulator import Simulator
 from repro.cpu.sleep import SleepRuntimeSpec
-from repro.cpu.stream import (
-    DEFAULT_CHUNK_SIZE,
-    MIN_CHUNK_SIZE,
-    RETAIN_CHUNKS,
-    STREAMING_THRESHOLD,
-    StreamingTrace,
-    TraceChunk,
-    chunk_instructions,
-    resolve_chunk_size,
-    resolve_streaming,
-)
+from repro.cpu.stream import TraceChunk, checked_chunks, chunk_instructions
 from repro.cpu.trace import trace_digest
 from repro.cpu.workloads import benchmark_names, generate_trace, get_benchmark, iter_trace
 from repro.obs import metrics
 from repro.scenarios import sample_scenarios
 
 #: Small enough to exercise many chunk boundaries in short test windows.
-TINY_CHUNK = MIN_CHUNK_SIZE
+TINY_CHUNK = 64
 
-#: Closed-loop runtime used by the equivalence matrix: a nonzero wakeup
+#: Closed-loop runtime used by the gate matrix: a nonzero wakeup
 #: latency so sleep decisions really feed back into timing.
 CLOSED_LOOP = SleepRuntimeSpec(policy="MaxSleep", wakeup_latency=2)
 
 
-def _run(profile, streaming, sleep=None, window=2_500, warmup=500):
-    """One uncached walk simulation in the requested trace-delivery mode.
+def _run(profile, chunk_size=None, sleep=None, window=2_500, warmup=500):
+    """One uncached walk simulation, fed chunks of ``chunk_size``.
 
-    Pinned to the walk: the batch kernel always consumes chunks and
-    ignores ``streaming``, so on it this gate would compare batch with
-    batch and test nothing.
+    ``None`` hands the walk the whole trace as one chunk. Pinned to the
+    walk: the gate holds the reference kernel to itself, and the
+    kernel-equivalence gate holds the batch kernel to the walk.
     """
-    return Simulator(
-        profile,
-        sleep=sleep,
-        streaming=streaming,
-        chunk_size=TINY_CHUNK if streaming else None,
-        kernel=KERNEL_WALK,
-    ).run(window, warmup_instructions=warmup)
+    total = window + warmup
+    chunks = iter_trace(profile, total, chunk_size=chunk_size or total)
+    return Simulator(profile, sleep=sleep, kernel=KERNEL_WALK).run(
+        window, warmup_instructions=warmup, chunks=chunks
+    )
 
 
-# -- the equivalence gate ------------------------------------------------------
+# -- the chunk-size gate -------------------------------------------------------
 
 
-class TestStreamingEquivalence:
-    """Streamed == materialized, float for float (the CI gate)."""
+class TestWalkChunkSizeInvariance:
+    """Tiny chunks == one whole-trace chunk, float for float (the CI gate)."""
 
     @pytest.mark.parametrize("name", benchmark_names())
     def test_open_loop_benchmarks(self, name):
-        materialized = _run(get_benchmark(name), streaming=False)
-        streamed = _run(get_benchmark(name), streaming=True)
+        whole = _run(get_benchmark(name))
+        tiny = _run(get_benchmark(name), TINY_CHUNK)
         # Dataclass equality covers every field: cycle and stall counts,
         # per-unit busy cycles, idle histograms (exact per-length
         # counts), and ordered interval sequences.
-        assert streamed.stats == materialized.stats
+        assert tiny.stats == whole.stats
 
     @pytest.mark.parametrize("name", benchmark_names())
     def test_closed_loop_benchmarks(self, name):
-        materialized = _run(get_benchmark(name), streaming=False, sleep=CLOSED_LOOP)
-        streamed = _run(get_benchmark(name), streaming=True, sleep=CLOSED_LOOP)
-        assert streamed.stats == materialized.stats
+        whole = _run(get_benchmark(name), sleep=CLOSED_LOOP)
+        tiny = _run(get_benchmark(name), TINY_CHUNK, sleep=CLOSED_LOOP)
+        assert tiny.stats == whole.stats
         # The closed-loop extras, called out explicitly: wakeup stalls
         # and per-unit energy-state tallies.
-        assert (
-            streamed.stats.wakeup_stall_cycles
-            == materialized.stats.wakeup_stall_cycles
-        )
-        for mine, theirs in zip(
-            streamed.stats.fu_usage, materialized.stats.fu_usage
-        ):
+        assert tiny.stats.wakeup_stall_cycles == whole.stats.wakeup_stall_cycles
+        for mine, theirs in zip(tiny.stats.fu_usage, whole.stats.fu_usage):
             assert mine.sleep_tally == theirs.sleep_tally
             assert mine.idle_histogram == theirs.idle_histogram
 
@@ -98,26 +82,19 @@ class TestStreamingEquivalence:
     )
     def test_sampled_scenarios_open_and_closed(self, scenario):
         for sleep in (None, CLOSED_LOOP):
-            materialized = _run(
-                scenario.profile, streaming=False, sleep=sleep, window=2_000
-            )
-            streamed = _run(
-                scenario.profile, streaming=True, sleep=sleep, window=2_000
-            )
-            assert streamed.stats == materialized.stats
+            whole = _run(scenario.profile, sleep=sleep, window=2_000)
+            tiny = _run(scenario.profile, TINY_CHUNK, sleep=sleep, window=2_000)
+            assert tiny.stats == whole.stats
 
     def test_chunk_size_never_changes_results(self):
         profile = get_benchmark("vpr")
-        reference = _run(profile, streaming=False)
-        for chunk_size in (MIN_CHUNK_SIZE, 257, 1024):
-            streamed = Simulator(
-                profile, streaming=True, chunk_size=chunk_size, kernel=KERNEL_WALK
-            ).run(2_500, warmup_instructions=500)
-            assert streamed.stats == reference.stats
+        reference = _run(profile)
+        for chunk_size in (TINY_CHUNK, 257, 1_024):
+            assert _run(profile, chunk_size).stats == reference.stats
 
     def test_gate_runs_the_walk(self):
         with metrics.scope() as scoped:
-            _run(get_benchmark("gzip"), streaming=True, window=600, warmup=100)
+            _run(get_benchmark("gzip"), TINY_CHUNK, window=600, warmup=100)
         ran = scoped.snapshot()["counters"]
         assert ran.get("sim.kernel_walk") == 1
         assert "sim.kernel_batch" not in ran
@@ -147,7 +124,7 @@ class TestIterTrace:
         )
         reference = scenario.profile.build_trace(4_000, seed=2)
         chunks = list(
-            iter_trace(scenario.profile, 4_000, seed=2, chunk_size=MIN_CHUNK_SIZE)
+            iter_trace(scenario.profile, 4_000, seed=2, chunk_size=TINY_CHUNK)
         )
         assert trace_digest(
             instr for chunk in chunks for instr in chunk.instructions
@@ -157,8 +134,16 @@ class TestIterTrace:
         profile = get_benchmark("gzip")
         with pytest.raises(ValueError, match="num_instructions"):
             list(iter_trace(profile, 0))
-        with pytest.raises(ValueError, match="chunk_size"):
-            list(iter_trace(profile, 100, chunk_size=MIN_CHUNK_SIZE - 1))
+        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+            list(iter_trace(profile, 100, chunk_size=0))
+
+    def test_single_instruction_chunks(self):
+        """No chunk-size floor: neither kernel reaches back a chunk."""
+        profile = get_benchmark("mcf")
+        chunks = list(iter_trace(profile, 40, seed=3, chunk_size=1))
+        assert [len(chunk) for chunk in chunks] == [1] * 40
+        flat = [instr for chunk in chunks for instr in chunk.instructions]
+        assert flat == generate_trace(profile, 40, seed=3)
 
 
 class TestTraceChunk:
@@ -174,109 +159,86 @@ class TestTraceChunk:
         assert chunk.end == 15
 
 
-class TestStreamingTrace:
-    def _trace(self, length=1_000, chunk_size=100, retain=RETAIN_CHUNKS):
-        profile = get_benchmark("gzip")
-        return (
-            generate_trace(profile, length, seed=9),
-            StreamingTrace(
-                chunk_instructions(
-                    generate_trace(profile, length, seed=9), chunk_size
-                ),
-                length,
-                retain_chunks=retain,
+# -- the stream check both kernels read through --------------------------------
+
+
+class TestCheckedChunks:
+    def _chunks(self, length=300, chunk_size=100):
+        trace = generate_trace(get_benchmark("gzip"), length, seed=9)
+        return list(chunk_instructions(trace, chunk_size))
+
+    def test_passes_a_tiling_stream_through(self):
+        chunks = self._chunks()
+        assert list(checked_chunks(iter(chunks), 300)) == chunks
+
+    def test_length_is_checked_before_any_pull(self):
+        def never():
+            raise AssertionError("pulled")
+            yield  # pragma: no cover
+
+        with pytest.raises(ValueError, match="cannot simulate an empty trace"):
+            checked_chunks(never(), 0)
+        with pytest.raises(ValueError, match="total_instructions must be >= 1, got -5"):
+            checked_chunks(never(), -5)
+
+    def test_chunks_are_checked_as_they_are_pulled(self):
+        """A bad chunk raises on its own pull, not on earlier ones."""
+        first, _, third = self._chunks()
+        stream = checked_chunks(iter([first, third]), 300)
+        assert next(stream) is first
+        with pytest.raises(ValueError, match="expected start 100, got 200"):
+            next(stream)
+
+    def test_a_short_stream_raises_only_when_pulled_past_its_end(self):
+        first, second, _ = self._chunks()
+        stream = checked_chunks(iter([first, second]), 300)
+        assert [next(stream), next(stream)] == [first, second]
+        with pytest.raises(RuntimeError, match="ended at 200 instructions"):
+            next(stream)
+
+
+# -- bounded residency ---------------------------------------------------------
+
+
+class _CountedChunk(TraceChunk):
+    """A chunk that counts how many of its kind are alive at once."""
+
+    alive = 0
+    peak = 0
+
+    def __init__(self, start, instructions):
+        super().__init__(start, instructions)
+        _CountedChunk.alive += 1
+        _CountedChunk.peak = max(_CountedChunk.peak, _CountedChunk.alive)
+
+    def __del__(self):
+        _CountedChunk.alive -= 1
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [
+        Pipeline,
+        pytest.param(
+            BatchPipeline,
+            marks=pytest.mark.skipif(
+                not batch_kernel_available(),
+                reason="no C compiler: the batch kernel cannot be built",
             ),
-        )
+        ),
+    ],
+    ids=[KERNEL_WALK, KERNEL_BATCH],
+)
+def test_a_run_holds_at_most_two_chunks(engine):
+    """60 chunks, made on demand: a kernel that listed the stream (or
+    kept the chunks it had read) would hold all of them."""
+    trace = generate_trace(get_benchmark("gzip"), 60 * TINY_CHUNK, seed=2)
 
-    def test_sequential_iteration_matches_list(self):
-        reference, streaming = self._trace()
-        assert len(streaming) == len(reference)
-        assert list(streaming) == reference
+    def made_on_demand():
+        for start in range(0, len(trace), TINY_CHUNK):
+            yield _CountedChunk(start, trace[start:start + TINY_CHUNK])
 
-    def test_window_supports_bounded_backward_access(self):
-        _, streaming = self._trace()
-        assert streaming[250] == streaming[250]  # newest chunk revisit
-        streaming[399]
-        # One chunk behind the newest is the dispatch cursor's pattern.
-        assert streaming[300] is not None
-
-    def test_access_behind_window_raises(self):
-        _, streaming = self._trace()
-        streaming[999]  # stream to the end; early chunks evicted
-        with pytest.raises(RuntimeError, match="evicted"):
-            streaming[0]
-
-    def test_buffering_is_bounded(self):
-        _, streaming = self._trace(length=1_000, chunk_size=100)
-        for index in range(1_000):
-            streaming[index]
-        assert streaming.chunks_loaded == 10
-        assert streaming.peak_buffered <= RETAIN_CHUNKS * 100
-
-    def test_negative_index_and_bounds(self):
-        reference, streaming = self._trace(length=350, chunk_size=100)
-        for index in range(350):
-            streaming[index]
-        assert streaming[-1] == reference[-1]
-        with pytest.raises(IndexError):
-            streaming[350]
-        with pytest.raises(TypeError, match="slicing"):
-            streaming[1:3]
-
-    def test_short_stream_detected(self):
-        profile = get_benchmark("gzip")
-        streaming = StreamingTrace(
-            chunk_instructions(generate_trace(profile, 100, seed=1), 100),
-            length=200,
-        )
-        with pytest.raises(RuntimeError, match="ended"):
-            streaming[150]
-
-    def test_non_contiguous_chunks_detected(self):
-        instrs = generate_trace(get_benchmark("gzip"), 100, seed=1)
-        gapped = [TraceChunk(0, instrs[:50]), TraceChunk(60, instrs[50:])]
-        streaming = StreamingTrace(iter(gapped), 100)
-        with pytest.raises(ValueError, match="non-contiguous"):
-            streaming[99]
-
-    def test_overrun_chunks_detected(self):
-        instrs = generate_trace(get_benchmark("gzip"), 100, seed=1)
-        streaming = StreamingTrace(iter([TraceChunk(0, instrs)]), 50)
-        with pytest.raises(ValueError, match="overruns"):
-            streaming[40]
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="length"):
-            StreamingTrace(iter(()), 0)
-        with pytest.raises(ValueError, match="retain_chunks"):
-            StreamingTrace(iter(()), 10, retain_chunks=1)
-
-    def test_pipeline_runs_from_streaming_trace(self):
-        """Direct Pipeline use (not via Simulator) works unchanged."""
-        profile = get_benchmark("mst")
-        reference = Pipeline(generate_trace(profile, 2_000, seed=4)).run()
-        streaming_trace = StreamingTrace(
-            iter_trace(profile, 2_000, seed=4, chunk_size=TINY_CHUNK), 2_000
-        )
-        streamed = Pipeline(streaming_trace).run()
-        assert streamed == reference
-        assert streaming_trace.peak_buffered <= RETAIN_CHUNKS * TINY_CHUNK
-
-
-# -- mode resolution -----------------------------------------------------------
-
-
-class TestModeResolution:
-    def test_explicit_beats_everything(self):
-        assert resolve_streaming(True, 10) is True
-        assert resolve_streaming(False, 10**9) is False
-
-    def test_auto_uses_threshold(self):
-        assert resolve_streaming(None, STREAMING_THRESHOLD - 1) is False
-        assert resolve_streaming(None, STREAMING_THRESHOLD) is True
-
-    def test_chunk_size_resolution(self):
-        assert resolve_chunk_size(None) == DEFAULT_CHUNK_SIZE
-        assert resolve_chunk_size(4_096) == 4_096
-        with pytest.raises(ValueError, match="chunk_size"):
-            resolve_chunk_size(1)
+    _CountedChunk.alive = _CountedChunk.peak = 0
+    stats = engine(made_on_demand(), len(trace)).run()
+    assert stats == Pipeline([TraceChunk(0, trace)], len(trace)).run()
+    assert _CountedChunk.peak <= 2

@@ -1,11 +1,12 @@
-"""Differential harness: streaming vs materialized in fresh processes.
+"""Differential harness: tiny chunks vs one whole chunk in fresh processes.
 
-``tests/test_streaming.py`` proves in-process equivalence; this harness
-closes the remaining gap for the exec layer, which ships jobs to
-*worker processes*. Randomized profiles (stdlib ``random``, fixed
-seeds) are simulated twice in separate subprocesses — one streaming,
-one materialized — and the resulting :class:`SimulationResult` payloads
-are compared field by field, together with the committed-trace digests
+``tests/test_streaming.py`` proves in-process chunk-size invariance of
+the walk; this harness closes the remaining gap for the exec layer,
+which ships jobs to *worker processes*. Randomized profiles (stdlib
+``random``, fixed seeds) are simulated on the walk twice in separate
+subprocesses — once fed 64-instruction chunks, once the whole trace as
+one chunk — and the resulting :class:`SimulationResult` payloads are
+compared field by field, together with the committed-trace digests
 (the :func:`repro.cpu.trace.trace_digest` machinery the scenario
 subsystem's determinism gate introduced). Any divergence reports the
 exact field path that broke.
@@ -26,41 +27,35 @@ from repro.cpu.workloads import WorkloadProfile, get_benchmark
 
 _SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
-#: The child: rebuild the profile, simulate in the requested mode, and
-#: emit the full result (stats tree + trace digest) as canonical JSON.
+#: The child: rebuild the profile, simulate it on chunks of the requested
+#: size, and emit the full result (stats tree + trace digest) as
+#: canonical JSON.
 _CHILD_SCRIPT = """
 import dataclasses, json, sys
 
 from repro.cpu.simulator import Simulator
 from repro.cpu.sleep import SleepRuntimeSpec
-from repro.cpu.stream import MIN_CHUNK_SIZE
 from repro.cpu.trace import trace_digest
-from repro.cpu.workloads import WorkloadProfile, generate_trace, iter_trace
+from repro.cpu.workloads import WorkloadProfile, iter_trace
 
 spec = json.loads(sys.stdin.read())
 profile = WorkloadProfile(**spec["profile"])
-streaming = spec["streaming"]
 sleep = (
     SleepRuntimeSpec(**spec["sleep"]) if spec["sleep"] is not None else None
 )
-# The walk: the batch kernel ignores ``streaming``.
-result = Simulator(
-    profile,
-    sleep=sleep,
-    streaming=streaming,
-    chunk_size=MIN_CHUNK_SIZE if streaming else None,
-    kernel="walk",
-).run(spec["window"], warmup_instructions=spec["warmup"])
-
 total = spec["window"] + spec["warmup"]
-if streaming:
-    digest = trace_digest(
-        instr
-        for chunk in iter_trace(profile, total, chunk_size=MIN_CHUNK_SIZE)
-        for instr in chunk.instructions
-    )
-else:
-    digest = trace_digest(generate_trace(profile, total))
+chunk_size = spec["chunk_size"] or total
+# The walk: the gate holds the reference kernel to itself.
+result = Simulator(profile, sleep=sleep, kernel="walk").run(
+    spec["window"],
+    warmup_instructions=spec["warmup"],
+    chunks=iter_trace(profile, total, chunk_size=chunk_size),
+)
+digest = trace_digest(
+    instr
+    for chunk in iter_trace(profile, total, chunk_size=chunk_size)
+    for instr in chunk.instructions
+)
 
 payload = {
     "trace_digest": digest,
@@ -106,8 +101,8 @@ def _random_profile(seed: int) -> WorkloadProfile:
 def _run_child(spec: dict, hash_seed: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    # Different hash seeds per mode: equality must not ride on dict
-    # iteration accidents.
+    # Different hash seeds per chunk size: equality must not ride on
+    # dict iteration accidents.
     env["PYTHONHASHSEED"] = hash_seed
     completed = subprocess.run(
         [sys.executable, "-c", _CHILD_SCRIPT],
@@ -121,27 +116,24 @@ def _run_child(spec: dict, hash_seed: str) -> dict:
     return json.loads(completed.stdout)
 
 
-def _assert_same(streamed, materialized, path="result"):
+def _assert_same(tiny, whole, path="result"):
     """Recursive field-by-field comparison with exact equality.
 
-    Floats included: the streaming contract is ``==``, not approx.
+    Floats included: the chunk-size contract is ``==``, not approx.
     """
-    assert type(streamed) is type(materialized), (
-        f"{path}: type {type(streamed).__name__} != "
-        f"{type(materialized).__name__}"
+    assert type(tiny) is type(whole), (
+        f"{path}: type {type(tiny).__name__} != {type(whole).__name__}"
     )
-    if isinstance(streamed, dict):
-        assert streamed.keys() == materialized.keys(), f"{path}: key sets differ"
-        for key in streamed:
-            _assert_same(streamed[key], materialized[key], f"{path}.{key}")
-    elif isinstance(streamed, list):
-        assert len(streamed) == len(materialized), f"{path}: lengths differ"
-        for index, (mine, theirs) in enumerate(zip(streamed, materialized)):
+    if isinstance(tiny, dict):
+        assert tiny.keys() == whole.keys(), f"{path}: key sets differ"
+        for key in tiny:
+            _assert_same(tiny[key], whole[key], f"{path}.{key}")
+    elif isinstance(tiny, list):
+        assert len(tiny) == len(whole), f"{path}: lengths differ"
+        for index, (mine, theirs) in enumerate(zip(tiny, whole)):
             _assert_same(mine, theirs, f"{path}[{index}]")
     else:
-        assert streamed == materialized, (
-            f"{path}: {streamed!r} != {materialized!r}"
-        )
+        assert tiny == whole, f"{path}: {tiny!r} != {whole!r}"
 
 
 def _differential_case(seed: int, sleep: dict = None) -> None:
@@ -151,12 +143,11 @@ def _differential_case(seed: int, sleep: dict = None) -> None:
         "window": 2_500,
         "warmup": 500,
         "sleep": sleep,
-        "streaming": None,
     }
-    streamed = _run_child({**spec, "streaming": True}, hash_seed="1")
-    materialized = _run_child({**spec, "streaming": False}, hash_seed="2")
-    assert streamed["trace_digest"] == materialized["trace_digest"]
-    _assert_same(streamed, materialized)
+    tiny = _run_child({**spec, "chunk_size": 64}, hash_seed="1")
+    whole = _run_child({**spec, "chunk_size": None}, hash_seed="2")
+    assert tiny["trace_digest"] == whole["trace_digest"]
+    _assert_same(tiny, whole)
 
 
 class TestStreamingDifferential:
