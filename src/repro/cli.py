@@ -21,9 +21,13 @@ is simulated.
 Execution-engine flags apply to every subcommand. ``--jobs N`` sets
 the worker count of a bare ``pool`` backend, whether that spec comes
 from ``--backend pool``, ``$REPRO_BACKEND`` or the default (``0`` means
-all cores); ``pool:N``, ``serial`` and ``ssh:...`` ignore it. Without
-``--jobs`` a bare ``pool`` reads ``$REPRO_JOBS``, else runs one worker,
-inline. ``--cache-dir`` points the persistent result cache somewhere
+every CPU this process may use); ``pool:N``, ``serial`` and
+``ssh:...`` ignore it. Without ``--jobs`` a bare ``pool`` reads
+``$REPRO_JOBS``, else takes every CPU this process may use. The kernel
+picks the workers: the C kernel and the trace walker release the GIL,
+so a batch-kernel batch runs in-process on one thread per trace group,
+up to N; the walk holds it, so a walk batch forks up to N worker
+processes. ``--cache-dir`` points the persistent result cache somewhere
 other than ``~/.cache/repro``, and ``--no-cache`` disables the
 persistent layer (the in-process memo still applies). Both kernels
 stream every trace chunk by chunk, in bounded memory, which is what
@@ -41,7 +45,7 @@ only, never results or cache keys. ``repro --version`` reports the
 installed package version.
 
 ``--backend serial|pool[:N]|ssh:host,...`` selects *where* simulation
-batches execute (in-process, local worker processes, or an SSH fleet
+batches execute (in-process, the local pool, or an SSH fleet
 speaking the ``repro.exec.worker`` wire protocol) and ``--store
 local|shared:DIR|layered:DIR`` selects the persistent result store —
 ``layered`` backs the per-host cache with a write-once shared directory
@@ -285,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _jobs_count(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0 (0 = all cores), got {value}")
+        raise argparse.ArgumentTypeError(f"must be >= 0 (0 = every CPU), got {value}")
     return value
 
 
@@ -296,10 +300,12 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         type=_jobs_count,
         default=None,
         metavar="N",
-        help="worker processes of a bare 'pool' backend, whether from "
-        "--backend pool, $REPRO_BACKEND or the default (0 = all cores); "
-        "'pool:N', 'serial' and 'ssh:...' ignore it (default: $REPRO_JOBS "
-        "or 1)",
+        help="workers of a bare 'pool' backend, whether from --backend "
+        "pool, $REPRO_BACKEND or the default (0 = every CPU this process "
+        "may use): threads, one per trace group, on the C batch kernel; "
+        "processes, one per job, on the walk. 'pool:N', 'serial' and "
+        "'ssh:...' ignore it (default: $REPRO_JOBS, else every CPU this "
+        "process may use)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -329,8 +335,10 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SPEC",
         help="execution backend for simulation batches: 'serial' "
-        "(in-process, for debugging), 'pool[:N]' (N local worker "
-        "processes; a bare 'pool' takes N from --jobs), or "
+        "(in-process, one thread, for debugging), 'pool[:N]' (N local "
+        "workers: in-process threads on the C batch kernel, worker "
+        "processes on the walk; a bare 'pool' takes N from --jobs or "
+        "$REPRO_JOBS, else every CPU this process may use), or "
         "'ssh:host1,host2,...' (remote workers over SSH; the pseudo-host "
         "'localhost' spawns a local worker without sshd). Results are "
         "byte-identical across backends (default: $REPRO_BACKEND or pool)",

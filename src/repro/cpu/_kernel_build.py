@@ -29,6 +29,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 import uuid
 from pathlib import Path
 from typing import List, Optional
@@ -60,6 +61,9 @@ _SOURCE = Path(__file__).resolve().parent / "_pipeline_kernel.c"
 _lib: Optional[ctypes.CDLL] = None
 _load_attempted = False
 _load_error: Optional[str] = None
+#: Held by the first load, so threads that all find the library unloaded
+#: compile and ``CDLL`` it once between them.
+_load_lock = threading.Lock()
 
 
 def _cache_dir(source_hash: str) -> Path:
@@ -175,20 +179,24 @@ def kernel_library() -> ctypes.CDLL:
 
     Raises ``RuntimeError`` (with the original failure detail) when the
     kernel cannot be built or loaded; the outcome — success or failure —
-    is cached for the life of the process.
+    is cached for the life of the process, and reached once however
+    many threads ask first.
     """
     global _lib, _load_attempted, _load_error
     if _lib is not None:
         return _lib
-    if _load_attempted and _load_error is not None:
-        raise RuntimeError(_load_error)
-    _load_attempted = True
-    try:
-        _lib = _bind(ctypes.CDLL(str(build_shared_library(_SOURCE))))
-    except Exception as error:  # noqa: BLE001 - reason is surfaced to callers
-        _load_error = f"batch kernel unavailable: {error}"
-        raise RuntimeError(_load_error) from error
-    return _lib
+    with _load_lock:
+        if _lib is not None:
+            return _lib
+        if _load_attempted and _load_error is not None:
+            raise RuntimeError(_load_error)
+        _load_attempted = True
+        try:
+            _lib = _bind(ctypes.CDLL(str(build_shared_library(_SOURCE))))
+        except Exception as error:  # noqa: BLE001 - reason is surfaced to callers
+            _load_error = f"batch kernel unavailable: {error}"
+            raise RuntimeError(_load_error) from error
+        return _lib
 
 
 def batch_kernel_available() -> bool:

@@ -14,6 +14,7 @@ walk instead, which the CI digest gate pins the walker to.
 from __future__ import annotations
 
 import ctypes
+import threading
 from pathlib import Path
 from typing import Optional
 
@@ -33,6 +34,9 @@ MT_STATE_LEN = 625
 _lib: Optional[ctypes.CDLL] = None
 _load_attempted = False
 _load_error: Optional[str] = None
+#: Held by the first load, so threads that all find the library unloaded
+#: compile and ``CDLL`` it once between them.
+_load_lock = threading.Lock()
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
@@ -73,20 +77,24 @@ def trace_library() -> ctypes.CDLL:
     """The loaded trace-walker library, building it on first use.
 
     Raises ``RuntimeError`` when it cannot be built or loaded; the
-    outcome is cached for the life of the process.
+    outcome is cached for the life of the process, and reached once
+    however many threads ask first.
     """
     global _lib, _load_attempted, _load_error
     if _lib is not None:
         return _lib
-    if _load_attempted and _load_error is not None:
-        raise RuntimeError(_load_error)
-    _load_attempted = True
-    try:
-        _lib = _bind(ctypes.CDLL(str(build_shared_library(_SOURCE))))
-    except Exception as error:  # noqa: BLE001 - reason is surfaced to callers
-        _load_error = f"trace kernel unavailable: {error}"
-        raise RuntimeError(_load_error) from error
-    return _lib
+    with _load_lock:
+        if _lib is not None:
+            return _lib
+        if _load_attempted and _load_error is not None:
+            raise RuntimeError(_load_error)
+        _load_attempted = True
+        try:
+            _lib = _bind(ctypes.CDLL(str(build_shared_library(_SOURCE))))
+        except Exception as error:  # noqa: BLE001 - reason is surfaced to callers
+            _load_error = f"trace kernel unavailable: {error}"
+            raise RuntimeError(_load_error) from error
+        return _lib
 
 
 # -- array.array -> ctypes pointer casts ---------------------------------------

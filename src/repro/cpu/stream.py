@@ -14,7 +14,10 @@ chunks:
   (:class:`~repro.cpu.pipeline.Pipeline`) holds one chunk at a time
   behind a forward cursor; the batch kernel
   (:class:`~repro.cpu.kernel.BatchPipeline`) copies each into its
-  engine. Either way a run's memory is independent of its length.
+  engine. Either way a run's memory is independent of its length. It
+  is also where a run stops early: when the context's
+  :data:`stop_event` is set, the next chunk pulled raises
+  :class:`RunStopped`.
 
 A chunk holds one of two representations and derives the other on
 demand. The compiled trace walker emits structure-of-arrays chunks:
@@ -37,16 +40,30 @@ compiled walker and the reference walk.
 
 from __future__ import annotations
 
+import threading
 from array import array
+from contextvars import ContextVar
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.cpu.isa import OpClass
 from repro.cpu.trace import TraceInstruction
 
+#: The abort event of the batch a run belongs to, set by
+#: :mod:`repro.exec.backends` on each thread of a threaded batch. Once
+#: it is set, the run raises :class:`RunStopped` at its next chunk
+#: instead of running to the end of its trace.
+stop_event: ContextVar[Optional[threading.Event]] = ContextVar("stop_event", default=None)
+
+
+class RunStopped(RuntimeError):
+    """A run stopped at a chunk boundary because its batch was aborted."""
+
+
 #: Instructions per chunk. Large enough that per-chunk Python overhead
 #: vanishes against per-instruction simulation cost; small enough that
-#: the chunks alive at once stay in the tens of megabytes.
-DEFAULT_CHUNK_SIZE = 32_768
+#: the two column-backed chunks a run holds stay under a megabyte
+#: (42 bytes an instruction), however many runs share the process.
+DEFAULT_CHUNK_SIZE = 8_192
 
 
 #: The per-field columns of a chunk, in canonical order — the order the
@@ -258,7 +275,9 @@ def checked_chunks(
     must start where the previous one ended and must not run past the
     declared length. A stream that ends short of it raises on the pull
     that finds it exhausted, so a kernel that pulls only while it still
-    needs instructions never reads past the end.
+    needs instructions never reads past the end. A pull after the
+    :data:`stop_event` of the puller's context was set raises
+    :class:`RunStopped`.
     """
     if total_instructions == 0:
         raise ValueError("cannot simulate an empty trace")
@@ -271,7 +290,10 @@ def checked_chunks(
 
 def _checked(chunks: Iterator[TraceChunk], total: int) -> Iterator[TraceChunk]:
     fed = 0
+    stop = stop_event.get()
     for chunk in chunks:
+        if stop is not None and stop.is_set():
+            raise RunStopped(f"run stopped at instruction {fed}: its batch was aborted")
         if chunk.start != fed:
             raise ValueError(
                 f"non-contiguous chunk: expected start {fed}, got {chunk.start}"

@@ -13,9 +13,9 @@ This package is the substrate the experiments run on:
 * :mod:`repro.exec.jobs` — :class:`SimulationJob`, the unit of
   schedulable work;
 * :mod:`repro.exec.backends` — the pluggable execution backends
-  (in-process serial, local process pool, SSH fan-out) behind one
-  batch-submission protocol; the backend spec (``pool:4``) is the only
-  worker-count setting;
+  (in-process serial, the local thread or process pool, SSH fan-out)
+  behind one batch-submission protocol; the backend spec (``pool:4``)
+  is the only worker-count setting;
 * :mod:`repro.exec.worker` — the stdio job worker remote backends
   drive, speaking length-prefixed JSON frames;
 * :mod:`repro.exec.engine` — batch deduplication, result caching, and

@@ -9,11 +9,16 @@ resolution, and deterministic result ordering; everything below that —
   one after another. No subprocesses, no pickling: the debugging
   backend (breakpoints and profilers see the simulation directly).
 * :class:`ProcessPoolBackend` (``--backend pool[:N]``, the default)
-  fans out across N local worker processes with
-  :class:`concurrent.futures.ProcessPoolExecutor`. The spec is the only
-  worker-count setting: a bare ``pool`` takes its N from ``--jobs``
-  (:func:`fill_pool_workers`, which every other spec ignores), else
-  ``$REPRO_JOBS``, else 1, which runs inline.
+  runs the batch on N workers: ``pool:N``, else ``--jobs`` (which fills
+  in a bare ``pool``'s N, :func:`fill_pool_workers`, and which every
+  other spec ignores), else ``$REPRO_JOBS``, else :func:`available_cpus`.
+  The kernel the batch runs picks the workers. The C batch kernel and
+  the C trace walker release the GIL, so a batch-kernel batch runs in
+  the submitting process on min(N, trace groups) threads, each taking
+  whole groups: no fork and no pickling. The walk holds the GIL, so a
+  batch that runs it forks min(N, jobs) local worker processes with
+  :class:`concurrent.futures.ProcessPoolExecutor`, the parallel path
+  that needs no C compiler. A count of 1 runs inline.
 * :class:`SSHBackend` (``--backend ssh:host1,host2``) shards the batch
   round-robin across remote hosts, each running
   ``python -m repro.exec.worker`` and speaking the length-prefixed JSON
@@ -32,15 +37,19 @@ serial and pool backends run each run of equal
 (:func:`~repro.exec.worker.run_group_observed`), which generates the
 trace once; SSH workers run one job per frame.
 
-Failure propagation: :class:`SerialBackend` raises the job's exception
-directly; :class:`ProcessPoolBackend` propagates whatever the pool
-transports (the original exception, pickled); :class:`SSHBackend`
-raises :class:`RemoteJobError` carrying the remote traceback text. A
-failed job always aborts its batch — partial batches are never returned.
+Failure propagation: :class:`SerialBackend` and the pool's threads
+raise the job's exception directly; the pool's processes propagate
+whatever the pool transports (the original exception, pickled);
+:class:`SSHBackend` raises :class:`RemoteJobError` carrying the remote
+traceback text. A failed job always aborts its batch — partial batches
+are never returned. The threaded path stops its other runs at their
+next trace chunk, the SSH path its other workers between jobs, and
+both return only once every thread has.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
 import os
@@ -62,7 +71,9 @@ from typing import (
     Union,
 )
 
+from repro.cpu.kernel import KERNEL_WALK, resolve_kernel
 from repro.cpu.simulator import SimulationResult
+from repro.cpu.stream import stop_event
 from repro.exec.hashing import CACHE_SCHEMA_VERSION, model_fingerprint
 from repro.exec.jobs import SimulationJob
 from repro.exec.worker import (
@@ -120,8 +131,8 @@ class ExecutionBackend(Protocol):
         """Execute ``jobs``, yielding ``(index, result)`` as available."""
         ...
 
-    def workers_for(self, pending: int) -> int:
-        """How many workers a batch of ``pending`` jobs would occupy."""
+    def workers_for(self, jobs: Sequence[SimulationJob]) -> int:
+        """How many workers a batch of ``jobs`` would occupy."""
         ...
 
 
@@ -139,6 +150,85 @@ def _trace_groups(jobs: Sequence[SimulationJob]) -> List[List[int]]:
 def _run_inline(jobs: Sequence[SimulationJob]) -> Iterator[Tuple[int, SimulationResult]]:
     for group in _trace_groups(jobs):
         yield from zip(group, run_group_observed([jobs[index] for index in group]))
+
+
+def _runs_walk(jobs: Sequence[SimulationJob]) -> bool:
+    """Whether any job of the batch runs the walk, which holds the GIL."""
+    return any(resolve_kernel(job.kernel) == KERNEL_WALK for job in jobs)
+
+
+def _run_threaded(
+    jobs: Sequence[SimulationJob], groups: Sequence[List[int]], threads: int
+) -> Iterator[Tuple[int, SimulationResult]]:
+    """Run ``groups`` on ``threads`` in-process threads, whole groups each.
+
+    Each thread runs under a copy of the submitting context, so its
+    spans nest under the caller's and each group's
+    :func:`~repro.obs.metrics.scope` folds into the batch's scope. A
+    failure, an abandoned generator or an interrupt sets ``abort``:
+    groups not yet taken never start, and since ``abort`` is each
+    thread's :data:`~repro.cpu.stream.stop_event`, each running job
+    stops at its next trace chunk (one that reads no chunks stops at its
+    end). Nothing is raised or returned before every thread has
+    returned, and a failure is queued before it sets ``abort``, so the
+    batch raises it rather than a run it stopped.
+    """
+    todo: "queue.SimpleQueue[List[int]]" = queue.SimpleQueue()
+    for group in groups:
+        todo.put(group)
+    done: "queue.SimpleQueue" = queue.SimpleQueue()
+    abort = threading.Event()
+
+    def take_groups() -> None:
+        stop_event.set(abort)
+        try:
+            while not abort.is_set():
+                try:
+                    group = todo.get_nowait()
+                except queue.Empty:
+                    return
+                with obs_metrics.scope():
+                    results = run_group_observed([jobs[index] for index in group])
+                    for index, result in zip(group, results):
+                        done.put((index, result))
+                        if abort.is_set():
+                            break
+                    results.close()
+        except BaseException as error:  # noqa: BLE001 - raised by the submitter
+            done.put(error)
+            abort.set()
+        finally:
+            done.put(None)
+
+    workers = [
+        threading.Thread(
+            target=contextvars.copy_context().run,
+            args=(take_groups,),
+            name=f"repro-batch-{number}",
+            daemon=True,
+        )
+        for number in range(threads)
+    ]
+    for worker in workers:
+        worker.start()
+    error: Optional[BaseException] = None
+    try:
+        running = len(workers)
+        while running:
+            item = done.get()
+            if item is None:
+                running -= 1
+            elif isinstance(item, BaseException):
+                if error is None:
+                    error = item
+            elif error is None:
+                yield item
+        if error is not None:
+            raise error
+    finally:
+        abort.set()
+        for worker in workers:
+            worker.join()
 
 
 def _execute_group_observed(jobs: Sequence[SimulationJob], trace: bool = False):
@@ -178,51 +268,65 @@ class SerialBackend:
     ) -> Iterator[Tuple[int, SimulationResult]]:
         return _run_inline(jobs)
 
-    def workers_for(self, pending: int) -> int:
+    def workers_for(self, jobs: Sequence[SimulationJob]) -> int:
         return 1
 
     def __repr__(self) -> str:
         return "SerialBackend()"
 
 
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Normalize a worker-count request to a concrete positive integer.
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, so a pinned container counts only its own."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
 
-    ``None`` falls back to ``$REPRO_JOBS``, else 1; ``0`` means "all
-    cores".
+
+def resolve_workers(workers: Optional[int] = None) -> int:
+    """Normalize a worker-count request to a positive integer.
+
+    ``None`` falls back to ``$REPRO_JOBS``, and to every CPU in
+    :func:`available_cpus` when that is unset or blank too; ``0`` means
+    every CPU in :func:`available_cpus`.
     """
     if workers is None:
         env = os.environ.get(ENV_JOBS, "")
         text = env.strip()
-        # isdigit() admits 0, which means "all cores" exactly like
+        # isdigit() admits 0, which means "all CPUs" exactly like
         # --jobs 0. Malformed values fall back to serial — loudly, so a
         # typo'd REPRO_JOBS=-2 cannot silently run single-worker.
-        if text.isdigit():
+        if not text:
+            workers = 0
+        elif text.isdigit():
             workers = int(text)
         else:
-            if text:
-                print(
-                    f"[repro] ignoring {ENV_JOBS}={env!r}: expected a "
-                    "non-negative integer; running serial",
-                    file=sys.stderr,
-                )
+            print(
+                f"[repro] ignoring {ENV_JOBS}={env!r}: expected a "
+                "non-negative integer; running serial",
+                file=sys.stderr,
+            )
             workers = 1
     if workers == 0:
-        workers = os.cpu_count() or 1
+        workers = available_cpus()
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
     return workers
 
 
 class ProcessPoolBackend:
-    """Fan the batch out across local worker processes.
+    """Run the batch on N workers: threads when it runs the C batch
+    kernel, local worker processes when it runs the walk.
 
-    ``workers=None`` (a bare ``pool`` spec) reads ``$REPRO_JOBS``, else
-    1, once per instance; ``0`` means all cores. A resolved worker
-    count of 1 — or a single-job batch — runs inline, in the submitting
-    process. Each pool task is a slice of one trace group, of at most
-    ⌈jobs/workers⌉ jobs, that generates the trace once; a batch still
-    occupies as many workers as one task per job would.
+    ``workers=None`` (a bare ``pool`` spec) reads ``$REPRO_JOBS`` once
+    per instance, else takes every available CPU; ``0`` means every
+    available CPU too. A batch-kernel batch runs on min(N, trace
+    groups) in-process threads, whole groups each (:func:`_run_threaded`).
+    A batch that runs the walk forks min(N, jobs) worker processes,
+    whose tasks are slices of one trace group, of at most
+    ⌈jobs/workers⌉ jobs, that generate the trace once; a batch still
+    occupies as many workers as one task per job would. Either runs
+    inline, in the submitting process, on a count of 1.
     """
 
     name = "pool"
@@ -234,12 +338,21 @@ class ProcessPoolBackend:
     def _resolved_workers(self) -> int:
         return resolve_workers(self.workers)
 
+    def _plan(self, jobs: Sequence[SimulationJob]) -> Tuple[bool, int]:
+        """Whether the batch runs the walk, and on how many workers."""
+        walk = _runs_walk(jobs)
+        units = len(jobs) if walk else len(_trace_groups(jobs))
+        return walk, max(1, min(self._resolved_workers, units))
+
     def submit_batch(
         self, jobs: Sequence[SimulationJob]
     ) -> Iterator[Tuple[int, SimulationResult]]:
-        workers = self._resolved_workers
-        if workers <= 1 or len(jobs) == 1:
+        walk, workers = self._plan(jobs)
+        if workers == 1:
             yield from _run_inline(jobs)
+            return
+        if not walk:
+            yield from _run_threaded(jobs, _trace_groups(jobs), workers)
             return
         # A group's share of the workers, rounded up, is how many slices
         # it is dealt into: no slice holds more than ⌈jobs/workers⌉ jobs,
@@ -250,7 +363,7 @@ class ProcessPoolBackend:
             slices += [group[part::parts] for part in range(parts)]
         run = functools.partial(_execute_group_observed, trace=tracer.is_enabled())
         tasks = [[jobs[index] for index in indices] for indices in slices]
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             # Executor.map preserves submission order, so each task's
             # results line up with its slice of indices.
             for indices, (results, relay) in zip(slices, pool.map(run, tasks)):
@@ -258,9 +371,8 @@ class ProcessPoolBackend:
                 tracer.absorb(relay.get("spans") or [])
                 yield from zip(indices, results)
 
-    def workers_for(self, pending: int) -> int:
-        workers = self._resolved_workers
-        return min(workers, pending) if workers > 1 else 1
+    def workers_for(self, jobs: Sequence[SimulationJob]) -> int:
+        return self._plan(jobs)[1]
 
     def __repr__(self) -> str:
         return f"ProcessPoolBackend(workers={self.workers!r})"
@@ -317,8 +429,8 @@ class SSHBackend:
             raise ValueError("SSHBackend needs at least one host")
         self.remote_python = remote_python or os.environ.get(ENV_SSH_PYTHON) or "python3"
 
-    def workers_for(self, pending: int) -> int:
-        return max(1, min(len(self.hosts), pending))
+    def workers_for(self, jobs: Sequence[SimulationJob]) -> int:
+        return max(1, min(len(self.hosts), len(jobs)))
 
     def _spawn(self, host: str) -> subprocess.Popen:
         if host in LOOPBACK_HOSTS:
@@ -426,7 +538,7 @@ class SSHBackend:
         jobs = list(jobs)
         if not jobs:
             return
-        hosts = self.hosts[: self.workers_for(len(jobs))]
+        hosts = self.hosts[: self.workers_for(jobs)]
         shards: List[List[Tuple[int, SimulationJob]]] = [[] for _ in hosts]
         for index, job in enumerate(jobs):
             shards[index % len(hosts)].append((index, job))

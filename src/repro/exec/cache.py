@@ -237,16 +237,21 @@ def configure(
     installed as-is (for tests and embedders providing their own
     :class:`~repro.exec.stores.ResultStore`). Passing ``enabled=False``
     (the CLI's ``--no-cache``) turns the persistent layer off; the
-    engine's in-process memo is unaffected.
+    engine's in-process memo is unaffected. A malformed spec raises
+    ``ValueError`` either way.
     """
     global _active_cache, _enabled, _configured
+    if store is None:
+        store = os.environ.get(ENV_STORE) or None
     _configured = True
     _enabled = enabled and os.environ.get(ENV_NO_CACHE, "") not in ("1", "true")
     if not _enabled:
+        if isinstance(store, str):
+            from repro.exec.stores import parse_store_spec
+
+            parse_store_spec(store, cache_dir)  # validates; creates nothing
         _active_cache = None
         return None
-    if store is None:
-        store = os.environ.get(ENV_STORE) or None
     if store is None or (isinstance(store, str) and store.strip() == "local"):
         directory = Path(cache_dir).expanduser() if cache_dir else default_cache_dir()
         # Reuse the live store (and its counters) when nothing changed;

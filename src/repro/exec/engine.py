@@ -84,9 +84,10 @@ class BatchReport:
     #: no backend was consulted at all).
     backend: str = ""
     #: Per-stage wall time (generate/kernel/pricing seconds) of this
-    #: batch alone, from its metrics scope, into which pool and SSH
-    #: workers relay each job's stages. Observability only: never
-    #: results or cache keys.
+    #: batch alone, from its metrics scope, into which pool threads and
+    #: pool and SSH workers fold each job's stages: summed across them,
+    #: so a parallel batch's stages can add up to more than its wall
+    #: time. Observability only: never results or cache keys.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     #: Per-job wall-time quantiles (``{"p50": ..., "p90": ..., "p99":
     #: ...}`` seconds) of the jobs this batch executed, from its metrics
@@ -279,8 +280,8 @@ def run_jobs(
         failed = 0
         try:
             if pending:
-                workers_used = backend_obj.workers_for(len(pending))
                 stamped = [job.with_stamped_defaults() for _, job in pending]
+                workers_used = backend_obj.workers_for(stamped)
                 with tracer.span(
                     "backend.submit",
                     category="backend",

@@ -205,11 +205,13 @@ class MetricsRegistry:
 
     Thread-safe at the registration level; individual float bumps ride
     CPython's atomic dict/float semantics, and concurrent batches each
-    write to their own :func:`scope`.
+    write to their own :func:`scope`. :meth:`absorb` holds the lock for
+    the whole merge, so scopes that close on several threads at once,
+    as a threaded batch's groups do, fold into their parent exactly.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
@@ -256,41 +258,42 @@ class MetricsRegistry:
         """Merge a :meth:`snapshot` (possibly another process's) into this one."""
         if not isinstance(other, dict):
             return
-        for name, gained in (other.get("counters") or {}).items():
-            if isinstance(gained, (int, float)) and gained > 0:
-                self.counter(name).add(float(gained))
-        for name, value in (other.get("gauges") or {}).items():
-            if isinstance(value, (int, float)):
-                self.gauge(name).set(float(value))
-        for name, snap in (other.get("histograms") or {}).items():
-            if not isinstance(snap, dict):
-                continue
-            boundaries = snap.get("boundaries") or DEFAULT_LATENCY_BUCKETS
-            try:
-                instrument = self.histogram(name, boundaries)
-            except ValueError:
-                continue
-            counts = snap.get("counts") or []
-            if list(instrument.boundaries) != list(boundaries) or len(counts) != len(
-                instrument.counts
-            ):
-                # Boundary skew across versions: fold the merged mass
-                # into count/sum only, never into mismatched buckets.
-                counts = []
-            for index, bucket_count in enumerate(counts):
-                if isinstance(bucket_count, int) and bucket_count > 0:
-                    instrument.counts[index] += bucket_count
-            instrument.count += int(snap.get("count") or 0)
-            instrument.sum += float(snap.get("sum") or 0.0)
-            for side, better in (("min", min), ("max", max)):
-                value = snap.get(side)
+        with self._lock:
+            for name, gained in (other.get("counters") or {}).items():
+                if isinstance(gained, (int, float)) and gained > 0:
+                    self.counter(name).add(float(gained))
+            for name, value in (other.get("gauges") or {}).items():
                 if isinstance(value, (int, float)):
-                    current = getattr(instrument, side)
-                    setattr(
-                        instrument,
-                        side,
-                        value if current is None else better(current, value),
-                    )
+                    self.gauge(name).set(float(value))
+            for name, snap in (other.get("histograms") or {}).items():
+                if not isinstance(snap, dict):
+                    continue
+                boundaries = snap.get("boundaries") or DEFAULT_LATENCY_BUCKETS
+                try:
+                    instrument = self.histogram(name, boundaries)
+                except ValueError:
+                    continue
+                counts = snap.get("counts") or []
+                if list(instrument.boundaries) != list(boundaries) or len(counts) != len(
+                    instrument.counts
+                ):
+                    # Boundary skew across versions: fold the merged mass
+                    # into count/sum only, never into mismatched buckets.
+                    counts = []
+                for index, bucket_count in enumerate(counts):
+                    if isinstance(bucket_count, int) and bucket_count > 0:
+                        instrument.counts[index] += bucket_count
+                instrument.count += int(snap.get("count") or 0)
+                instrument.sum += float(snap.get("sum") or 0.0)
+                for side, better in (("min", min), ("max", max)):
+                    value = snap.get(side)
+                    if isinstance(value, (int, float)):
+                        current = getattr(instrument, side)
+                        setattr(
+                            instrument,
+                            side,
+                            value if current is None else better(current, value),
+                        )
 
     def reset(self) -> None:
         """Drop every instrument (tests, embedding applications)."""

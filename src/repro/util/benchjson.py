@@ -1,4 +1,4 @@
-"""Machine-readable benchmark results: one JSON file, one entry per bench.
+"""Machine-readable benchmark results: bench artifacts and the perf ledger.
 
 The bench suite's assertions (throughput floors, speedup ratios) are
 pass/fail; CI also wants the measured numbers as an artifact so trends
@@ -9,18 +9,44 @@ are visible across runs without scraping pytest output. When
 sessions still leave a valid artifact with every bench that ran).
 Without the variable set, recording is a no-op — local bench runs need
 no ceremony.
+
+The perf ledger is the ``BENCH_<n>.json`` files at the checkout root.
+Each holds, per perfbench workload, the final JSON line
+(``perfbench/run.py``'s result) of the parent commit under ``parent``
+and of the change under ``change``, and under ``runs`` the end-to-end
+metrics of every run of every pair, per side. Run from a checkout
+root::
+
+    python -m repro.util.benchjson compare OLD NEW
+
+prints each end-to-end metric of ``BENCHMARK.json`` per workload, from
+OLD's ``parent`` side to NEW's ``change`` side, with its ratio, and
+flags each move beyond the metric's bound; it exits 1 when any metric
+got worse by more than its bound or any workload lost correctness or
+failed more operations. A side with ``runs`` reads as their medians,
+since one run is too noisy to judge a bound by; the final lines serve
+only where a workload has no runs. ``compare BENCH_22.json
+BENCH_22.json`` reads one change; two ledgers read the trajectory
+between them. A plain ``{workload: line}`` file serves as either side.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
-__all__ = ["ENV_BENCH_JSON", "peak_rss_bytes", "record_benchmark"]
+__all__ = [
+    "ENV_BENCH_JSON",
+    "compare",
+    "load_side",
+    "peak_rss_bytes",
+    "record_benchmark",
+]
 
 ENV_BENCH_JSON = "REPRO_BENCH_JSON"
 
@@ -106,3 +132,101 @@ def record_benchmark(
             pass
         raise
     return path
+
+
+# -- the perf ledger -----------------------------------------------------------
+
+
+def _median_line(runs: List[dict]) -> dict:
+    """One perfbench line for many runs: each metric's median, correct
+    only if every run was, and the most operations any run failed."""
+    names = sorted({name for run in runs for name in run} - {"correct", "failed"})
+    return {
+        "correct": all(run.get("correct", False) for run in runs),
+        "failed": max(run.get("failed", 0) for run in runs),
+        "metrics": {
+            name: {"value": statistics.median(run[name] for run in runs if name in run)}
+            for name in names
+        },
+    }
+
+
+def load_side(path: Path, side: str) -> Dict[str, dict]:
+    """The ``{workload: perfbench line}`` map of ``side`` in a ledger, or
+    the whole file when it is such a map already.
+
+    A workload with ``runs`` on ``side`` reads as their median
+    (:func:`_median_line`) in place of the side's final line.
+    """
+    data = json.loads(Path(path).read_text())
+    if not (isinstance(data.get(side), dict) and isinstance(data.get("parent"), dict)):
+        return data
+    lines = dict(data[side])
+    for workload, sides in (data.get("runs") or {}).items():
+        if sides.get(side):
+            lines[workload] = _median_line(sides[side])
+    return lines
+
+
+def compare(
+    old: Dict[str, dict], new: Dict[str, dict], end_to_end: List[dict]
+) -> Tuple[List[str], int]:
+    """Rows comparing ``old`` and ``new`` per workload and metric, and
+    the number of regressions among them.
+
+    ``end_to_end`` is ``BENCHMARK.json``'s list of ``{name, better,
+    bound}``. A metric moved beyond its bound when its ratio new/old
+    differs from 1 by more than ``bound``; that is a regression when the
+    move is in the worse direction. A workload that lost correctness or
+    failed more operations is a regression too.
+    """
+    rows = [f"{'workload':<18}{'metric':<13}{'old':>10}{'new':>10}{'ratio':>8}  bound"]
+    regressions = 0
+    for workload in sorted(set(old) & set(new)):
+        before, after = old[workload], new[workload]
+        for metric in end_to_end:
+            name, bound = metric["name"], metric["bound"]
+            was = before["metrics"].get(name, {}).get("value")
+            now = after["metrics"].get(name, {}).get("value")
+            if not was or now is None:
+                continue
+            ratio = now / was
+            worse = ratio - 1.0 if metric["better"] == "lower" else 1.0 - ratio
+            flag = ""
+            if worse > bound:
+                flag = "  WORSE beyond bound"
+                regressions += 1
+            elif -worse > bound:
+                flag = "  better beyond bound"
+            rows.append(
+                f"{workload:<18}{name:<13}{was:>10.4g}{now:>10.4g}{ratio:>8.3f}  "
+                f"{bound:g}{flag}"
+            )
+        if not after.get("correct", False) or after.get("failed", 0) > before.get("failed", 0):
+            rows.append(
+                f"{workload:<18}correct={after.get('correct')} "
+                f"failed {before.get('failed')} -> {after.get('failed')}  WORSE"
+            )
+            regressions += 1
+    return rows, regressions
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 3 or args[0] != "compare":
+        print("usage: python -m repro.util.benchjson compare OLD NEW", file=sys.stderr)
+        return 2
+    try:
+        end_to_end = json.loads(Path("BENCHMARK.json").read_text())["end_to_end"]
+    except OSError as error:
+        print(f"benchjson: run from a checkout root: {error}", file=sys.stderr)
+        return 2
+    rows, regressions = compare(
+        load_side(Path(args[1]), "parent"), load_side(Path(args[2]), "change"), end_to_end
+    )
+    print("\n".join(rows))
+    return 1 if regressions else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

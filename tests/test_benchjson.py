@@ -6,9 +6,15 @@ fail if it silently reported nonsense.
 """
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import repro
 from repro.obs import metrics
-from repro.util.benchjson import ENV_BENCH_JSON, record_benchmark
+from repro.util.benchjson import ENV_BENCH_JSON, compare, load_side, main, record_benchmark
 
 
 def _add(stage, seconds):
@@ -91,3 +97,134 @@ class TestBenchJson:
             "speedup": 2.0,
             "note": "extra fields kept",
         }
+
+
+#: BENCHMARK.json's shape: two lower-is-better metrics and one higher.
+END_TO_END = [
+    {"name": "wall_s", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "better": "lower", "bound": 0.15},
+    {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+]
+
+
+def _line(correct=True, failed=0, **values):
+    """A perfbench result line with the given metric values."""
+    return {
+        "correct": correct,
+        "attempted": 10,
+        "failed": failed,
+        "metrics": {name: {"value": value, "unit": "x"} for name, value in values.items()},
+    }
+
+
+class TestLedgerCompare:
+    def test_flags_moves_beyond_each_bound(self):
+        old = {"cold": _line(wall_s=1.0, peak_rss_mb=50.0, ops_per_s=100.0)}
+        new = {"cold": _line(wall_s=0.7, peak_rss_mb=58.0, ops_per_s=90.0)}
+        rows, regressions = compare(old, new, END_TO_END)
+        by_metric = {row.split()[1]: row for row in rows[1:]}
+        assert "better beyond bound" in by_metric["wall_s"]  # 0.700: -30% > 25%
+        assert "WORSE beyond bound" in by_metric["peak_rss_mb"]  # 1.160: +16% > 15%
+        assert "beyond" not in by_metric["ops_per_s"]  # 0.900: -10% of a higher-is-better
+        assert " 0.700 " in by_metric["wall_s"] and " 1.160 " in by_metric["peak_rss_mb"]
+        assert regressions == 1
+
+    def test_a_lower_higher_is_better_metric_regresses(self):
+        rows, regressions = compare(
+            {"w": _line(ops_per_s=100.0)}, {"w": _line(ops_per_s=70.0)}, END_TO_END
+        )
+        assert regressions == 1 and "WORSE" in rows[1]
+
+    def test_lost_correctness_or_more_failures_regress(self):
+        old = {"a": _line(wall_s=1.0), "b": _line(wall_s=1.0)}
+        new = {"a": _line(correct=False, wall_s=1.0), "b": _line(failed=2, wall_s=1.0)}
+        _, regressions = compare(old, new, END_TO_END)
+        assert regressions == 2
+
+    def test_only_shared_workloads_and_metrics_compare(self):
+        rows, regressions = compare(
+            {"a": _line(wall_s=1.0), "gone": _line(wall_s=1.0)},
+            {"a": _line(wall_s=1.1, peak_rss_mb=9.0), "new": _line(wall_s=1.0)},
+            END_TO_END,
+        )
+        assert [row.split()[:2] for row in rows[1:]] == [["a", "wall_s"]]
+        assert regressions == 0
+
+    def test_ledger_sides_and_plain_maps(self, tmp_path):
+        ledger = tmp_path / "BENCH_1.json"
+        ledger.write_text(
+            json.dumps({"parent": {"w": _line(wall_s=2.0)}, "change": {"w": _line(wall_s=1.0)}})
+        )
+        plain = tmp_path / "side.json"
+        plain.write_text(json.dumps({"w": _line(wall_s=3.0)}))
+        assert load_side(ledger, "parent")["w"]["metrics"]["wall_s"]["value"] == 2.0
+        assert load_side(ledger, "change")["w"]["metrics"]["wall_s"]["value"] == 1.0
+        assert load_side(plain, "change")["w"]["metrics"]["wall_s"]["value"] == 3.0
+
+    def test_runs_read_as_their_medians(self, tmp_path):
+        """A side's runs, where the ledger has them, stand in for its
+        final line: a noisy last pair cannot flip the verdict."""
+        runs = {
+            "parent": [{"correct": True, "failed": 0, "wall_s": v} for v in (1.0, 1.1, 0.9)],
+            "change": [
+                {"correct": True, "failed": 0, "wall_s": 1.0},
+                {"correct": True, "failed": 1, "wall_s": 1.02},
+                {"correct": False, "failed": 0, "wall_s": 2.0},
+            ],
+        }
+        ledger = tmp_path / "BENCH_1.json"
+        ledger.write_text(
+            json.dumps(
+                {
+                    "parent": {"w": _line(wall_s=0.5), "bare": _line(wall_s=3.0)},
+                    "change": {"w": _line(wall_s=2.0), "bare": _line(wall_s=3.0)},
+                    "runs": {"w": runs},
+                }
+            )
+        )
+        parent, change = load_side(ledger, "parent"), load_side(ledger, "change")
+        assert parent["w"]["metrics"]["wall_s"]["value"] == 1.0
+        assert change["w"]["metrics"]["wall_s"]["value"] == 1.02
+        assert (change["w"]["correct"], change["w"]["failed"]) == (False, 1)
+        assert parent["bare"]["metrics"]["wall_s"]["value"] == 3.0  # no runs: the line
+        rows, regressions = compare(parent, change, END_TO_END)
+        assert "WORSE" not in rows[2] and regressions == 1  # the lost correctness
+
+    def test_main_exit_codes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["compare", "a", "b"]) == 2  # no BENCHMARK.json here
+        Path("BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+        Path("BENCH_1.json").write_text(
+            json.dumps({"parent": {"w": _line(wall_s=1.0)}, "change": {"w": _line(wall_s=0.9)}})
+        )
+        Path("BENCH_2.json").write_text(
+            json.dumps({"parent": {"w": _line(wall_s=0.9)}, "change": {"w": _line(wall_s=1.5)}})
+        )
+        assert main(["compare", "BENCH_1.json", "BENCH_1.json"]) == 0
+        assert main(["compare", "BENCH_1.json", "BENCH_2.json"]) == 1
+        assert "WORSE beyond bound" in capsys.readouterr().out
+        assert main(["compare", "BENCH_1.json"]) == 2
+
+    def test_the_committed_ledgers_compare(self):
+        """``python -m repro.util.benchjson compare`` reads every committed
+        ``BENCH_*.json`` from the checkout root, each workload on both
+        sides, and finds no metric worse than its bound: a change that
+        moved one that far is not committed."""
+        root = Path(repro.__file__).resolve().parents[2]
+        if not (root / "BENCHMARK.json").is_file():
+            pytest.skip("repro is not running from a checkout")
+        ledgers = sorted(root.glob("BENCH_*.json"))
+        assert ledgers
+        for ledger in ledgers:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro.util.benchjson", "compare", ledger, ledger],
+                cwd=root,
+                capture_output=True,
+                text=True,
+                env={"PYTHONPATH": str(root / "src")},
+                timeout=60,
+            )
+            assert done.returncode == 0, done.stdout + done.stderr
+            assert "WORSE" not in done.stdout
+            for workload in json.loads(ledger.read_text())["change"]:
+                assert f"{workload} " in done.stdout, workload

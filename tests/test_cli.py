@@ -366,11 +366,18 @@ class TestBackendAndStoreFlags:
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         if env_backend is not None:
             monkeypatch.setenv("REPRO_BACKEND", env_backend)
+        from repro.cpu.workloads import get_benchmark
+        from repro.exec.jobs import SimulationJob
+
         assert cli.main(["table1", *argv]) == 0
         resolved = resolve_backend(None)
         assert isinstance(resolved, backend)
         if workers is not None:
-            assert resolved.workers_for(1 << 16) == workers
+            many = [
+                SimulationJob(get_benchmark("gzip"), 1_200, 300, seed, kernel="batch")
+                for seed in range(1, 65)
+            ]
+            assert resolved.workers_for(many) == min(workers, len(many))
 
     @pytest.mark.parametrize("experiment", ["all", "table3"])
     def test_jobs_means_the_same_on_every_subcommand(
@@ -420,18 +427,34 @@ class TestBackendAndStoreFlags:
             (["table1", "--store", "bogus"], {}, "unknown store spec 'bogus'"),
             (["figure7", "--quick"], {"REPRO_BACKEND": "bogus"}, "unknown backend spec 'bogus'"),
             (["table1"], {"REPRO_STORE": "bogus"}, "unknown store spec 'bogus'"),
+            (["table1", "--no-cache", "--store", "bogus"], {}, "unknown store spec 'bogus'"),
+            (
+                ["table1"],
+                {"REPRO_NO_CACHE": "1", "REPRO_STORE": "bogus"},
+                "unknown store spec 'bogus'",
+            ),
         ],
-        ids=["backend-flag", "store-flag", "backend-env", "store-env"],
+        ids=[
+            "backend-flag",
+            "store-flag",
+            "backend-env",
+            "store-env",
+            "store-flag-no-cache",
+            "store-env-no-cache",
+        ],
     )
     def test_bad_spec_is_a_usage_error(
-        self, argv, env, message, capsys, monkeypatch, restore_engine_state
+        self, argv, env, message, capsys, monkeypatch, restore_engine_state, tmp_path
     ):
         """A bad backend or store spec, from a flag or the environment,
-        is one ``repro: error:`` line and exit 2, before any simulation."""
+        is one ``repro: error:`` line and exit 2, before any simulation,
+        whether or not the persistent layer is on; no directory is made."""
         from repro.obs import metrics
 
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         monkeypatch.delenv("REPRO_STORE", raising=False)
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        monkeypatch.chdir(tmp_path)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         with metrics.scope() as scoped, pytest.raises(SystemExit) as excinfo:
@@ -443,6 +466,7 @@ class TestBackendAndStoreFlags:
         assert "Traceback" not in err
         ran = scoped.snapshot()["counters"]
         assert not [name for name in ran if name.startswith("sim.kernel_")]
+        assert list(tmp_path.iterdir()) == []
 
     def test_main_installs_the_store(self, capsys, restore_engine_state, tmp_path):
         assert (

@@ -7,6 +7,7 @@ pure deployment knob (and the CI backend-equivalence gate).
 """
 
 import io
+import os
 import pickle
 import queue
 import threading
@@ -14,6 +15,7 @@ import threading
 import pytest
 
 from repro.cpu.workloads import get_benchmark
+from repro.exec import backends as backends_mod
 from repro.exec import cache
 from repro.exec import worker as worker_mod
 from repro.exec.backends import (
@@ -22,6 +24,7 @@ from repro.exec.backends import (
     RemoteJobError,
     SerialBackend,
     SSHBackend,
+    available_cpus,
     fill_pool_workers,
     parse_backend_spec,
     resolve_backend,
@@ -270,23 +273,36 @@ class TestBackendSpecs:
             SSHBackend(())
 
 
+#: 64 jobs over 64 traces (one group each): more than any count these
+#: tests set, so ``workers_for`` reports the count itself.
+_MANY = [_job(seed=seed, kernel="batch") for seed in range(1, 65)]
+
+
 def _pool_workers() -> int:
     """The worker count a bare ``pool`` backend resolves to."""
-    return ProcessPoolBackend().workers_for(1 << 16)
+    return ProcessPoolBackend().workers_for(_MANY)
 
 
 class TestWorkerResolution:
     """``$REPRO_JOBS`` sizes a bare ``pool`` backend when ``--jobs``
-    did not."""
+    did not; with neither, it takes every available CPU."""
 
     def test_explicit_and_unset(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.setattr(backends_mod, "available_cpus", lambda: 3)
         assert resolve_workers(3) == 3
-        assert resolve_workers(None) == 1
-        assert _pool_workers() == 1
+        assert resolve_workers(None) == 3
+        assert _pool_workers() == 3
 
-    def test_zero_means_all_cores(self):
-        assert resolve_workers(0) >= 1
+    def test_zero_means_every_available_cpu(self, monkeypatch):
+        """``0`` counts the CPUs in this process's affinity set, not
+        every core of the host; without an affinity call, every core."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        assert available_cpus() == 3
+        assert resolve_workers(0) == 3
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert resolve_workers(0) == 16
 
     def test_env_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "5")
@@ -294,11 +310,11 @@ class TestWorkerResolution:
 
     def test_env_zero_means_all_cores(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "0")
-        assert _pool_workers() == resolve_workers(0) >= 1
+        assert _pool_workers() == min(resolve_workers(0), len(_MANY)) >= 1
 
     def test_env_yields_to_the_spec_count(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "5")
-        assert parse_backend_spec("pool:2").workers_for(1 << 16) == 2
+        assert parse_backend_spec("pool:2").workers_for(_MANY) == 2
 
     def test_env_malformed_falls_back_to_serial(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_JOBS", "-2")
@@ -326,8 +342,11 @@ class TestWorkerResolution:
         assert "running serial" in err
 
     def test_env_empty_stays_silent(self, monkeypatch, capsys):
+        """A blank ``$REPRO_JOBS`` sets no count: every CPU, no warning."""
         monkeypatch.setenv("REPRO_JOBS", "   ")
-        assert _pool_workers() == 1
+        monkeypatch.setattr(backends_mod, "available_cpus", lambda: 3)
+        assert resolve_workers(None) == 3
+        assert _pool_workers() == 3
         assert capsys.readouterr().err == ""
 
     def test_negative_rejected(self):
@@ -337,23 +356,44 @@ class TestWorkerResolution:
 
 class TestWorkersFor:
     def test_serial_always_one(self):
-        assert SerialBackend().workers_for(10) == 1
+        assert SerialBackend().workers_for(_MANY[:10]) == 1
 
     def test_pool_caps_at_pending(self):
-        assert ProcessPoolBackend(workers=8).workers_for(3) == 3
-        assert ProcessPoolBackend(workers=1).workers_for(3) == 1
+        assert ProcessPoolBackend(workers=8).workers_for(_MANY[:3]) == 3
+        assert ProcessPoolBackend(workers=1).workers_for(_MANY[:3]) == 1
+
+    def test_default_pool_caps_at_cpus_and_trace_groups(self, monkeypatch):
+        """No count set: one thread per trace group, at most one per CPU."""
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.setattr(backends_mod, "available_cpus", lambda: 4)
+        pool = ProcessPoolBackend()
+        assert pool.workers_for(_MANY[:3]) == 3
+        assert pool.workers_for(_MANY) == 4
+        assert pool.workers_for([_MANY[0]] * 8) == 1  # one group
+
+    def test_the_kernel_picks_what_the_count_caps(self, monkeypatch):
+        """A set count caps the same units as the default: trace groups
+        for the batch kernel's threads, jobs for the walk's processes."""
+        one_trace = [_job(seed=1, kernel=kernel) for kernel in ("batch", "walk")]
+        pool = ProcessPoolBackend(workers=4)
+        assert pool.workers_for([one_trace[0]] * 8) == 1  # one group, one thread
+        assert pool.workers_for([one_trace[1]] * 8) == 4  # eight walk jobs
+        assert pool.workers_for([one_trace[0]] * 7 + [one_trace[1]]) == 4  # any walk
 
     def test_ssh_caps_at_hosts(self):
         backend = SSHBackend(("a", "b", "c"))
-        assert backend.workers_for(2) == 2
-        assert backend.workers_for(9) == 3
+        assert backend.workers_for(_MANY[:2]) == 2
+        assert backend.workers_for(_MANY[:9]) == 3
 
 
 class TestBackendEquivalence:
     """The keystone: every backend produces byte-identical results."""
 
-    def test_serial_pool_ssh_localhost_identical(self, fresh_cache):
-        jobs = _jobs()
+    @pytest.mark.parametrize("kernel", [None, "walk"], ids=["auto", "walk"])
+    def test_serial_pool_ssh_localhost_identical(self, kernel, fresh_cache):
+        """``pool:2`` runs threads on the batch kernel and worker
+        processes on the walk; both match serial and SSH."""
+        jobs = [_job(name, kernel=kernel) for name in ("gzip", "mcf", "mst")]
         serial = run_jobs(jobs, backend="serial", use_cache=False)
         pool = run_jobs(jobs, backend="pool:2", use_cache=False)
         ssh = run_jobs(jobs, backend="ssh:localhost", use_cache=False)
@@ -681,10 +721,16 @@ class TestObservabilityRelay:
         assert report.latency_quantiles["p50"] > 0
 
     def test_pool_workers_relay_metrics(self, fresh_cache):
+        """The walk runs on the pool's worker processes, which relay
+        their metrics to the submitting process."""
         report = BatchReport()
-        run_jobs(_jobs(), backend="pool:2", use_cache=False, report=report)
+        jobs = [_job(name, kernel="walk") for name in ("gzip", "mcf", "mst")]
+        with metrics.scope() as scoped:
+            run_jobs(jobs, backend="pool:2", use_cache=False, report=report)
+        assert report.workers_used == 2
         assert report.stage_seconds  # relayed from pool workers
         assert report.latency_quantiles["p50"] > 0
+        assert scoped.snapshot()["counters"]["sim.kernel_walk"] == 3
 
     def test_warm_batch_has_no_latency(self, fresh_cache):
         run_jobs([_job()], backend="serial")

@@ -15,11 +15,13 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.cpu import _kernel_build, _trace_build
 from repro.cpu import kernel as kernel_mod
 from repro.cpu.kernel import (
     batch_kernel_available,
@@ -125,3 +127,49 @@ class TestLazySelection:
             "trace": False,
         }
         assert "[repro] kernel:" not in warm.stderr
+
+
+class TestFirstLoad:
+    """The first load of each C library happens once per process, however
+    many threads reach it at once (a threaded batch's groups all do)."""
+
+    @pytest.mark.parametrize(
+        "module, loader",
+        [(_kernel_build, "kernel_library"), (_trace_build, "trace_library")],
+        ids=["kernel", "trace"],
+    )
+    def test_threads_compile_and_load_once(self, module, loader, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "kernel-cache"))
+        monkeypatch.setattr(module, "_lib", None)
+        monkeypatch.setattr(module, "_load_attempted", False)
+        monkeypatch.setattr(module, "_load_error", None)
+        compiles = []
+        compile_once = _kernel_build._compile
+
+        def counted(source, output):
+            compiles.append(source.name)
+            compile_once(source, output)
+
+        monkeypatch.setattr(_kernel_build, "_compile", counted)
+        start = threading.Barrier(8, timeout=60)
+        outcomes = [None] * 8
+
+        def load(slot):
+            start.wait()
+            try:
+                outcomes[slot] = getattr(module, loader)()
+            except RuntimeError as error:  # no compiler: one cached failure
+                outcomes[slot] = str(error)
+
+        threads = [threading.Thread(target=load, args=(slot,)) for slot in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert compiles == [module._SOURCE.name]
+        assert all(outcome is outcomes[0] or outcome == outcomes[0] for outcome in outcomes)
+        if isinstance(outcomes[0], str):
+            assert module._lib is None
+        else:
+            assert all(outcome is module._lib for outcome in outcomes)

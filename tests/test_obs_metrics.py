@@ -1,6 +1,7 @@
 """The metrics registry: instruments, quantiles, scopes, and merges."""
 
 import asyncio
+import sys
 import threading
 
 import pytest
@@ -189,6 +190,39 @@ class TestSnapshotAbsorb:
         assert merged.min == 0.05
         assert merged.max == 7.0
         assert merged.count == 3
+
+    def test_concurrent_absorbs_lose_nothing(self):
+        """Scopes closing on many threads at once (a threaded batch's
+        groups) fold into one parent: every merge must land. More
+        threads than cores and a short switch interval make a lost
+        read-modify-write likely if the merge were not locked."""
+        source = MetricsRegistry()
+        source.counter("sim.kernel_batch").inc()
+        source.histogram(JOB_SECONDS).observe(0.01)
+        snapshot = source.snapshot()
+        target = MetricsRegistry()
+        threads, rounds = 8, 5_000
+        start = threading.Barrier(threads, timeout=60)
+
+        def absorb():
+            start.wait()
+            for _ in range(rounds):
+                target.absorb(snapshot)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=absorb) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert target.counter("sim.kernel_batch").value == threads * rounds
+        merged = target.histogram(JOB_SECONDS)
+        assert merged.count == sum(merged.counts) == threads * rounds
 
 
 class TestScope:

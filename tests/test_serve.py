@@ -20,6 +20,7 @@ import pytest
 
 from repro import cli
 from repro.exec import cache, worker
+from repro.exec.backends import set_default_backend
 from repro.exec.engine import clear_memo
 from repro.serve import client as serve_client
 from repro.serve import service as service_mod
@@ -82,8 +83,14 @@ class _Gate:
 
 
 @pytest.fixture
-def gate(monkeypatch):
-    """Hold the first fold mid-run; released at teardown in any case."""
+def gate(monkeypatch, restore_backend_default):
+    """Hold the first fold mid-run; released at teardown in any case.
+
+    The gate replaces a function of this process, so folds run on the
+    serial backend: the pool would send a batch that runs the walk (no
+    C compiler) to worker processes, out of the gate's reach.
+    """
+    set_default_backend("serial")
     held = _Gate(worker.run_job_observed)
     monkeypatch.setattr(worker, "run_job_observed", held)
     yield held
