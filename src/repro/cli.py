@@ -98,7 +98,7 @@ from repro.experiments.common import DEFAULT_SCALE, QUICK_SCALE
 from repro.obs import tracer
 from repro.scenarios import family_names, write_catalog
 from repro.scenarios.space import PHASED_FAMILY
-from repro.serve import service as serve_defaults
+from repro.serve.schema import DEFAULT_HOST, DEFAULT_PORT
 
 #: Subcommands the ``--server URL`` thin-client mode can run remotely.
 SERVABLE = ("sweep", "perf", "robustness")
@@ -106,6 +106,24 @@ SERVABLE = ("sweep", "perf", "robustness")
 
 def _experiment_names() -> List[str]:
     return sorted(name for name, _, _ in runner.EXPERIMENTS)
+
+
+class _VersionAction(argparse.Action):
+    """``--version``, with the version looked up only when asked: the
+    package-metadata lookup scans ``sys.path``, which no other run needs."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(
+            option_strings,
+            dest=argparse.SUPPRESS,
+            default=argparse.SUPPRESS,
+            nargs=0,
+            help="show program's version number and exit",
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"{parser.prog} {package_version()}")
+        parser.exit()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,11 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Functional Units' (MICRO 2002)."
         ),
     )
-    parser.add_argument(
-        "--version",
-        action="version",
-        version=f"%(prog)s {package_version()}",
-    )
+    parser.add_argument("--version", action=_VersionAction)
     parser.add_argument(
         "experiment",
         choices=_experiment_names()
@@ -247,14 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve_group = parser.add_argument_group("serving options")
     serve_group.add_argument(
         "--serve-host",
-        default=serve_defaults.DEFAULT_HOST,
+        default=DEFAULT_HOST,
         metavar="HOST",
         help="'repro serve': interface to bind (default: %(default)s)",
     )
     serve_group.add_argument(
         "--port",
         type=int,
-        default=serve_defaults.DEFAULT_PORT,
+        default=DEFAULT_PORT,
         metavar="PORT",
         help="'repro serve': TCP port to listen on; 0 picks a free port "
         "(default: %(default)s)",

@@ -16,8 +16,9 @@ Layout:
 * :mod:`repro.core.sleep_control` — online sleep controllers, runtime
   energy-state tallies, and the policy registry behind the closed-loop
   (``repro perf``) simulations,
-* :mod:`repro.core.vectorized` — the array-backed (NumPy) histogram
-  engine behind sweep grids, float-for-float equal to the scalar path,
+* :mod:`repro.core.vectorized` — the batched histogram engine behind
+  sweep grids: per-policy closed forms over float lists, float-for-float
+  equal to the scalar path,
 * :mod:`repro.core.activity` — activity factors estimated from operand
   values (the Brooks & Martonosi link in Section 4),
 * :mod:`repro.core.datapath` — the byte-sliced GradualSleep extension the

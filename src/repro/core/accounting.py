@@ -6,10 +6,10 @@ of its idle intervals. For the stateless policies this is lossless: the
 outcome of an interval depends only on its length, so energy can be
 accumulated per (length, count) pair — far cheaper than replaying millions
 of cycles. The ``vectorized`` switch routes that accumulation through the
-array-backed engine in :mod:`repro.core.vectorized`, which is
-float-for-float identical to the scalar loop while amortizing sweep-grid
-evaluations. Stateful policies (the predictive extensions) are evaluated
-on ordered interval sequences via
+batched engine in :mod:`repro.core.vectorized` (per-policy closed forms,
+memoized totals), which is float-for-float identical to the scalar loop
+while amortizing sweep-grid evaluations. Stateful policies (the
+predictive extensions) are evaluated on ordered interval sequences via
 :func:`repro.core.policies.run_policy_on_intervals`.
 """
 
@@ -77,7 +77,7 @@ class EnergyAccountant:
 
         With ``vectorized=True`` (implied when ``histogram`` is already a
         :class:`HistogramBatch`) the per-(length, count) accumulation runs
-        through the array-backed engine — exactly equal, float for float,
+        through the batched engine — exactly equal, float for float,
         to the scalar loop, with per-policy totals memoized on the batch.
         """
         if not policy.stateless:

@@ -23,9 +23,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.breakeven import breakeven_interval
 from repro.core.energy_model import CycleCounts, EnergyBreakdown, relative_energy
@@ -106,16 +104,16 @@ class SleepPolicy(ABC):
         return None
 
     def outcomes_for_lengths(
-        self, lengths: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self, lengths: Sequence[float]
+    ) -> Tuple[List[float], List[float], List[float]]:
         """Batched :meth:`on_interval`: per-length outcome components.
 
-        ``lengths`` is a float64 array of idle-interval lengths (each
+        ``lengths`` is a sequence of float idle-interval lengths (each
         >= 1); returns aligned ``(uncontrolled_idle, sleep, transitions)``
-        arrays. Every stateless policy overrides this with a closed form
-        whose per-element arithmetic is float-for-float identical to the
-        scalar path; this default walks :meth:`on_interval` so any new
-        stateless policy is batch-evaluable out of the box. Stateful
+        float lists. Every stateless policy overrides this with a closed
+        form whose per-element arithmetic is float-for-float identical
+        to the scalar path; this default walks :meth:`on_interval` so any
+        new stateless policy is batch-evaluable out of the box. Stateful
         policies have no per-length closed form and are rejected.
         """
         if not self.stateless:
@@ -123,15 +121,12 @@ class SleepPolicy(ABC):
                 f"policy {self.name!r} is stateful; batched outcomes are "
                 "undefined (use run_policy_on_intervals)"
             )
-        uncontrolled = np.empty(len(lengths))
-        sleep = np.empty(len(lengths))
-        transitions = np.empty(len(lengths))
-        for i, length in enumerate(lengths):
-            outcome = self.on_interval(int(length))
-            uncontrolled[i] = outcome.uncontrolled_idle
-            sleep[i] = outcome.sleep
-            transitions[i] = outcome.transitions
-        return uncontrolled, sleep, transitions
+        outcomes = [self.on_interval(int(length)) for length in lengths]
+        return (
+            [float(outcome.uncontrolled_idle) for outcome in outcomes],
+            [float(outcome.sleep) for outcome in outcomes],
+            [float(outcome.transitions) for outcome in outcomes],
+        )
 
     def outcome_key(self) -> Optional[Tuple]:
         """Canonical signature of the interval -> outcome map, or ``None``.
@@ -160,8 +155,7 @@ class AlwaysActivePolicy(SleepPolicy):
         )
 
     def outcomes_for_lengths(self, lengths):
-        zero = np.zeros(len(lengths))
-        return lengths.astype(float), zero, zero.copy()
+        return list(lengths), [0.0] * len(lengths), [0.0] * len(lengths)
 
     def outcome_key(self):
         return ("AlwaysActive",)
@@ -185,7 +179,7 @@ class MaxSleepPolicy(SleepPolicy):
         )
 
     def outcomes_for_lengths(self, lengths):
-        return np.zeros(len(lengths)), lengths.astype(float), np.ones(len(lengths))
+        return [0.0] * len(lengths), list(lengths), [1.0] * len(lengths)
 
     def outcome_key(self):
         return ("MaxSleep",)
@@ -214,8 +208,7 @@ class NoOverheadPolicy(SleepPolicy):
         )
 
     def outcomes_for_lengths(self, lengths):
-        zero = np.zeros(len(lengths))
-        return zero, lengths.astype(float), zero.copy()
+        return [0.0] * len(lengths), list(lengths), [0.0] * len(lengths)
 
     def outcome_key(self):
         return ("NoOverhead",)
@@ -257,10 +250,14 @@ class GradualSleepPolicy(SleepPolicy):
         # ``n * (L - m)`` term is exactly 0.0, so the per-element floats
         # are identical to the scalar branch.
         n = float(self.design.num_slices)
-        length = lengths.astype(float)
-        ramp = np.minimum(length, n)
-        asleep = (ramp * (ramp + 1.0) / 2.0 + n * (length - ramp)) / n
-        return length - asleep, asleep, ramp / n
+        uncontrolled, sleep, transitions = [], [], []
+        for length in lengths:
+            ramp = min(length, n)
+            asleep = (ramp * (ramp + 1.0) / 2.0 + n * (length - ramp)) / n
+            uncontrolled.append(length - asleep)
+            sleep.append(asleep)
+            transitions.append(ramp / n)
+        return uncontrolled, sleep, transitions
 
     def outcome_key(self):
         return ("GradualSleep", self.design.num_slices)
@@ -305,12 +302,11 @@ class BreakevenOraclePolicy(SleepPolicy):
         )
 
     def outcomes_for_lengths(self, lengths):
-        length = lengths.astype(float)
-        sleeps = length > self.threshold
+        threshold = self.threshold
         return (
-            np.where(sleeps, 0.0, length),
-            np.where(sleeps, length, 0.0),
-            sleeps.astype(float),
+            [0.0 if length > threshold else length for length in lengths],
+            [length if length > threshold else 0.0 for length in lengths],
+            [1.0 if length > threshold else 0.0 for length in lengths],
         )
 
     def outcome_key(self):
@@ -416,12 +412,11 @@ class TimeoutSleepPolicy(SleepPolicy):
         )
 
     def outcomes_for_lengths(self, lengths):
-        length = lengths.astype(float)
-        sleeps = length > self.timeout
+        timeout = float(self.timeout)
         return (
-            np.where(sleeps, float(self.timeout), length),
-            np.where(sleeps, length - float(self.timeout), 0.0),
-            sleeps.astype(float),
+            [timeout if length > timeout else length for length in lengths],
+            [length - timeout if length > timeout else 0.0 for length in lengths],
+            [1.0 if length > timeout else 0.0 for length in lengths],
         )
 
     def outcome_key(self):

@@ -1,12 +1,16 @@
-"""Array-backed (NumPy) policy evaluation over idle-interval histograms.
+"""Batched policy evaluation over idle-interval histograms, in plain Python.
 
 The scalar accounting path in :mod:`repro.core.accounting` walks every
 (length, count) pair of a histogram through ``policy.on_interval`` — fine
 for one evaluation, but the post-simulation hot path once a sweep grid
 multiplies it by (technology x alpha x policy x benchmark x FU). This
-module evaluates a whole histogram in a handful of NumPy operations and
+module evaluates a whole histogram through each policy's closed form
+(:meth:`~repro.core.policies.SleepPolicy.outcomes_for_lengths`) and
 memoizes per-policy outcome *totals*, so re-pricing a grid cell is O(1)
-in the histogram size.
+in the histogram size. Histograms are small — the quick suite's units
+have 57 distinct interval lengths at the median and about a hundred at
+most — so float lists beat array libraries here: there is no per-call
+overhead to amortize, and nothing to import.
 
 Exactness contract
 ------------------
@@ -14,46 +18,43 @@ For every stateless policy, evaluating a histogram through
 :class:`HistogramBatch` is **float-for-float identical** to the scalar
 per-(length, count) loop:
 
-* the per-element arithmetic of each policy's
-  :meth:`~repro.core.policies.SleepPolicy.outcomes_for_lengths` closed
-  form reproduces the scalar ``on_interval`` operations exactly (same
-  operations, same order, on the same float64 values);
+* the per-element arithmetic of each policy's closed form reproduces
+  the scalar ``on_interval`` operations exactly (same operations, same
+  order, on the same float values);
 * the reduction multiplies each outcome by its count (one multiply, as
-  in the scalar loop) and then sums in ascending-length order via
-  ``np.cumsum``, whose sequential accumulation is bit-identical to the
-  scalar left-to-right ``+=`` starting from ``0.0``.
+  in the scalar loop) and then adds the products in ascending-length
+  order with an explicit left-to-right ``+=`` starting from ``0.0``.
+  Not builtin ``sum``, which compensates float sums on CPython >= 3.12,
+  and not :func:`math.fsum`: both round differently from the loop.
 
 ``tests/test_core_vectorized.py`` enforces the contract with ``==`` (no
-tolerance) across the full nine-benchmark suite, so a NumPy reduction
-strategy change would be caught, not silently absorbed.
+tolerance) across the full nine-benchmark suite.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.parameters import TechnologyParameters, check_alpha
 from repro.util.intervals import IntervalHistogram
 
 
-def exact_weighted_sum(values: np.ndarray, counts: np.ndarray) -> float:
+def exact_weighted_sum(values: Sequence[float], counts: Sequence[float]) -> float:
     """``sum(values[i] * counts[i])`` in ascending index order.
 
-    Bit-identical to a Python left-to-right accumulation starting at
-    ``0.0``: the element-wise product performs the scalar loop's single
-    multiply per pair, and ``np.cumsum`` adds sequentially.
+    Bit-identical to the scalar accounting loop: one multiply per pair,
+    accumulated left to right from ``0.0``.
     """
-    if len(values) == 0:
-        return 0.0
-    return float(np.cumsum(values * counts)[-1])
+    total = 0.0
+    for value, count in zip(values, counts):
+        total += value * count
+    return total
 
 
 class HistogramBatch:
-    """An :class:`IntervalHistogram` as aligned arrays, plus a totals memo.
+    """An :class:`IntervalHistogram` as aligned float lists, plus a totals memo.
 
-    ``lengths``/``counts`` are float64 arrays sorted by ascending length —
+    ``lengths``/``counts`` are float lists sorted by ascending length —
     the same order the scalar path iterates. ``outcome_totals`` memoizes
     per-policy ``(uncontrolled, sleep, transitions)`` totals keyed by
     :meth:`~repro.core.policies.SleepPolicy.outcome_key`, which is what
@@ -66,8 +67,8 @@ class HistogramBatch:
 
     def __init__(self, histogram: IntervalHistogram):
         items = sorted(histogram.counts.items())
-        self.lengths = np.array([length for length, _ in items], dtype=np.float64)
-        self.counts = np.array([count for _, count in items], dtype=np.float64)
+        self.lengths: List[float] = [float(length) for length, _ in items]
+        self.counts: List[float] = [float(count) for _, count in items]
         self.total_idle_cycles = histogram.total_idle_cycles
         self._totals: Dict[Tuple, Tuple[float, float, float]] = {}
 

@@ -55,9 +55,8 @@ from __future__ import annotations
 
 import ctypes
 from array import array
+from collections import Counter
 from typing import Iterable, List, Optional
-
-import numpy as np
 
 from repro.core.sleep_control import PolicyController, RuntimeTally, build_controllers
 from repro.cpu._kernel_build import (
@@ -370,12 +369,12 @@ class BatchPipeline:
 
     # -- statistics assembly -------------------------------------------------
 
-    def _unit_intervals(self, lib, sim, unit: int) -> np.ndarray:
+    def _unit_intervals(self, lib, sim, unit: int) -> array:
         n = lib.repro_intervals_len(sim, unit)
-        buffer = (ctypes.c_int64 * n)()
+        intervals = array("q", bytes(8 * n))
         if n:
-            lib.repro_intervals_copy(sim, unit, buffer)
-        return np.frombuffer(buffer, dtype=np.int64)
+            lib.repro_intervals_copy(sim, unit, _i64_ptr(intervals))
+        return intervals
 
     def _build_stats(self, lib, sim) -> SimulationStats:
         out = (ctypes.c_int64 * EXPORT_LEN)()
@@ -383,9 +382,8 @@ class BatchPipeline:
         usage = []
         for unit in range(self.config.num_int_fus):
             intervals = self._unit_intervals(lib, sim, unit)
-            lengths, counts = np.unique(intervals, return_counts=True)
             histogram = IntervalHistogram(
-                counts=dict(zip(lengths.tolist(), counts.tolist()))
+                counts=dict(sorted(Counter(intervals).items()))
             )
             busy = lib.repro_unit_stat(sim, unit, 0)
             tally = None

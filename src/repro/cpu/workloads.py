@@ -710,6 +710,7 @@ def _drain_walk_c(
     num_instructions: int,
     seed: int,
     chunk_size: int,
+    pc_offset: int = 0,
 ) -> Iterator[TraceChunk]:
     """Drain the dynamic walk through the compiled trace walker.
 
@@ -718,9 +719,18 @@ def _drain_walk_c(
     side has no seeding logic to diverge), and pulls column-backed
     chunks straight out of C buffers sized to the rows still to come.
     Emits the stream of :func:`_walk_trace`, cut every ``chunk_size``
-    rows.
+    rows. The walker reads every PC and branch target from the blocks'
+    ``start_pc``/``term_pc``, so ``pc_offset`` relocates the stream by
+    relocating those two tables once.
     """
     tables = _program_tables(profile, seed)
+    if pc_offset:
+        # A relocated copy: the cached tables serve every trace of
+        # (profile, seed).
+        tables = tables._replace(
+            start_pc=array("q", [pc + pc_offset for pc in tables.start_pc]),
+            term_pc=array("q", [pc + pc_offset for pc in tables.term_pc]),
+        )
     walk_rng = DeterministicRng(seed).child(profile.name, "walk")
     data_rng = DeterministicRng(seed).child(profile.name, "data")
     lib = _trace_build.trace_library()
@@ -805,6 +815,7 @@ def _walk_chunks(
     num_instructions: int,
     seed: int,
     chunk_size: int,
+    pc_offset: int = 0,
 ) -> Iterator[TraceChunk]:
     """A plain profile's walk as contiguous ``chunk_size`` chunks.
 
@@ -817,11 +828,25 @@ def _walk_chunks(
     ``generate`` stage.
     """
     if _trace_kernel_usable(profile):
-        yield from _drain_walk_c(profile, num_instructions, seed, chunk_size)
-    else:
-        yield from chunk_instructions(
-            _walk_trace(profile, num_instructions, seed), chunk_size
+        yield from _drain_walk_c(
+            profile, num_instructions, seed, chunk_size, pc_offset
         )
+    else:
+        walk = _walk_trace(profile, num_instructions, seed)
+        if pc_offset:
+            walk = _relocated(walk, pc_offset)
+        yield from chunk_instructions(walk, chunk_size)
+
+
+def _relocated(
+    walk: Iterator[TraceInstruction], pc_offset: int
+) -> Iterator[TraceInstruction]:
+    """The reference walk's fresh instructions, moved by ``pc_offset``."""
+    for instr in walk:
+        instr.pc += pc_offset
+        if instr.target:
+            instr.target += pc_offset
+        yield instr
 
 
 def iter_trace(
@@ -858,6 +883,31 @@ def iter_trace(
         return chunked(num_instructions, seed, chunk_size=chunk_size)
     return _walk_chunks(
         profile, num_instructions, seed, check_chunk_size(chunk_size)
+    )
+
+
+def iter_relocated_trace(
+    profile: WorkloadProfile,
+    num_instructions: int,
+    seed: int,
+    chunk_size: int,
+    pc_offset: int,
+) -> Iterator[TraceChunk]:
+    """:func:`iter_trace` of a plain profile whose code sits ``pc_offset``
+    bytes higher.
+
+    Every PC and every branch target moves; a target of 0 means "no
+    target" and stays 0, and a real target is never 0. Phased
+    composites give each member its own code region this way. The
+    compiled walker runs on a relocated copy of the packed static
+    program, one pass over its blocks rather than its instructions.
+    """
+    if num_instructions < 1:
+        raise ValueError(
+            f"num_instructions must be >= 1, got {num_instructions}"
+        )
+    return _walk_chunks(
+        profile, num_instructions, seed, check_chunk_size(chunk_size), pc_offset
     )
 
 

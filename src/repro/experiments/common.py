@@ -103,7 +103,7 @@ class BenchmarkEnergyData:
         return [usage.idle_histogram for usage in self.result.stats.fu_usage]
 
     def per_fu_batches(self) -> List[HistogramBatch]:
-        """Array-backed histogram views, built once per benchmark."""
+        """Batched histogram views, built once per benchmark."""
         if self._batches is None:
             self._batches = [
                 HistogramBatch(usage.idle_histogram)
@@ -145,7 +145,7 @@ class BenchmarkEnergyData:
 
         Used by Figure 9b (which needs the leakage/total split) and the
         sweep engine. ``vectorized`` switches stateless policies to the
-        array-backed histogram path, which is float-for-float identical
+        batched histogram path, which is float-for-float identical
         to the scalar loop; stateful policies always replay the ordered
         interval sequence.
         """

@@ -7,10 +7,10 @@ leakage trade-off literature). :class:`SweepGrid` generalizes our
 empirical experiments the same way: it evaluates the full cross-product
 of (technology parameters x alpha grid x policies x benchmarks x per-FU
 histograms) in one batched pass over the already-simulated benchmark
-data, using the array-backed accounting engine of
-:mod:`repro.core.vectorized`. A 10x10 alpha x technology grid over all
-nine benchmarks is a seconds-scale operation; the scalar per-(length,
-count) loop it replaces took minutes.
+data, using the batched accounting engine of
+:mod:`repro.core.vectorized`. It prices a 10x10 alpha x technology
+grid over all nine benchmarks more than 50 times faster than the scalar
+per-(length, count) loop it replaces.
 
 Exposed as the ``repro sweep`` CLI subcommand; Figures 8 and 9 are thin
 views over the same engine (their grids are 2x3 and 20x1 slices of it).

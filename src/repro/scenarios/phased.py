@@ -27,8 +27,6 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.cpu.stream import (
     COLUMN_TYPECODES,
     DEFAULT_CHUNK_SIZE,
@@ -37,7 +35,7 @@ from repro.cpu.stream import (
     check_chunk_size,
 )
 from repro.cpu.trace import TraceInstruction
-from repro.cpu.workloads import WorkloadProfile, iter_trace
+from repro.cpu.workloads import WorkloadProfile, iter_relocated_trace, iter_trace
 
 #: Per-member PC offset: members keep disjoint code regions so the
 #: I-cache and branch predictor see each phase's own footprint rather
@@ -128,28 +126,22 @@ class PhasedProfile:
     ) -> Iterator[Columns]:
         """Member ``index``'s continuous columnar stream, relocated.
 
-        Generated lazily through :func:`~repro.cpu.workloads.iter_trace`
-        (column-backed chunks from the compiled walker; object-backed
-        ones project their columns) so at most one chunk of each
-        member's source exists at a time. The per-member PC offset
-        is applied as a vectorized shift over the ``pc`` and ``target``
-        columns — ``target`` keeps 0 as its "no target" sentinel, so
-        only non-zero entries move.
+        Generated lazily through
+        :func:`~repro.cpu.workloads.iter_relocated_trace` (column-backed
+        chunks from the compiled walker; object-backed ones project
+        their columns) so at most one chunk of each member's source
+        exists at a time. The per-member PC offset moves every ``pc``
+        and every non-zero ``target``; the compiled walker applies it
+        to its program tables, not to each instruction.
         """
-        offset = index * MEMBER_PC_STRIDE
-        for chunk in iter_trace(
-            self.members[index], contribution, seed=seed, chunk_size=chunk_size
+        for chunk in iter_relocated_trace(
+            self.members[index],
+            contribution,
+            seed,
+            chunk_size,
+            index * MEMBER_PC_STRIDE,
         ):
-            op, pc, dep1, dep2, address, taken, target = chunk.columns
-            if offset:
-                pc_np = np.frombuffer(pc, dtype=np.int64) + offset
-                tg_np = np.frombuffer(target, dtype=np.int64)
-                tg_np = np.where(tg_np != 0, tg_np + offset, 0)
-                pc = array("q")
-                pc.frombytes(pc_np.tobytes())
-                target = array("q")
-                target.frombytes(np.ascontiguousarray(tg_np).tobytes())
-            yield (op, pc, dep1, dep2, address, taken, target)
+            yield chunk.columns
 
     def _interleave_columns(
         self, num_instructions: int, seed: int, chunk_size: int

@@ -55,6 +55,12 @@ from repro.experiments.common import (
 #: Schema tag stamped into every canonical request key and health reply.
 SERVE_SCHEMA = "repro.serve/1"
 
+#: Where ``repro serve`` listens by default. Kept here, not in the
+#: service module, so the CLI's parser reads them without loading the
+#: service and asyncio.
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8765
+
 KINDS = ("sweep", "perf", "robustness", "simulate")
 
 

@@ -54,14 +54,13 @@ from repro.exec.hashing import CACHE_SCHEMA_VERSION, model_fingerprint
 from repro.exec.jobs import SimulationJob
 from repro.obs import metrics as obs_metrics
 from repro.serve.schema import (
+    DEFAULT_HOST,
+    DEFAULT_PORT,
     SERVE_SCHEMA,
     RequestError,
     ServeRequest,
     build_request,
 )
-
-DEFAULT_HOST = "127.0.0.1"
-DEFAULT_PORT = 8765
 
 #: Batch-occupancy buckets: how many jobs each folded submission carried.
 BATCH_JOBS_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)

@@ -2,9 +2,10 @@
 
 All stochastic behavior in the synthetic workloads flows through
 :class:`DeterministicRng` so that every experiment is exactly reproducible
-from a seed. The class wraps :class:`random.Random` rather than numpy's
-generator because the trace generators draw one value at a time inside
-tight Python loops, where ``random.Random`` is faster than per-call numpy.
+from a seed. The class wraps :class:`random.Random`, the standard
+library's Mersenne Twister: the trace generators draw one value at a
+time inside tight Python loops, and the compiled trace walker replays
+its exact state words.
 """
 
 from __future__ import annotations

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy
-
 
 def arithmetic_mean(values: Sequence[float]) -> float:
     """Plain average; raises on an empty sequence."""
@@ -43,18 +41,31 @@ def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
 
 
 def quantile(values: Sequence[float], q: float) -> float:
-    """The ``q``-quantile of ``values`` (numpy's default linear
-    interpolation, with the endpoints at the sample extremes).
+    """The ``q``-quantile of ``values``, with the endpoints at the sample
+    extremes.
 
-    A thin validating wrapper so callers get the same empty/range error
-    style as the other summaries. Used for the robustness experiment's
-    per-policy savings distributions.
+    numpy's default ``linear`` method, float for float: the virtual
+    index is ``(n - 1) * q``; at or past the last index the answer is
+    the largest value; otherwise it interpolates between the two
+    neighbours the way ``numpy.quantile``'s ``_lerp`` does, from the
+    upper neighbour when the fraction is at least one half. Used for
+    the robustness experiment's per-policy savings distributions.
     """
     if len(values) == 0:  # not `not values`: arrays are ambiguous there
         raise ValueError("cannot take a quantile of an empty sequence")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q}")
-    return float(numpy.quantile(numpy.asarray(values, dtype=float), q))
+    ordered = sorted(float(value) for value in values)
+    position = (len(ordered) - 1) * q
+    if position >= len(ordered) - 1:
+        return ordered[-1]
+    below = math.floor(position)
+    low, high = ordered[below], ordered[below + 1]
+    fraction = position - below
+    step = high - low
+    if fraction >= 0.5:
+        return high - step * (1 - fraction)
+    return low + step * fraction
 
 
 def relative_difference(value: float, reference: float) -> float:

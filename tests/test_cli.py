@@ -1,6 +1,9 @@
 """Unit tests for the command-line interface."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -247,15 +250,67 @@ class TestVersionFlag:
         with pytest.raises(SystemExit) as excinfo:
             cli.build_parser().parse_args(["--version"])
         assert excinfo.value.code == 0
-        out = capsys.readouterr().out
-        assert "repro" in out
-        assert repro.package_version() in out
+        assert capsys.readouterr().out == f"repro {repro.package_version()}\n"
+
+    def test_parser_looks_up_no_version(self, monkeypatch):
+        """The metadata lookup scans sys.path; only --version pays it."""
+
+        def refuse():
+            raise AssertionError("package_version() called while building the parser")
+
+        monkeypatch.setattr(cli, "package_version", refuse)
+        parser = cli.build_parser()
+        assert parser.parse_args(["table1"]).experiment == "table1"
+        assert "show program's version number and exit" in parser.format_help()
 
     def test_package_version_is_a_version_string(self):
         version = repro.package_version()
         assert version
         major = version.split(".")[0]
         assert major.isdigit()
+
+
+#: Prints the loaded modules a run must not need: numpy (no runtime
+#: dependency), asyncio and the service (only ``repro serve`` uses them).
+_PRINT_UNNEEDED_MODULES = (
+    "import sys; print(sorted(m for m in sys.modules "
+    "if m.partition('.')[0] in ('numpy', 'asyncio') or m == 'repro.serve.service'))"
+)
+
+
+class TestStartupImports:
+    """Structural start-up checks: they hold on any machine."""
+
+    @staticmethod
+    def _run(code: str) -> str:
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+            timeout=300,
+        ).stdout
+
+    def test_importing_the_cli_loads_no_numpy_asyncio_or_service(self):
+        loaded = self._run("import repro.cli; " + _PRINT_UNNEEDED_MODULES)
+        assert loaded.strip() == "[]"
+
+    def test_cold_and_warm_quick_runs_load_none_of_them(self, tmp_path):
+        argv = ["all", "--quick", "--cache-dir", str(tmp_path)]
+        run_all = "\n".join(
+            [
+                "import contextlib, io, repro.cli",
+                "with contextlib.redirect_stdout(io.StringIO()):",
+                f"    assert repro.cli.main({argv!r}) == 0",
+                _PRINT_UNNEEDED_MODULES,
+            ]
+        )
+        assert self._run(run_all).strip() == "[]"  # cold: fills the store
+        assert self._run(run_all).strip() == "[]"  # warm: reads it
 
 
 class TestStreamingFlags:

@@ -7,7 +7,8 @@ policies, the base-class fallback, the memoization layer, and (the
 acceptance bar) every policy on the full nine-benchmark Figure 8/9 suite.
 """
 
-import numpy as np
+import random
+
 import pytest
 
 from repro.core.accounting import EnergyAccountant
@@ -68,26 +69,32 @@ def assert_results_identical(scalar, vector):
 
 @pytest.fixture
 def histogram():
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     hist = IntervalHistogram()
-    for length in rng.integers(1, 2_000, size=400):
-        hist.add(int(length), count=int(rng.integers(1, 60)))
+    for _ in range(400):
+        hist.add(rng.randint(1, 1_999), count=rng.randint(1, 59))
     return hist
 
 
 class TestExactWeightedSum:
     def test_matches_left_to_right_accumulation(self):
-        rng = np.random.default_rng(5)
-        values = rng.random(997) * rng.choice([1e-6, 1.0, 1e6], size=997)
-        counts = rng.integers(1, 100, size=997).astype(float)
+        rng = random.Random(5)
+        values = [rng.random() * rng.choice([1e-6, 1.0, 1e6]) for _ in range(997)]
+        counts = [float(rng.randint(1, 99)) for _ in range(997)]
         accumulator = 0.0
         for value, count in zip(values, counts):
             accumulator += value * count
         assert exact_weighted_sum(values, counts) == accumulator
 
+    def test_is_not_a_compensated_sum(self):
+        """Builtin ``sum`` compensates float sums on CPython >= 3.12 and
+        ``math.fsum`` rounds exactly; the scalar loop does neither."""
+        values = [1.0, 1e100, 1.0, -1e100]
+        counts = [1.0] * 4
+        assert exact_weighted_sum(values, counts) == 0.0
+
     def test_empty_is_zero(self):
-        empty = np.array([])
-        assert exact_weighted_sum(empty, empty) == 0.0
+        assert exact_weighted_sum([], []) == 0.0
 
 
 class TestOutcomesForLengths:
@@ -108,8 +115,9 @@ class TestOutcomesForLengths:
     ])
     def test_closed_form_matches_scalar(self, make_policy):
         policy = make_policy()
-        lengths = np.arange(1, 300, dtype=np.float64)
+        lengths = [float(length) for length in range(1, 300)]
         uncontrolled, sleep, transitions = policy.outcomes_for_lengths(lengths)
+        assert len(uncontrolled) == len(sleep) == len(transitions) == len(lengths)
         for i, length in enumerate(lengths):
             outcome = policy.on_interval(int(length))
             assert uncontrolled[i] == outcome.uncontrolled_idle
@@ -129,7 +137,7 @@ class TestOutcomesForLengths:
                 return IntervalOutcome(0.0, float(interval), 1.0)
 
         policy = EveryOther()
-        lengths = np.arange(1, 50, dtype=np.float64)
+        lengths = [float(length) for length in range(1, 50)]
         uncontrolled, sleep, transitions = policy.outcomes_for_lengths(lengths)
         assert uncontrolled[0] == 1.0 and sleep[1] == 2.0 and transitions[1] == 1.0
         assert policy.outcome_key() is None
@@ -137,16 +145,15 @@ class TestOutcomesForLengths:
     def test_stateful_policy_rejected(self):
         params = TechnologyParameters(leakage_factor_p=0.5)
         with pytest.raises(ValueError):
-            PredictiveSleepPolicy(params, 0.5).outcomes_for_lengths(
-                np.array([1.0, 2.0])
-            )
+            PredictiveSleepPolicy(params, 0.5).outcomes_for_lengths([1.0, 2.0])
 
 
 class TestHistogramBatch:
     def test_arrays_sorted_ascending(self, histogram):
         batch = HistogramBatch(histogram)
         assert len(batch) == len(histogram)
-        assert list(batch.lengths) == sorted(batch.lengths)
+        assert batch.lengths == sorted(batch.lengths)
+        assert all(type(value) is float for value in batch.lengths + batch.counts)
         assert batch.total_idle_cycles == histogram.total_idle_cycles
 
     def test_wrap_is_idempotent(self, histogram):

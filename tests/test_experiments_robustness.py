@@ -150,7 +150,7 @@ class TestQuantile:
             quantile([1.0], 1.5)
 
     def test_accepts_numpy_arrays(self):
-        import numpy
+        numpy = pytest.importorskip("numpy")
 
         assert quantile(numpy.asarray([0.1, 0.2, 0.3]), 0.5) == 0.2
         with pytest.raises(ValueError, match="empty"):

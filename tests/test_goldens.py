@@ -8,11 +8,10 @@ and one ``robustness`` report (scenario sampling → engine batch →
 policy ranking). Any unintended change anywhere along those paths shows
 up as a concrete numeric diff against the committed file.
 
-Comparison policy: values our deterministic pure-Python pipeline
-produces (cycle counts, IPCs, selections, IDs) compare **exactly**;
-values that pass through the numpy-vectorized accounting compare at
-``rel=1e-12``, insulating the goldens from BLAS/SIMD-level reassociation
-across numpy builds without admitting real regressions.
+Comparison policy: every value compares **exactly**, floats included.
+The whole pipeline is deterministic pure Python — the batched
+accounting adds in a fixed left-to-right order — and JSON round-trips
+Python floats, so any drift at all is a real change.
 
 Refreshing after an intended model change::
 
@@ -24,8 +23,6 @@ then commit the rewritten files with the change that motivated them.
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.experiments import figure8, robustness, table3
 from repro.experiments.common import QUICK_SCALE
 
@@ -35,9 +32,6 @@ GOLDEN_DIR = Path(__file__).parent / "goldens"
 #: every default family at least once.
 ROBUSTNESS_COUNT = 6
 ROBUSTNESS_SEED = 1
-
-#: Relative tolerance for numpy-accounted floats ("elsewhere" values).
-VECTORIZED_REL = 1e-12
 
 
 # -- payload builders (one per golden) -----------------------------------------
@@ -117,39 +111,30 @@ def build_robustness_payload() -> dict:
 # -- the comparator ------------------------------------------------------------
 
 
-def assert_matches(actual, expected, rel, path):
-    """Recursive structural comparison with per-golden float policy.
-
-    ``rel=None`` demands exact equality everywhere; otherwise floats
-    compare at the given relative tolerance (ints stay exact — counts
-    and selections must never drift at all).
-    """
+def assert_matches(actual, expected, path):
+    """Recursive structural comparison, exact everywhere: same types,
+    same values."""
     if isinstance(expected, dict):
         assert isinstance(actual, dict), f"{path}: expected an object"
         assert sorted(actual) == sorted(expected), (
             f"{path}: keys {sorted(actual)} != {sorted(expected)}"
         )
         for key in expected:
-            assert_matches(actual[key], expected[key], rel, f"{path}.{key}")
+            assert_matches(actual[key], expected[key], f"{path}.{key}")
     elif isinstance(expected, list):
         assert isinstance(actual, list), f"{path}: expected an array"
         assert len(actual) == len(expected), (
             f"{path}: length {len(actual)} != {len(expected)}"
         )
         for index, (mine, theirs) in enumerate(zip(actual, expected)):
-            assert_matches(mine, theirs, rel, f"{path}[{index}]")
-    elif isinstance(expected, float) and rel is not None:
-        assert actual == pytest.approx(expected, rel=rel), (
-            f"{path}: {actual!r} != {expected!r} (rel={rel})"
-        )
+            assert_matches(mine, theirs, f"{path}[{index}]")
     else:
-        # Exact: ints, strings, bools — and floats when rel is None.
         assert type(actual) is type(expected) and actual == expected, (
             f"{path}: {actual!r} != {expected!r} (exact)"
         )
 
 
-def check_golden(name: str, payload: dict, rel, update: bool) -> None:
+def check_golden(name: str, payload: dict, update: bool) -> None:
     golden_path = GOLDEN_DIR / name
     if update:
         GOLDEN_DIR.mkdir(exist_ok=True)
@@ -162,7 +147,7 @@ def check_golden(name: str, payload: dict, rel, update: bool) -> None:
         f"`python -m pytest tests/test_goldens.py --update-goldens`"
     )
     expected = json.loads(golden_path.read_text())
-    assert_matches(payload, expected, rel, path=name)
+    assert_matches(payload, expected, path=name)
 
 
 # -- the suite -----------------------------------------------------------------
@@ -170,27 +155,18 @@ def check_golden(name: str, payload: dict, rel, update: bool) -> None:
 
 class TestGoldens:
     def test_table3(self, update_goldens):
-        """IPC sweep + FU selection: pure-Python floats, exact."""
-        check_golden(
-            "table3_quick.json", build_table3_payload(), None, update_goldens
-        )
+        """IPC sweep + FU selection."""
+        check_golden("table3_quick.json", build_table3_payload(), update_goldens)
 
     def test_figure8(self, update_goldens):
-        """Per-benchmark policy energies: vectorized accounting, 1e-12."""
-        check_golden(
-            "figure8_quick.json",
-            build_figure8_payload(),
-            VECTORIZED_REL,
-            update_goldens,
-        )
+        """Per-benchmark policy energies through the batched accounting."""
+        check_golden("figure8_quick.json", build_figure8_payload(), update_goldens)
 
     def test_robustness(self, update_goldens):
-        """Sampled-scenario robustness report: vectorized, 1e-12."""
+        """Sampled-scenario robustness report: batched accounting and
+        quantiles."""
         check_golden(
-            "robustness_quick.json",
-            build_robustness_payload(),
-            VECTORIZED_REL,
-            update_goldens,
+            "robustness_quick.json", build_robustness_payload(), update_goldens
         )
 
     def test_goldens_round_trip_exactly(self):

@@ -27,7 +27,6 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-import numpy as np
 import pytest
 
 from repro.core.accounting import EnergyAccountant
@@ -330,15 +329,10 @@ class TestExactWeightedSumRandomized:
     def test_matches_scalar_left_fold_bitwise(self, seed):
         rng = random.Random(2_000 + seed)
         size = rng.randint(0, 400)
-        values = np.array(
-            [rng.uniform(0.0, 1e6) for _ in range(size)], dtype=np.float64
-        )
-        counts = np.array(
-            [float(rng.randint(1, 1_000)) for _ in range(size)],
-            dtype=np.float64,
-        )
+        values = [rng.uniform(0.0, 1e6) for _ in range(size)]
+        counts = [float(rng.randint(1, 1_000)) for _ in range(size)]
         scalar = 0.0
-        for value, count in zip(values.tolist(), counts.tolist()):
+        for value, count in zip(values, counts):
             scalar += value * count
         assert exact_weighted_sum(values, counts) == scalar
 
@@ -346,16 +340,9 @@ class TestExactWeightedSumRandomized:
     def test_agrees_with_fsum(self, seed):
         rng = random.Random(3_000 + seed)
         size = rng.randint(1, 400)
-        values = np.array(
-            [rng.uniform(0.0, 1e9) for _ in range(size)], dtype=np.float64
-        )
-        counts = np.array(
-            [float(rng.randint(1, 10_000)) for _ in range(size)],
-            dtype=np.float64,
-        )
-        exact = math.fsum(
-            value * count for value, count in zip(values.tolist(), counts.tolist())
-        )
+        values = [rng.uniform(0.0, 1e9) for _ in range(size)]
+        counts = [float(rng.randint(1, 10_000)) for _ in range(size)]
+        exact = math.fsum(value * count for value, count in zip(values, counts))
         assert exact_weighted_sum(values, counts) == pytest.approx(
             exact, rel=1e-12
         )

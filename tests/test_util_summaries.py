@@ -1,10 +1,13 @@
 """Unit tests for statistical summaries."""
 
+import random
+
 import pytest
 
 from repro.util.summaries import (
     arithmetic_mean,
     geometric_mean,
+    quantile,
     relative_difference,
     weighted_mean,
 )
@@ -69,3 +72,26 @@ class TestRelativeDifference:
     def test_zero_reference_rejected(self):
         with pytest.raises(ValueError):
             relative_difference(1.0, 0.0)
+
+
+class TestQuantileIsNumpyLinear:
+    """``quantile`` is numpy's default ``linear`` method, float for float."""
+
+    def test_upper_half_interpolates_from_the_upper_neighbour(self):
+        # 0.13 + 8.5 * 0.6 rounds to 5.2299999999999995; numpy (and so
+        # this) computes 8.63 - 8.5 * 0.4 once the fraction is >= 0.5.
+        assert quantile([8.63, 0.13], 0.6) == 5.23
+        assert quantile([8.63, 0.13], 0.4) == 0.13 + (8.63 - 0.13) * 0.4
+
+    def test_equals_numpy_quantile(self):
+        numpy = pytest.importorskip("numpy")
+        rng = random.Random(23)
+        for n in range(1, 41):
+            for trial in range(30):
+                if trial % 3 == 0:  # ties
+                    values = [float(rng.randint(-3, 3)) for _ in range(n)]
+                else:
+                    values = [rng.uniform(-1e3, 1e3) for _ in range(n)]
+                for q in (0.0, 0.1, 0.5, 0.9, 1.0, rng.random()):
+                    expected = float(numpy.quantile(numpy.asarray(values), q))
+                    assert quantile(values, q) == expected, (values, q)
