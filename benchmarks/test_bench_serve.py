@@ -6,8 +6,10 @@ measured p50/p99 request latency, throughput, and cache-hit rate into
 the ``$REPRO_BENCH_JSON`` artifact. The functional assertions are
 deliberately loose — latency belongs in the artifact, not in a flaky
 gate — but deduplication is exact: the session's private store starts
-without the unique simulations, and each must execute exactly once no
-matter how many clients ask for them.
+without the unique simulations, each must execute exactly once no
+matter how many clients ask for them, and each distinct request must
+render once (``serve.renders``): every repeat follows its running
+leader or answers from the leader map.
 """
 
 import asyncio
@@ -70,6 +72,11 @@ def _payloads():
     return mix
 
 
+def _renders(url):
+    counters = serve_client.metrics_snapshot(url)["metrics"]["counters"]
+    return counters.get("serve.renders", 0.0)
+
+
 def _quantile(sorted_values, q):
     return sorted_values[int(q * (len(sorted_values) - 1))]
 
@@ -86,6 +93,7 @@ def test_bench_serve_load(serve_url, bench_record):
     assert all(lookup(key) is None for key in keys), "the bench store is not cold"
     latencies = [0.0] * len(payloads)
     results = [None] * len(payloads)
+    renders_before = _renders(serve_url)
 
     def drive(index):
         started = time.perf_counter()
@@ -114,6 +122,10 @@ def test_bench_serve_load(serve_url, bench_record):
     hit_rate = hits / len(results)
     assert hit_rate >= (len(results) - UNIQUE_REQUESTS) / len(results)
 
+    # The process registry spans the session; the service is this module's.
+    renders = int(_renders(serve_url) - renders_before)
+    assert renders == UNIQUE_REQUESTS
+
     metrics = serve_client.metrics_snapshot(serve_url)["metrics"]
     counters = metrics["counters"]
     bench_record(
@@ -126,6 +138,7 @@ def test_bench_serve_load(serve_url, bench_record):
         p99_latency_s=round(_quantile(ordered, 0.99), 6),
         cache_hit_rate=round(hit_rate, 4),
         executed_total=executed_total,
+        renders=renders,
         coalesce_hits=counters.get("serve.coalesce_hits", 0.0),
         warm_hits=counters.get("serve.warm_hits", 0.0),
     )

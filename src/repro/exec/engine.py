@@ -23,7 +23,8 @@ simulation batches through. It
 Both tiers share one key per job, :meth:`SimulationJob.cache_key`. The
 memo is an LRU of :data:`MEMO_ENTRIES` results, so a long-lived
 ``repro serve`` stays bounded; ``cache.memo_evictions`` counts what it
-drops.
+drops, and :func:`pinned` keeps a request's results in it until the
+request has rendered.
 
 The backend decides where and on how many workers a batch runs; the
 engine takes no worker count. ``backend=None`` uses the process-wide
@@ -39,8 +40,9 @@ from __future__ import annotations
 import sys
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.cpu.simulator import SimulationResult
 from repro.exec import cache as result_cache
@@ -56,6 +58,7 @@ __all__ = [
     "backend_tallies",
     "clear_memo",
     "lookup",
+    "pinned",
     "reset_telemetry",
     "run_jobs",
     "telemetry_lines",
@@ -175,17 +178,63 @@ MEMO_ENTRIES = 256
 #: from worker threads while batches run on others.
 _MEMO: "OrderedDict[str, SimulationResult]" = OrderedDict()
 _MEMO_LOCK = threading.Lock()
+#: Cache key -> how many :func:`pinned` blocks hold it; eviction skips these.
+_PINS: Dict[str, int] = {}
+
+
+def _evict_locked() -> int:
+    """Drop least recently used unpinned results past the cap; hold the lock."""
+    excess = len(_MEMO) - MEMO_ENTRIES
+    if excess <= 0:
+        return 0
+    victims: List[str] = []
+    for key in _MEMO:
+        if key not in _PINS:
+            victims.append(key)
+            if len(victims) == excess:
+                break
+    for key in victims:
+        del _MEMO[key]
+    return len(victims)
+
+
+def _count_evictions(evicted: int) -> None:
+    if evicted:
+        obs_metrics.registry().counter("cache.memo_evictions").add(evicted)
 
 
 def _remember(key: str, result: SimulationResult) -> None:
     with _MEMO_LOCK:
         _MEMO[key] = result
         _MEMO.move_to_end(key)
-        evicted = max(0, len(_MEMO) - MEMO_ENTRIES)
-        for _ in range(evicted):
-            _MEMO.popitem(last=False)
-    if evicted:
-        obs_metrics.registry().counter("cache.memo_evictions").add(evicted)
+        evicted = _evict_locked()
+    _count_evictions(evicted)
+
+
+@contextmanager
+def pinned(keys: Iterable[str]) -> Iterator[None]:
+    """Keep ``keys``' memoized results from eviction inside the block.
+
+    ``repro serve`` pins a request's keys from its cache probe until its
+    render returns, so a render never re-runs a simulation that a later
+    publish evicted. The memo exceeds :data:`MEMO_ENTRIES` only by
+    pinned results, and trims back when the block ends.
+    """
+    keys = list(keys)
+    with _MEMO_LOCK:
+        for key in keys:
+            _PINS[key] = _PINS.get(key, 0) + 1
+    try:
+        yield
+    finally:
+        with _MEMO_LOCK:
+            for key in keys:
+                if _PINS[key] == 1:
+                    del _PINS[key]
+                else:
+                    _PINS[key] -= 1
+            evicted = _evict_locked()
+        _count_evictions(evicted)
 
 
 def lookup(key: str) -> Optional[SimulationResult]:

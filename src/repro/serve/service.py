@@ -15,13 +15,19 @@ hand-rolled HTTP/1.1 layer; no web framework). Three routes:
 
 Three layers keep concurrent load cheap:
 
-* **Warm path** — a request whose every simulation is already cached
+* **Leader map** — one LRU map from canonical request key to the task
+  of the request that led it. A later request with the same key that
+  finds the task running follows it: it awaits the leader's outcome
+  and answers with ``coalesced=true, executed=0``, so across N
+  duplicate requests each unique simulation runs exactly once. One
+  that finds it finished answers on the event loop from the kept text
+  (the text is a pure function of the key), with the ``warm`` event
+  and ``executed=0``: no thread, cache probe or render. A task that
+  failed leaves the map, so its key runs again; finished answers past
+  :data:`ANSWER_BUDGET_BYTES` leave least recently used first.
+* **Warm path** — a leader whose every simulation is already cached
   (in-process memo or persistent store) renders immediately with
   ``executed=0``; no backend is touched.
-* **Coalescer** — concurrent requests with the same canonical key share
-  one in-flight execution: the first becomes the leader, the rest await
-  the leader's future and answer with ``coalesced=true, executed=0``.
-  Across N duplicate requests, each unique simulation runs exactly once.
 * **Batcher** — batch while busy: at most one fold (a deduplicated
   :func:`repro.exec.engine.run_jobs` submission) runs at a time. A
   leader with cache misses that finds no fold running starts one at
@@ -36,9 +42,10 @@ Reading a request head and body has one deadline, :data:`READ_TIMEOUT_S`
 body ``413``.
 
 Service metrics (``serve.requests``, ``serve.coalesce_hits``,
-``serve.warm_hits``, ``serve.errors``, ``serve.request_seconds``,
-``serve.batch_jobs``) land in the process metrics registry, so
-``--run-manifest`` artifacts written at shutdown embed them.
+``serve.warm_hits``, ``serve.renders``, ``serve.errors``,
+``serve.request_seconds``, ``serve.batch_jobs``) land in the process
+metrics registry, so ``--run-manifest`` artifacts written at shutdown
+embed them.
 """
 
 from __future__ import annotations
@@ -47,9 +54,10 @@ import asyncio
 import json
 import sys
 import time
+from collections import OrderedDict
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
-from repro.exec.engine import BatchReport, lookup, run_jobs
+from repro.exec.engine import BatchReport, lookup, pinned, run_jobs
 from repro.exec.hashing import CACHE_SCHEMA_VERSION, model_fingerprint
 from repro.exec.jobs import SimulationJob
 from repro.obs import metrics as obs_metrics
@@ -68,6 +76,14 @@ BATCH_JOBS_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 _MAX_BODY_BYTES = 1 << 20  # a request is parameters, never bulk data
 #: Seconds a client has to deliver a whole request head and body.
 READ_TIMEOUT_S = 10.0
+#: Memory the leader map's finished answers may take. Each is charged its
+#: text, as ``len(text)`` (the renderers print ASCII), plus
+#: :data:`_ENTRY_BYTES`: a quick sweep answers about 2.8 KB of text, a
+#: ``simulate`` about 60 B.
+ANSWER_BUDGET_BYTES = 4 << 20
+#: A kept answer's task, outcome dicts and key, as tracemalloc measures
+#: them; without it, 4 MiB of ``simulate`` texts would take some 100 MB.
+_ENTRY_BYTES = 1536
 
 Notify = Callable[[Dict[str, Any]], Awaitable[None]]
 
@@ -78,6 +94,21 @@ class _BadHead(ValueError):
     def __init__(self, status: int, message: str):
         super().__init__(message)
         self.status = status
+
+
+def _warm_outcome(text: str, jobs: int) -> Dict[str, Any]:
+    """The outcome of a request of ``jobs`` simulations that ran none."""
+    return {
+        "text": text,
+        "executed": 0,
+        "warm": True,
+        "report": {"batch_jobs": 0, "jobs": jobs, "executed": 0},
+    }
+
+
+def _charge(answer: Tuple[int, Dict[str, Any]]) -> int:
+    """What a leader's ``(jobs, outcome)`` counts against the budget."""
+    return len(answer[1]["text"]) + _ENTRY_BYTES
 
 
 def _report_summary(report: BatchReport, batch_jobs: int) -> Dict[str, Any]:
@@ -169,7 +200,10 @@ class EvaluationService:
     def __init__(self, host: str = DEFAULT_HOST, port: int = DEFAULT_PORT):
         self.host = host
         self.port = port
-        self._inflight: Dict[str, asyncio.Task] = {}
+        #: Request key -> its leader's task, least recently used first;
+        #: a task's result is ``(jobs, outcome)``.
+        self._leaders: "OrderedDict[str, asyncio.Task]" = OrderedDict()
+        self._kept_bytes = 0  # charged by the finished leaders in the map
         self._batcher = _Batcher()
         self._server: Optional[asyncio.AbstractServer] = None
 
@@ -189,59 +223,104 @@ class EvaluationService:
 
     # --- execution core ---------------------------------------------------
 
-    async def _execute(self, request: ServeRequest, notify: Notify) -> Dict[str, Any]:
+    async def _execute(
+        self, request: ServeRequest, notify: Notify
+    ) -> Tuple[int, Dict[str, Any]]:
         """Run one request as its coalescing leader.
 
-        Returns the shared outcome dict (text, executed, warm, report)
-        that coalesced followers copy with ``executed=0``.
+        Returns the request's job count and the shared outcome dict
+        (text, executed, warm, report) that coalesced followers copy
+        with ``executed=0``.
         """
-        jobs = await asyncio.to_thread(request.jobs)
-        pending = await asyncio.to_thread(
-            lambda: [job for job in jobs if lookup(job.cache_key()) is None]
+        keyed = await asyncio.to_thread(
+            lambda: [(job, job.cache_key()) for job in request.jobs()]
         )
+        jobs = len(keyed)
         registry = obs_metrics.registry()
-        if not pending:
-            registry.counter("serve.warm_hits").inc()
-            await notify({"event": "warm", "jobs": len(jobs)})
+        # Pinned from the probe until the render returns: a later
+        # publish must not evict a result the render is about to read.
+        with pinned(key for _, key in keyed):
+            pending = await asyncio.to_thread(
+                lambda: [job for job, key in keyed if lookup(key) is None]
+            )
+            if pending:
+                await notify({"event": "scheduled", "jobs": jobs, "pending": len(pending)})
+                report, own_executed = await self._batcher.submit(pending)
+            else:
+                registry.counter("serve.warm_hits").inc()
+                await notify({"event": "warm", "jobs": jobs})
+            # Every result is cached and pinned now, so the render runs
+            # nothing and prints exactly what a direct run prints.
             text = await asyncio.to_thread(request.render)
-            return {
-                "text": text,
-                "executed": 0,
-                "warm": True,
-                "report": {"batch_jobs": 0, "jobs": len(jobs), "executed": 0},
-            }
-        await notify(
-            {"event": "scheduled", "jobs": len(jobs), "pending": len(pending)}
-        )
-        report, own_executed = await self._batcher.submit(pending)
-        # The fold ran against the live caches; rendering now resolves
-        # entirely warm, so the text is byte-identical to a direct run.
-        text = await asyncio.to_thread(request.render)
-        return {
+            registry.counter("serve.renders").inc()
+        if not pending:
+            return jobs, _warm_outcome(text, jobs)
+        return jobs, {
             "text": text,
             "executed": own_executed,
             "warm": False,
             "report": _report_summary(report, len(pending)),
         }
 
+    async def _lead(
+        self, request: ServeRequest, notify: Notify
+    ) -> Tuple[int, Dict[str, Any]]:
+        """Execute as the key's leader, then keep the answer or drop the key."""
+        try:
+            answer = await self._execute(request, notify)
+        except BaseException:
+            del self._leaders[request.key]
+            raise
+        self._keep(request.key, _charge(answer))
+        return answer
+
+    def _keep(self, key: str, size: int) -> None:
+        """Count a finished answer in, then evict past the budget.
+
+        Runs inside the leader's task, just before it finishes, so
+        ``key`` is never its own victim; an answer over the whole budget
+        is not kept at all. Only finished tasks are evicted, least
+        recently used first; followers still hold the running ones.
+        """
+        if size > ANSWER_BUDGET_BYTES:
+            del self._leaders[key]
+            return
+        self._leaders.move_to_end(key)
+        self._kept_bytes += size
+        excess = self._kept_bytes - ANSWER_BUDGET_BYTES
+        victims = []
+        for old, task in self._leaders.items():
+            if excess <= 0:
+                break
+            if task.done():
+                victims.append(old)
+                excess -= _charge(task.result())
+        for old in victims:
+            self._kept_bytes -= _charge(self._leaders.pop(old).result())
+
     async def _run_request(
         self, request: ServeRequest, notify: Notify
     ) -> Dict[str, Any]:
-        """Coalesce on the canonical key, then execute or follow."""
+        """Answer from a finished leader, follow a running one, or lead."""
         registry = obs_metrics.registry()
-        leader_task = self._inflight.get(request.key)
-        if leader_task is not None:
+        task = self._leaders.get(request.key)
+        if task is None:
+            task = asyncio.create_task(self._lead(request, notify))
+            self._leaders[request.key] = task
+            # shield: a leader whose client disconnects must not cancel
+            # the execution its followers are waiting on.
+            _, outcome = await asyncio.shield(task)
+            return dict(outcome, coalesced=False)
+        if not task.done():
             registry.counter("serve.coalesce_hits").inc()
             await notify({"event": "coalesced"})
-            outcome = await asyncio.shield(leader_task)
+            _, outcome = await asyncio.shield(task)
             return dict(outcome, executed=0, coalesced=True)
-        task = asyncio.create_task(self._execute(request, notify))
-        self._inflight[request.key] = task
-        task.add_done_callback(lambda _: self._inflight.pop(request.key, None))
-        # shield: a leader whose client disconnects must not cancel the
-        # execution its followers are waiting on.
-        outcome = await asyncio.shield(task)
-        return dict(outcome, coalesced=False)
+        self._leaders.move_to_end(request.key)
+        jobs, outcome = task.result()
+        registry.counter("serve.warm_hits").inc()
+        await notify({"event": "warm", "jobs": jobs})
+        return dict(_warm_outcome(outcome["text"], jobs), coalesced=False)
 
     # --- HTTP layer -------------------------------------------------------
 

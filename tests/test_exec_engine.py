@@ -239,6 +239,39 @@ class TestBoundedMemo:
         assert recent.cache_hits == 1 and recent.executed == 0
 
 
+class TestPinnedMemo:
+    def test_pinned_results_outlive_the_cap_until_released(self, fresh_cache, monkeypatch):
+        """Eviction skips pinned keys: the memo exceeds its cap only by
+        pinned results, a key stays pinned until its last block ends, and
+        the memo trims back to the cap when the pins go."""
+        monkeypatch.setattr(engine, "MEMO_ENTRIES", 2)
+        result = object()
+        keys = [f"{index:064x}" for index in range(6)]
+        before = _memo_evictions()
+        with engine.pinned(keys[:3]):
+            with engine.pinned(keys[:1]):
+                for key in keys:
+                    engine._remember(key, result)
+                # Every unpinned result was the one past the cap.
+                assert list(engine._MEMO) == keys[:3]
+            assert list(engine._MEMO) == keys[:3]
+            engine._remember(keys[5], result)
+            assert list(engine._MEMO) == keys[:3]
+        assert list(engine._MEMO) == keys[1:3]
+        assert engine._PINS == {}
+        assert _memo_evictions() - before == 5
+
+    def test_lru_order_holds_around_a_pinned_key(self, fresh_cache, monkeypatch):
+        monkeypatch.setattr(engine, "MEMO_ENTRIES", 2)
+        result = object()
+        keys = [f"{index:064x}" for index in range(4)]
+        with engine.pinned(keys[:1]):
+            for key in keys:
+                engine._remember(key, result)
+            assert list(engine._MEMO) == [keys[0], keys[3]]
+        assert list(engine._MEMO) == [keys[0], keys[3]]
+
+
 class _FullDiskStore:
     """A store whose every write fails, as on a full or read-only disk."""
 

@@ -4,7 +4,9 @@ The acceptance bars: serve responses are byte-identical to the direct
 CLI; N concurrent identical requests execute each unique simulation
 exactly once (the coalescer); requests overlapping a running fold run
 no simulation twice (the batcher); a repeat of a completed request
-answers entirely from the caches with ``executed=0`` (the warm path).
+answers from the kept text with ``executed=0`` and no render (the
+leader map), and a new request over cached simulations renders from
+the caches with ``executed=0`` (the warm path).
 """
 
 import asyncio
@@ -19,6 +21,8 @@ import urllib.parse
 import pytest
 
 from repro import cli
+from repro.cpu import kernel
+from repro.cpu.config import MachineConfig
 from repro.exec import cache, worker
 from repro.exec.backends import set_default_backend
 from repro.exec.engine import clear_memo
@@ -26,6 +30,7 @@ from repro.serve import client as serve_client
 from repro.serve import service as service_mod
 from repro.serve.schema import (
     RequestError,
+    ServeRequest,
     build_request,
     payload_from_args,
 )
@@ -41,31 +46,64 @@ def fresh_cache(tmp_path, preserve_cache_config):
     clear_memo()
 
 
+class _LiveService:
+    """An :class:`EvaluationService` running on its own event-loop thread."""
+
+    def __init__(self):
+        self.service = EvaluationService(port=0)
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(target=self._loop.run_forever, daemon=True)
+        self._thread.start()
+        self._on_loop(self.service.start())
+        self.url = f"http://127.0.0.1:{self.service.port}"
+
+    def _on_loop(self, coroutine):
+        return asyncio.run_coroutine_threadsafe(coroutine, self._loop).result(timeout=30)
+
+    def leaders(self):
+        """``(kept, running)``: the finished leaders' texts by request key,
+        and the keys whose leaders still run, read on the loop."""
+
+        async def read():
+            tasks = self.service._leaders.items()
+            kept = {key: task.result()[1]["text"] for key, task in tasks if task.done()}
+            return kept, {key for key, task in tasks if not task.done()}
+
+        return self._on_loop(read())
+
+    def close(self):
+        self._on_loop(self.service.aclose())
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join(timeout=30)
+        self._loop.close()
+
+
 @pytest.fixture
-def serve_url(fresh_cache):
-    """A live service on a fresh cache; yields its base URL."""
-    service = EvaluationService(port=0)
-    loop = asyncio.new_event_loop()
-    thread = threading.Thread(target=loop.run_forever, daemon=True)
-    thread.start()
-    asyncio.run_coroutine_threadsafe(service.start(), loop).result(timeout=30)
-    yield f"http://127.0.0.1:{service.port}"
-    asyncio.run_coroutine_threadsafe(service.aclose(), loop).result(timeout=30)
-    loop.call_soon_threadsafe(loop.stop)
-    thread.join(timeout=30)
-    loop.close()
+def live_service(fresh_cache):
+    """A live service on a fresh cache."""
+    live = _LiveService()
+    yield live
+    live.close()
+
+
+@pytest.fixture
+def serve_url(live_service):
+    """The base URL of a live service on a fresh cache."""
+    return live_service.url
 
 
 class _Gate:
     """Stands in for ``repro.exec.worker.run_job_observed``, through which
     every in-process trace group runs its jobs: counts the simulations
-    run, holds the first until :attr:`release` is set, and fails any job
-    whose seed is :attr:`fail_seed`."""
+    run, holds the :attr:`hold_call`-th (the first, unless set) until
+    :attr:`release` is set, and fails any job whose seed is
+    :attr:`fail_seed`."""
 
     def __init__(self, run):
         self._run = run
         self._lock = threading.Lock()
         self.calls = 0
+        self.hold_call = 1
         self.fail_seed = None
         self.entered = threading.Event()
         self.release = threading.Event()
@@ -73,8 +111,8 @@ class _Gate:
     def __call__(self, job, chunks=None):
         with self._lock:
             self.calls += 1
-            first = self.calls == 1
-        if first:
+            held = self.calls == self.hold_call
+        if held:
             self.entered.set()
             assert self.release.wait(timeout=60)
         if job.seed == self.fail_seed:
@@ -98,10 +136,12 @@ def gate(monkeypatch, restore_backend_default):
 
 
 class _Call:
-    """One ``run_remote`` on its own thread; ``scheduled`` fires with that event."""
+    """One ``run_remote`` on its own thread; ``scheduled`` and ``coalesced``
+    fire with those events."""
 
     def __init__(self, url, payload):
         self.scheduled = threading.Event()
+        self.coalesced = threading.Event()
         self.result = self.error = None
         self._thread = threading.Thread(
             target=self._run, args=(url, payload), daemon=True
@@ -112,6 +152,8 @@ class _Call:
         def on_event(event):
             if event["event"] == "scheduled":
                 self.scheduled.set()
+            elif event["event"] == "coalesced":
+                self.coalesced.set()
 
         try:
             self.result = serve_client.run_remote(url, payload, on_event=on_event)
@@ -142,6 +184,10 @@ def _exchange(url, data):
         while chunk := sock.recv(65536):
             chunks.append(chunk)
     return b"".join(chunks)
+
+
+def _counters(url):
+    return serve_client.metrics_snapshot(url)["metrics"]["counters"]
 
 
 def _run_cli(argv):
@@ -471,6 +517,7 @@ class TestExecutionSemantics:
             return {
                 "requests": counters.get("serve.requests", 0.0),
                 "warm_hits": counters.get("serve.warm_hits", 0.0),
+                "renders": counters.get("serve.renders", 0.0),
                 "timed": histograms.get("serve.request_seconds", {}).get("count", 0),
                 "batches": histograms.get("serve.batch_jobs", {}).get("count", 0),
                 "jobs": histograms.get("job_seconds", {}).get("count", 0),
@@ -483,10 +530,107 @@ class TestExecutionSemantics:
         assert {name: after[name] - before[name] for name in after} == {
             "requests": 2.0,
             "warm_hits": 1.0,
+            "renders": 1.0,
             "timed": 2,
             "batches": 1,
             "jobs": 1,
         }
+
+
+class TestLeaderMap:
+    def test_repeat_answers_from_memory_without_rendering(self, serve_url, monkeypatch):
+        """A repeat of a finished request gets the warm event and result a
+        warm leader sends, with byte-identical text, and renders nothing."""
+        rendered = []
+        real_render = ServeRequest.render
+
+        def counting_render(request):
+            rendered.append(request.key)
+            return real_render(request)
+
+        monkeypatch.setattr(ServeRequest, "render", counting_render)
+        cold = serve_client.run_remote(serve_url, _sweep(p_grid="0.1,0.5"))
+        assert cold["executed"] == 9
+        # Another key over the same, now cached, simulations: a warm leader.
+        events = []
+        warm = serve_client.run_remote(
+            serve_url, _sweep(p_grid="0.2,0.6"), on_event=events.append
+        )
+        assert warm["warm"] is True and warm["executed"] == 0
+        assert len(rendered) == 2
+        repeat_events = []
+        repeat = serve_client.run_remote(
+            serve_url, _sweep(p_grid="0.2,0.6"), on_event=repeat_events.append
+        )
+        assert len(rendered) == 2
+        assert repeat_events == events
+        assert repeat == warm
+        assert repeat["report"] == {"batch_jobs": 0, "jobs": 9, "executed": 0}
+        again = serve_client.run_remote(serve_url, _sweep(p_grid="0.1,0.5"))
+        assert len(rendered) == 2
+        assert again["text"] == cold["text"]
+        assert again["warm"] is True and again["executed"] == 0
+
+    def test_failed_request_runs_again(self, serve_url, gate):
+        """A leader that raised leaves the map: the identical payload
+        executes again instead of replaying the failure."""
+        gate.release.set()
+        gate.fail_seed = 31
+        with pytest.raises(serve_client.ServeClientError, match="injected simulation failure"):
+            serve_client.run_remote(serve_url, _simulate(seed=31))
+        gate.fail_seed = None
+        again = serve_client.run_remote(serve_url, _simulate(seed=31))
+        assert again["executed"] == 1 and again["warm"] is False
+        assert gate.calls == 2
+
+    def test_kept_answers_stay_within_the_budget(self, live_service, gate, monkeypatch):
+        """Finished answers past the budget leave least recently used
+        first; a leader still running is never evicted, so a duplicate
+        still coalesces onto it."""
+        entry = service_mod._ENTRY_BYTES
+        budget = 5 * entry + 300  # about five ``simulate`` answers
+        monkeypatch.setattr(service_mod, "ANSWER_BUDGET_BYTES", budget)
+        url = live_service.url
+
+        def kept_within_budget():
+            kept, running = live_service.leaders()
+            charged = sum(len(text) + entry for text in kept.values())
+            assert charged == live_service.service._kept_bytes <= budget
+            return kept, running
+
+        gate.hold_call = 9  # the stream's eight simulations run; the ninth waits
+        texts = {}
+        for seed in range(1, 9):
+            payload = _simulate(seed=seed)
+            texts[build_request(payload).key] = serve_client.run_remote(url, payload)["text"]
+            kept, _ = kept_within_budget()
+            assert kept.items() <= texts.items()
+        assert 0 < len(kept) < 8
+        # The newest answers stay; the first requests were evicted.
+        assert build_request(_simulate(seed=8)).key in kept
+        assert build_request(_simulate(seed=1)).key not in kept
+
+        held_payload = _simulate(seed=40)
+        held = _Call(url, held_payload)
+        assert gate.entered.wait(timeout=60)
+        for seed in range(1, 9):
+            # Same simulation, another request key: a warm leader whose
+            # answer pushes older ones, never the running leader, out.
+            result = serve_client.run_remote(
+                url, _simulate(seed=seed, fus=MachineConfig().num_int_fus)
+            )
+            assert result["warm"] is True and result["executed"] == 0
+            _, running = kept_within_budget()
+            assert running == {build_request(held_payload).key}
+        follower = _Call(url, held_payload)
+        assert follower.coalesced.wait(timeout=60)
+        gate.release.set()
+        leader, follower = held.join().result, follower.join().result
+        assert leader["executed"] == 1 and follower["executed"] == 0
+        assert follower["coalesced"] is True and follower["text"] == leader["text"]
+        kept, running = kept_within_budget()
+        assert running == set()
+        assert kept[build_request(held_payload).key] == leader["text"]
 
 
 class TestThinClientCli:
@@ -542,6 +686,13 @@ class TestThinClientCli:
         assert "cannot reach" in capsys.readouterr().err
 
 
+def _kernel_runs(counters):
+    return sum(
+        counters.get(kernel.RUNS_PREFIX + name, 0.0)
+        for name in (kernel.KERNEL_BATCH, kernel.KERNEL_WALK)
+    )
+
+
 class TestBoundedMemoUnderServe:
     def test_distinct_request_stream_stays_bounded(self, serve_url, monkeypatch):
         """A long-lived service answering ever-new requests keeps at most
@@ -550,16 +701,38 @@ class TestBoundedMemoUnderServe:
         from repro.exec import engine
 
         monkeypatch.setattr(engine, "MEMO_ENTRIES", 3)
-
-        def evictions():
-            counters = serve_client.metrics_snapshot(serve_url)["metrics"]["counters"]
-            return counters.get("cache.memo_evictions", 0.0)
-
-        before = evictions()
+        before = _counters(serve_url)
         for seed in range(1, 9):
             result = serve_client.run_remote(serve_url, _simulate(seed=seed))
             assert result["executed"] == 1
-        assert evictions() - before == 5
-        again = serve_client.run_remote(serve_url, _simulate(seed=1))
+        after = _counters(serve_url)
+        assert after["cache.memo_evictions"] - before.get("cache.memo_evictions", 0.0) == 5
+        # seed=1's result left the memo. Ask for the same simulation under
+        # another request key (the default FU count given explicitly), so
+        # the leader map cannot answer and the caches must.
+        again = serve_client.run_remote(
+            serve_url, _simulate(seed=1, fus=MachineConfig().num_int_fus)
+        )
         assert again["warm"] is True
         assert again["executed"] == 0
+        assert _kernel_runs(_counters(serve_url)) == _kernel_runs(after)
+
+    def test_render_never_reruns_an_evicted_result(self, serve_url, monkeypatch):
+        """With no store and a memo smaller than one request, the request's
+        results stay pinned from its probe to its render: each simulation
+        runs once, in the fold, and the memo trims back afterwards."""
+        from repro.exec import engine
+
+        monkeypatch.setattr(engine, "MEMO_ENTRIES", 4)
+        cache.configure(enabled=False)
+        before = serve_client.metrics_snapshot(serve_url)["metrics"]
+        result = serve_client.run_remote(serve_url, _sweep(p_grid="0.1,0.5"))
+        after = serve_client.metrics_snapshot(serve_url)["metrics"]
+        assert result["executed"] == 9
+        assert _kernel_runs(after["counters"]) - _kernel_runs(before["counters"]) == 9
+        jobs_timed = [
+            metrics["histograms"].get("job_seconds", {}).get("count", 0)
+            for metrics in (before, after)
+        ]
+        assert jobs_timed[1] - jobs_timed[0] == 9
+        assert len(engine._MEMO) == 4
