@@ -56,6 +56,11 @@ THRESH_NEVER = 2**63 - 1
 #: threshold for that unit; length == -1 signals the warmup reset.
 CLOSE_CALLBACK = ctypes.CFUNCTYPE(ctypes.c_int64, ctypes.c_int32, ctypes.c_int64)
 
+#: Flags of every kernel compile. ``-ffp-contract=off`` keeps each
+#: ``a + b * c`` two IEEE roundings, as in Python: clang, and GCC on
+#: aarch64, would otherwise fuse it into one multiply-add.
+CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
 _SOURCE = Path(__file__).resolve().parent / "_pipeline_kernel.c"
 
 _lib: Optional[ctypes.CDLL] = None
@@ -66,8 +71,9 @@ _load_error: Optional[str] = None
 _load_lock = threading.Lock()
 
 
-def _cache_dir(source_hash: str) -> Path:
-    """Where the compiled kernel for this source revision lives.
+def _cache_dir(build_key: str) -> Path:
+    """Where the compiled kernel for this source revision and compile
+    command lives.
 
     ``REPRO_KERNEL_CACHE`` overrides the root (useful for tests and
     hermetic CI); otherwise a per-user cache directory is used so repeat
@@ -80,27 +86,24 @@ def _cache_dir(source_hash: str) -> Path:
         xdg = os.environ.get("XDG_CACHE_HOME")
         base = Path(xdg) if xdg else Path.home() / ".cache"
         base = base / "repro-kernel"
-    return base / source_hash[:16]
+    return base / build_key[:16]
+
+
+def _compiler() -> str:
+    """The C compiler every kernel compile runs: ``$CC``, else ``cc``."""
+    return os.environ.get("CC", "cc")
 
 
 def _compile(source: Path, output: Path) -> None:
     """Compile the kernel shared object (atomically) into ``output``."""
-    compiler = os.environ.get("CC", "cc")
+    compiler = _compiler()
     if shutil.which(compiler) is None:
         raise RuntimeError(f"no C compiler: {compiler!r} not found on PATH")
     output.parent.mkdir(parents=True, exist_ok=True)
     # Unique temp name + atomic rename: concurrent processes may race to
     # build the same hash and must never load a half-written object.
     scratch = output.parent / f".build-{uuid.uuid4().hex}.so"
-    command = [
-        compiler,
-        "-O2",
-        "-fPIC",
-        "-shared",
-        "-o",
-        str(scratch),
-        str(source),
-    ]
+    command = [compiler, *CFLAGS, "-o", str(scratch), str(source)]
     try:
         proc = subprocess.run(
             command, capture_output=True, text=True, timeout=120
@@ -150,23 +153,27 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
 def build_shared_library(source: Path) -> Path:
     """Compile ``source`` into the hash-keyed cache; return the .so path.
 
-    Compiles at most once per source revision: the output lives in a
-    directory keyed by the source's SHA-256, with an atomic rename so
-    racing processes never load a half-written object. An unwritable
-    cache root falls back to a throwaway (still hash-keyed) build under
-    the system temp directory. Raises ``RuntimeError`` on compile
-    failure.
+    Compiles at most once per source revision and compile command: the
+    output lives in a directory keyed by the SHA-256 of the source, the
+    compiler name (``$CC``, else ``cc``) and :data:`CFLAGS`, so a new
+    flag or another compiler builds afresh instead of loading an object
+    built under the old ones. An atomic rename means racing processes
+    never load a half-written object. An unwritable cache root falls
+    back to a throwaway (still hash-keyed) build under the system temp
+    directory. Raises ``RuntimeError`` on compile failure.
     """
-    source_hash = hashlib.sha256(source.read_bytes()).hexdigest()
+    digest = hashlib.sha256(source.read_bytes())
+    digest.update("\0".join([_compiler(), *CFLAGS]).encode())
+    build_key = digest.hexdigest()
     stem = source.stem
-    shared = _cache_dir(source_hash) / f"{stem}.so"
+    shared = _cache_dir(build_key) / f"{stem}.so"
     if not shared.exists():
         try:
             _compile(source, shared)
         except OSError:
             shared = (
                 Path(tempfile.gettempdir())
-                / f"repro-kernel-{source_hash[:16]}"
+                / f"repro-kernel-{build_key[:16]}"
                 / f"{stem}.so"
             )
             if not shared.exists():

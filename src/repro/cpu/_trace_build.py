@@ -1,10 +1,13 @@
 """Lazy build and ctypes bindings for the C columnar trace walker.
 
-``_trace_kernel.c`` replays the dynamic CFG walk with bit-exact
-CPython-``random`` draw semantics (the generator states are transplanted
-from ``Random.getstate()``, so no seeding logic exists in C). Build and
+``_trace_kernel.c`` builds a profile's static program and replays the
+dynamic CFG walk over it, with bit-exact CPython-``random`` draw
+semantics: the structure, walk and data generators' states are
+transplanted from ``Random.getstate()``, so no seeding logic exists in
+C. One ``repro_trace_create`` call builds the program, and ``ctypes``
+releases the GIL for it as for every ``repro_trace_fill``. Build and
 caching follow the batch pipeline kernel exactly — lazy ``cc`` compile
-into the hash-keyed cache via
+into the cache keyed by source and compile command via
 :func:`repro.cpu._kernel_build.build_shared_library`, plain C ABI, no
 ``Python.h`` — and availability only ever affects speed: without a
 compiler :func:`repro.cpu.workloads.iter_trace` chunks the reference
@@ -22,15 +25,6 @@ from repro.cpu._kernel_build import build_shared_library
 
 _SOURCE = Path(__file__).resolve().parent / "_trace_kernel.c"
 
-#: Length of the double config block (C ``TF_*`` layout).
-TRACE_CFG_F_LEN = 7
-#: Length of the int64 config block (C ``TI_*`` layout).
-TRACE_CFG_I_LEN = 10
-#: Indirect-dispatch fan-out per branch site (C ``INDIRECT_TARGETS``).
-INDIRECT_TARGETS = 6
-#: MT19937 state words shipped per stream: 624 + the cursor index.
-MT_STATE_LEN = 625
-
 _lib: Optional[ctypes.CDLL] = None
 _load_attempted = False
 _load_error: Optional[str] = None
@@ -42,26 +36,17 @@ _load_lock = threading.Lock()
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     """Declare argument/return types for the trace-walker symbols."""
     i64 = ctypes.c_int64
-    i32 = ctypes.c_int32
     p_f64 = ctypes.POINTER(ctypes.c_double)
     p_i64 = ctypes.POINTER(i64)
-    p_i32 = ctypes.POINTER(i32)
     p_u8 = ctypes.POINTER(ctypes.c_uint8)
     p_u32 = ctypes.POINTER(ctypes.c_uint32)
     handle = ctypes.c_void_p
 
     lib.repro_trace_create.argtypes = [
         p_f64, p_i64,          # cfg_f, cfg_i
-        p_u32, p_u32,          # walk / data MT states (625 words each)
-        i32,                   # nblocks
-        p_i64, p_i64,          # start_pc, term_pc
-        p_u8, p_i32,           # terminator, call_target
-        p_i32, p_i32,          # body_off, body_len
-        p_u8, i64,             # body_ops, body_total
-        p_u8, p_f64,           # br_is_loop, br_trip_mean
-        p_i64, p_f64,          # br_fixed, br_taken_prob
-        p_i32, p_i32,          # br_target, br_indirect
-        p_u8,                  # br_has_ind
+        p_u32, p_u32, p_u32,   # structure / walk / data MT states (625 words)
+        p_u8,                  # the ordered deck
+        i64,                   # pc_offset
     ]
     lib.repro_trace_create.restype = handle
     lib.repro_trace_fill.argtypes = [
@@ -101,7 +86,6 @@ def trace_library() -> ctypes.CDLL:
 
 _P_F64 = ctypes.POINTER(ctypes.c_double)
 _P_I64 = ctypes.POINTER(ctypes.c_int64)
-_P_I32 = ctypes.POINTER(ctypes.c_int32)
 _P_U8 = ctypes.POINTER(ctypes.c_uint8)
 _P_U32 = ctypes.POINTER(ctypes.c_uint32)
 
@@ -112,10 +96,6 @@ def f64_ptr(column) -> "ctypes._Pointer":
 
 def i64_ptr(column) -> "ctypes._Pointer":
     return ctypes.cast(column.buffer_info()[0], _P_I64)
-
-
-def i32_ptr(column) -> "ctypes._Pointer":
-    return ctypes.cast(column.buffer_info()[0], _P_I32)
 
 
 def u8_ptr(column) -> "ctypes._Pointer":

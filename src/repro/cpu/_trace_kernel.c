@@ -1,28 +1,47 @@
 /* _trace_kernel.c — the columnar trace walker.
  *
- * Replays the dynamic CFG walk of repro/cpu/workloads.py in C,
- * bit-exact against CPython's random.Random. The Python side builds the
- * static program (structure stream untouched) and transplants the
- * walk/data generators' raw MT19937 states via Random.getstate(); this
- * engine implements only the downstream draw shapes with exactly
- * CPython's arithmetic:
+ * Builds the static program of repro/cpu/workloads.py and replays its
+ * dynamic CFG walk in C, bit-exact against CPython's random.Random. The
+ * Python side transplants the structure, walk and data generators' raw
+ * MT19937 states via Random.getstate() and hands over the ordered
+ * 512-op deck (its composition uses Python's round()); this engine
+ * implements only the draw shapes with exactly CPython's arithmetic:
  *
  *   random()        two tempered words -> 53-bit double
  *                   (a >> 5) * 2^26 + (b >> 6), scaled by 2^-53
+ *   chance(p)       random() < p
+ *   uniform()       random()
  *   randbelow(n)    k = n.bit_length(); r = getrandbits(k) until r < n,
  *                   where getrandbits(k <= 32) is one word >> (32 - k)
+ *   randint(a, b)   a + randbelow(b - a + 1)
  *   geometric(m)    the inverse-CDF trial loop of DeterministicRng
  *                   (m == 1.0 draws nothing), 10M safety cap included
+ *   shuffled(deck)  a fresh copy of the ordered deck, then CPython's
+ *                   shuffle: randbelow(i + 1) for i = len - 1 down to 1
  *
  * Because the states are transplanted and every comparison runs on the
- * identical IEEE-754 doubles the Python walk would use, the emitted
+ * identical IEEE-754 doubles the Python code would use, the emitted
  * stream is digest-identical to the reference walk — enforced by
- * tests/test_columnar.py, never assumed.
+ * tests/test_columnar.py, never assumed. The build compiles with
+ * -ffp-contract=off, so a random branch's 0.35 + 0.3 * u rounds twice,
+ * as in Python, instead of fusing into one multiply-add.
  *
  * Plain C99 + libc only (no Python.h), same contract as
  * _pipeline_kernel.c: the lazy ctypes build needs nothing beyond cc.
  *
- * Draw-order contract (mirrors _walk_trace, the reference walk):
+ * Build draw order (structure stream; mirrors _StaticProgram):
+ *   each block, main region then functions:
+ *                geometric body size, [deck refills while dealing it],
+ *                [call chance, main blocks only]
+ *   each branch block, in block order:
+ *                loop chance; a loop: self-loop chance, [span randint],
+ *                fixed-trip chance, [trip randint]; else, in the main
+ *                region, indirect chance, [6 target randints]; else the
+ *                forward span randint (unless the block is its region's
+ *                last), random-branch chance, [uniform | bias chance]
+ *   each call block, in block order: its function's randint
+ *
+ * Walk draw order (mirrors _walk_trace, the reference walk):
  *   body op:     dep1 draw, second-source chance, [dep2 draw],
  *                [address roll (+offset draw) for load/store],
  *                [load-chain chance iff a load has retired]
@@ -85,6 +104,10 @@ static double mt_random(Mt *s) {
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
 }
 
+static int mt_chance(Mt *s, double probability) {
+    return mt_random(s) < probability;
+}
+
 static int bit_length32(uint32_t n) {
 #if defined(__GNUC__) || defined(__clang__)
     return 32 - __builtin_clz(n);
@@ -119,9 +142,14 @@ static int64_t mt_geometric(Mt *s, double mean) {
     return value;
 }
 
+static void mt_load(Mt *s, const uint32_t *state625) {
+    memcpy(s->mt, state625, MT_N * sizeof(uint32_t));
+    s->idx = state625[MT_N];
+}
+
 /* ---- configuration layout (mirrored by workloads.py) --------------- */
 
-/* cfg_f indices */
+/* cfg_f indices: the walk's knobs, then the structure's */
 enum {
     TF_FIRST_PROB = 0,
     TF_SECOND_PROB = 1,
@@ -130,10 +158,18 @@ enum {
     TF_STACK_PROB = 4,
     TF_STACK_OR_STREAM = 5,
     TF_HOT_PROB = 6,
-    TF_LEN = 7
+    TF_BODY_MEAN = 7, /* mean_block_size - 1 */
+    TF_CALL_FRAC = 8,
+    TF_LOOP_FRAC = 9,
+    TF_FIXED_FRAC = 10,
+    TF_TRIP_MEAN = 11, /* max(1, mean_loop_trips) */
+    TF_INDIRECT_FRAC = 12,
+    TF_RANDOM_FRAC = 13,
+    TF_BIASED_PROB = 14,
+    TF_LEN = 15
 };
 
-/* cfg_i indices */
+/* cfg_i indices: the walk's knobs, then the structure's */
 enum {
     TI_NUM_INSTR = 0,
     TI_MAIN_BLOCKS = 1,
@@ -145,7 +181,10 @@ enum {
     TI_STACK_BASE = 7,
     TI_STREAM_BASE = 8,
     TI_HEAP_BASE = 9,
-    TI_LEN = 10
+    TI_FUNCTIONS = 10,
+    TI_FUNCTION_BLOCKS = 11,
+    TI_CODE_BASE = 12,
+    TI_LEN = 13
 };
 
 /* OpClass values (IntEnum in repro/cpu/isa.py; stable by contract). */
@@ -161,91 +200,184 @@ enum {
 enum { TERM_BRANCH = 0, TERM_CALL = 1, TERM_RETURN = 2 };
 
 #define INDIRECT_TARGETS 6
+/* Cards per deck (workloads._DECK_SIZE). */
+#define DECK_SIZE 512
 
-/* ---- walk state ---------------------------------------------------- */
+/* ---- the static program -------------------------------------------- */
+
+/* One basic block and its terminator's static descriptor. The walk
+ * mutates only target (indirect dispatch) and trips_left (loops). */
+typedef struct {
+    int64_t start_pc, term_pc;
+    int64_t body_off, body_len; /* into Walk.body_ops */
+    int64_t fixed_trips, trips_left;
+    double taken_prob;
+    int32_t call_target; /* entry block of the called function */
+    int32_t target;
+    int32_t indirect[INDIRECT_TARGETS];
+    uint8_t terminator, is_loop, has_indirect;
+} Block;
 
 typedef struct {
     /* profile constants */
     double first_prob, second_prob, dep_mean, chain_prob;
     double stack_prob, stack_or_stream, hot_prob;
+    double trip_mean;
     int64_t num_instructions;
     int32_t main_blocks, nblocks;
     uint32_t stack_span1, hot_span1, heap_span1; /* randbelow args: span+1 */
     int64_t stride, stream_mod;
     int64_t stack_base, stream_base, heap_base;
-    /* static program (owned copies) */
-    int64_t *start_pc;
-    int64_t *term_pc;
-    uint8_t *terminator;
-    int32_t *call_target;
-    int32_t *body_off;
-    int32_t *body_len;
-    uint8_t *body_ops;
-    uint8_t *br_is_loop;
-    double *br_trip_mean;
-    double *br_taken_prob;
-    int64_t *br_fixed;
-    int32_t *br_target;   /* mutable: indirect dispatch rewrites it */
-    int32_t *br_indirect; /* nblocks * INDIRECT_TARGETS */
-    uint8_t *br_has_ind;
-    int64_t *br_trips_left; /* mutable loop state, starts at 0 */
+    /* static program */
+    Block *blocks;
+    uint8_t *body_ops; /* the shuffled decks, in deal order */
+    int64_t body_cap, body_dealt;
     /* RNG streams */
     Mt walk, data;
     /* dynamic walk state */
     int64_t position;
     int32_t current;
-    int32_t body_pos;
+    int64_t body_pos;
     int64_t last_load;
     int64_t stream_offset;
     int32_t *stack;
     int64_t stack_len, stack_cap;
 } Walk;
 
-static void *copy_block(const void *src, size_t bytes) {
-    void *dst = malloc(bytes ? bytes : 1);
-    if (dst && bytes) memcpy(dst, src, bytes);
-    return dst;
+/* Deal one more deck: a fresh copy of the ordered deck, shuffled. */
+static int deal_deck(Walk *w, Mt *s, const uint8_t *deck) {
+    uint8_t *cards;
+    int i;
+    if (w->body_dealt + DECK_SIZE > w->body_cap) {
+        int64_t cap = w->body_cap ? 2 * w->body_cap : 8 * DECK_SIZE;
+        uint8_t *grown = (uint8_t *)realloc(w->body_ops, (size_t)cap);
+        if (!grown) return -1;
+        w->body_ops = grown;
+        w->body_cap = cap;
+    }
+    cards = w->body_ops + w->body_dealt;
+    memcpy(cards, deck, DECK_SIZE);
+    for (i = DECK_SIZE - 1; i > 0; i--) {
+        uint32_t j = mt_randbelow(s, (uint32_t)i + 1U);
+        uint8_t card = cards[i];
+        cards[i] = cards[j];
+        cards[j] = card;
+    }
+    w->body_dealt += DECK_SIZE;
+    return 0;
 }
 
-static void mt_load(Mt *s, const uint32_t *state625) {
-    memcpy(s->mt, state625, MT_N * sizeof(uint32_t));
-    s->idx = state625[MT_N];
+/* _StaticProgram.__init__, draw for draw on the structure stream. */
+static int build_program(Walk *w, const double *cfg_f, const int64_t *cfg_i,
+                         Mt *s, const uint8_t *deck, int64_t pc_offset) {
+    const int32_t main_blocks = w->main_blocks;
+    const int32_t functions = (int32_t)cfg_i[TI_FUNCTIONS];
+    const int32_t function_blocks = (int32_t)cfg_i[TI_FUNCTION_BLOCKS];
+    const double body_mean = cfg_f[TF_BODY_MEAN];
+    int64_t pc = cfg_i[TI_CODE_BASE] + pc_offset;
+    int64_t total = 0;
+    int32_t b;
+
+    /* Blocks: the main region's, ended by a branch or a call, then each
+     * function's run of branch blocks closed by a return. */
+    for (b = 0; b < w->nblocks; b++) {
+        Block *block = &w->blocks[b];
+        int64_t size = mt_geometric(s, body_mean);
+        while (w->body_dealt < total + size) {
+            if (deal_deck(w, s, deck)) return -1;
+        }
+        block->body_off = total;
+        block->body_len = size;
+        total += size;
+        if (b < main_blocks) {
+            block->terminator = mt_chance(s, cfg_f[TF_CALL_FRAC])
+                                    ? TERM_CALL
+                                    : TERM_BRANCH;
+        } else {
+            block->terminator =
+                (b - main_blocks) % function_blocks == function_blocks - 1
+                    ? TERM_RETURN
+                    : TERM_BRANCH;
+        }
+        block->start_pc = pc;
+        block->term_pc = pc + 4 * size;
+        pc = block->term_pc + 4;
+    }
+
+    /* Branch descriptors; a function's branches stay inside it. */
+    for (b = 0; b < w->nblocks; b++) {
+        Block *block = &w->blocks[b];
+        int in_function = b >= main_blocks;
+        int32_t entry = 0, last = main_blocks - 1;
+        if (block->terminator != TERM_BRANCH) continue;
+        if (in_function) {
+            entry = main_blocks +
+                    (b - main_blocks) / function_blocks * function_blocks;
+            last = entry + function_blocks - 1;
+        }
+        if (mt_chance(s, cfg_f[TF_LOOP_FRAC])) {
+            int32_t span =
+                mt_chance(s, 0.7) ? 0 : 1 + (int32_t)mt_randbelow(s, 2);
+            block->target = b - span > entry ? b - span : entry;
+            block->is_loop = 1;
+            if (mt_chance(s, cfg_f[TF_FIXED_FRAC])) {
+                block->fixed_trips = 3 + (int64_t)mt_randbelow(s, 6);
+            }
+        } else if (!in_function && mt_chance(s, cfg_f[TF_INDIRECT_FRAC])) {
+            int i;
+            for (i = 0; i < INDIRECT_TARGETS; i++) {
+                block->indirect[i] =
+                    (int32_t)mt_randbelow(s, (uint32_t)main_blocks);
+            }
+            block->target = block->indirect[0];
+            block->has_indirect = 1;
+            block->taken_prob = 0.85;
+        } else {
+            if (b < last) {
+                int32_t forward = b + 2 + (int32_t)mt_randbelow(s, 5);
+                block->target = forward < last ? forward : last;
+            } else {
+                block->target = (b + 2) % main_blocks;
+            }
+            if (mt_chance(s, cfg_f[TF_RANDOM_FRAC])) {
+                block->taken_prob = 0.35 + 0.3 * mt_random(s);
+            } else if (mt_chance(s, 0.5)) {
+                block->taken_prob = cfg_f[TF_BIASED_PROB];
+            } else {
+                block->taken_prob = 1.0 - cfg_f[TF_BIASED_PROB];
+            }
+        }
+    }
+
+    /* Each call site targets one statically chosen function. */
+    for (b = 0; b < main_blocks; b++) {
+        if (w->blocks[b].terminator == TERM_CALL) {
+            w->blocks[b].call_target =
+                main_blocks +
+                (int32_t)mt_randbelow(s, (uint32_t)functions) * function_blocks;
+        }
+    }
+    return 0;
 }
 
 void repro_trace_destroy(void *handle) {
     Walk *w = (Walk *)handle;
     if (!w) return;
-    free(w->start_pc);
-    free(w->term_pc);
-    free(w->terminator);
-    free(w->call_target);
-    free(w->body_off);
-    free(w->body_len);
+    free(w->blocks);
     free(w->body_ops);
-    free(w->br_is_loop);
-    free(w->br_trip_mean);
-    free(w->br_taken_prob);
-    free(w->br_fixed);
-    free(w->br_target);
-    free(w->br_indirect);
-    free(w->br_has_ind);
-    free(w->br_trips_left);
     free(w->stack);
     free(w);
 }
 
-void *repro_trace_create(
-    const double *cfg_f, const int64_t *cfg_i,
-    const uint32_t *mt_walk_state, const uint32_t *mt_data_state,
-    int32_t nblocks,
-    const int64_t *start_pc, const int64_t *term_pc,
-    const uint8_t *terminator, const int32_t *call_target,
-    const int32_t *body_off, const int32_t *body_len,
-    const uint8_t *body_ops, int64_t body_total,
-    const uint8_t *br_is_loop, const double *br_trip_mean,
-    const int64_t *br_fixed, const double *br_taken_prob,
-    const int32_t *br_target, const int32_t *br_indirect,
-    const uint8_t *br_has_ind) {
+/* Build the static program and ready the walk over it. Python checks
+ * the widths first: block counts fit int32 and randbelow spans 32 bits.
+ * Returns NULL when out of memory. */
+void *repro_trace_create(const double *cfg_f, const int64_t *cfg_i,
+                         const uint32_t *mt_structure_state,
+                         const uint32_t *mt_walk_state,
+                         const uint32_t *mt_data_state, const uint8_t *deck,
+                         int64_t pc_offset) {
+    Mt structure;
     Walk *w = (Walk *)calloc(1, sizeof(Walk));
     if (!w) return NULL;
 
@@ -256,9 +388,12 @@ void *repro_trace_create(
     w->stack_prob = cfg_f[TF_STACK_PROB];
     w->stack_or_stream = cfg_f[TF_STACK_OR_STREAM];
     w->hot_prob = cfg_f[TF_HOT_PROB];
+    w->trip_mean = cfg_f[TF_TRIP_MEAN];
 
     w->num_instructions = cfg_i[TI_NUM_INSTR];
     w->main_blocks = (int32_t)cfg_i[TI_MAIN_BLOCKS];
+    w->nblocks = (int32_t)(cfg_i[TI_MAIN_BLOCKS] +
+                           cfg_i[TI_FUNCTIONS] * cfg_i[TI_FUNCTION_BLOCKS]);
     w->stack_span1 = (uint32_t)cfg_i[TI_STACK_SPAN] + 1U;
     w->hot_span1 = (uint32_t)cfg_i[TI_HOT_SPAN] + 1U;
     w->heap_span1 = (uint32_t)cfg_i[TI_HEAP_SPAN] + 1U;
@@ -267,53 +402,20 @@ void *repro_trace_create(
     w->stack_base = cfg_i[TI_STACK_BASE];
     w->stream_base = cfg_i[TI_STREAM_BASE];
     w->heap_base = cfg_i[TI_HEAP_BASE];
-    w->nblocks = nblocks;
 
-    w->start_pc = (int64_t *)copy_block(start_pc, nblocks * sizeof(int64_t));
-    w->term_pc = (int64_t *)copy_block(term_pc, nblocks * sizeof(int64_t));
-    w->terminator =
-        (uint8_t *)copy_block(terminator, nblocks * sizeof(uint8_t));
-    w->call_target =
-        (int32_t *)copy_block(call_target, nblocks * sizeof(int32_t));
-    w->body_off = (int32_t *)copy_block(body_off, nblocks * sizeof(int32_t));
-    w->body_len = (int32_t *)copy_block(body_len, nblocks * sizeof(int32_t));
-    w->body_ops =
-        (uint8_t *)copy_block(body_ops, (size_t)body_total * sizeof(uint8_t));
-    w->br_is_loop =
-        (uint8_t *)copy_block(br_is_loop, nblocks * sizeof(uint8_t));
-    w->br_trip_mean =
-        (double *)copy_block(br_trip_mean, nblocks * sizeof(double));
-    w->br_taken_prob =
-        (double *)copy_block(br_taken_prob, nblocks * sizeof(double));
-    w->br_fixed = (int64_t *)copy_block(br_fixed, nblocks * sizeof(int64_t));
-    w->br_target = (int32_t *)copy_block(br_target, nblocks * sizeof(int32_t));
-    w->br_indirect = (int32_t *)copy_block(
-        br_indirect, (size_t)nblocks * INDIRECT_TARGETS * sizeof(int32_t));
-    w->br_has_ind =
-        (uint8_t *)copy_block(br_has_ind, nblocks * sizeof(uint8_t));
-    w->br_trips_left = (int64_t *)calloc(nblocks, sizeof(int64_t));
-
+    w->blocks = (Block *)calloc((size_t)w->nblocks, sizeof(Block));
     w->stack_cap = 16;
     w->stack = (int32_t *)malloc(w->stack_cap * sizeof(int32_t));
-
-    if (!w->start_pc || !w->term_pc || !w->terminator || !w->call_target ||
-        !w->body_off || !w->body_len || !w->body_ops || !w->br_is_loop ||
-        !w->br_trip_mean || !w->br_taken_prob || !w->br_fixed ||
-        !w->br_target || !w->br_indirect || !w->br_has_ind ||
-        !w->br_trips_left || !w->stack) {
+    mt_load(&structure, mt_structure_state);
+    if (!w->blocks || !w->stack ||
+        build_program(w, cfg_f, cfg_i, &structure, deck, pc_offset)) {
         repro_trace_destroy(w);
         return NULL;
     }
 
     mt_load(&w->walk, mt_walk_state);
     mt_load(&w->data, mt_data_state);
-
-    w->position = 0;
-    w->current = 0;
-    w->body_pos = 0;
     w->last_load = -1;
-    w->stream_offset = 0;
-    w->stack_len = 0;
     return w;
 }
 
@@ -370,9 +472,10 @@ int64_t repro_trace_fill(void *handle, int64_t max_rows, uint8_t *op,
     int64_t rows = 0;
     while (rows < max_rows && w->position < w->num_instructions) {
         int32_t cur = w->current;
-        if (w->body_pos < w->body_len[cur]) {
-            int32_t bp = w->body_pos;
-            uint8_t o = w->body_ops[w->body_off[cur] + bp];
+        Block *block = &w->blocks[cur];
+        if (w->body_pos < block->body_len) {
+            int64_t bp = w->body_pos;
+            uint8_t o = w->body_ops[block->body_off + bp];
             int64_t position = w->position;
             int64_t d1 = draw_dep(w, position);
             int64_t d2 = (mt_random(&w->data) < w->second_prob)
@@ -390,7 +493,7 @@ int64_t repro_trace_fill(void *handle, int64_t max_rows, uint8_t *op,
                 address = next_address(w);
             }
             op[rows] = o;
-            pc[rows] = w->start_pc[cur] + 4 * (int64_t)bp;
+            pc[rows] = block->start_pc + 4 * bp;
             dep1[rows] = d1;
             dep2[rows] = d2;
             addr[rows] = address;
@@ -399,21 +502,21 @@ int64_t repro_trace_fill(void *handle, int64_t max_rows, uint8_t *op,
             rows++;
             w->position++;
             w->body_pos++;
-        } else if (w->terminator[cur] == TERM_CALL) {
-            int32_t entry = w->call_target[cur];
+        } else if (block->terminator == TERM_CALL) {
+            int32_t entry = block->call_target;
             op[rows] = OP_CALL;
-            pc[rows] = w->term_pc[cur];
+            pc[rows] = block->term_pc;
             dep1[rows] = draw_dep(w, w->position);
             dep2[rows] = 0;
             addr[rows] = 0;
             taken[rows] = 1;
-            target[rows] = w->start_pc[entry];
+            target[rows] = w->blocks[entry].start_pc;
             rows++;
             w->position++;
-            if (stack_push(w, (w->current + 1) % w->main_blocks)) return -1;
+            if (stack_push(w, (cur + 1) % w->main_blocks)) return -1;
             w->current = entry;
             w->body_pos = 0;
-        } else if (w->terminator[cur] == TERM_RETURN) {
+        } else if (block->terminator == TERM_RETURN) {
             int32_t return_block;
             if (w->stack_len) {
                 return_block = w->stack[--w->stack_len];
@@ -422,12 +525,12 @@ int64_t repro_trace_fill(void *handle, int64_t max_rows, uint8_t *op,
                     &w->walk, (uint32_t)w->main_blocks);
             }
             op[rows] = OP_RETURN;
-            pc[rows] = w->term_pc[cur];
+            pc[rows] = block->term_pc;
             dep1[rows] = 0;
             dep2[rows] = 0;
             addr[rows] = 0;
             taken[rows] = 1;
-            target[rows] = w->start_pc[return_block];
+            target[rows] = w->blocks[return_block].start_pc;
             rows++;
             w->position++;
             w->current = return_block;
@@ -435,27 +538,26 @@ int64_t repro_trace_fill(void *handle, int64_t max_rows, uint8_t *op,
         } else {
             uint8_t tk;
             int32_t next_block;
-            if (w->br_is_loop[cur]) {
-                if (w->br_trips_left[cur] == 0) {
-                    if (w->br_fixed[cur]) {
-                        w->br_trips_left[cur] = w->br_fixed[cur];
+            if (block->is_loop) {
+                if (block->trips_left == 0) {
+                    if (block->fixed_trips) {
+                        block->trips_left = block->fixed_trips;
                     } else {
-                        w->br_trips_left[cur] =
-                            mt_geometric(&w->walk, w->br_trip_mean[cur]);
+                        block->trips_left =
+                            mt_geometric(&w->walk, w->trip_mean);
                     }
                 }
-                w->br_trips_left[cur] -= 1;
-                tk = w->br_trips_left[cur] > 0;
+                block->trips_left -= 1;
+                tk = block->trips_left > 0;
             } else {
-                tk = mt_random(&w->walk) < w->br_taken_prob[cur];
+                tk = mt_random(&w->walk) < block->taken_prob;
             }
-            if (w->br_has_ind[cur] && tk) {
-                w->br_target[cur] = w->br_indirect[
-                    cur * INDIRECT_TARGETS +
-                    mt_randbelow(&w->walk, INDIRECT_TARGETS)];
+            if (block->has_indirect && tk) {
+                block->target = block->indirect[mt_randbelow(
+                    &w->walk, INDIRECT_TARGETS)];
             }
             if (tk) {
-                next_block = w->br_target[cur];
+                next_block = block->target;
             } else {
                 int32_t limit =
                     cur < w->main_blocks ? w->main_blocks : w->nblocks;
@@ -465,12 +567,12 @@ int64_t repro_trace_fill(void *handle, int64_t max_rows, uint8_t *op,
                 }
             }
             op[rows] = OP_BRANCH;
-            pc[rows] = w->term_pc[cur];
+            pc[rows] = block->term_pc;
             dep1[rows] = draw_dep(w, w->position);
             dep2[rows] = 0;
             addr[rows] = 0;
             taken[rows] = tk;
-            target[rows] = w->start_pc[w->br_target[cur]];
+            target[rows] = w->blocks[block->target].start_pc;
             rows++;
             w->position++;
             w->current = next_block;

@@ -19,10 +19,9 @@ dataflow and locality models.
 
 from __future__ import annotations
 
-import functools
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.cpu import _trace_build
 from repro.cpu.isa import OpClass
@@ -250,8 +249,35 @@ class _StaticBranch:
         return rng.chance(self.taken_prob)
 
 
+#: Cards per deck (C ``DECK_SIZE``).
+_DECK_SIZE = 512
+
+
+def _ordered_deck(profile: WorkloadProfile) -> List[OpClass]:
+    """The body-op deck matching the mix exactly, before its shuffle.
+
+    Dealing block bodies from shuffled decks (instead of independent
+    draws) keeps the composition of the few *hot* loop blocks
+    representative of the intended mix, which independent draws would
+    not. The C walker takes this list as is and shuffles its own copies.
+    """
+    deck: List[OpClass] = []
+    deck += [OpClass.LOAD] * round(profile.frac_load * _DECK_SIZE)
+    deck += [OpClass.STORE] * round(profile.frac_store * _DECK_SIZE)
+    deck += [OpClass.INT_MULT] * round(profile.frac_int_mult * _DECK_SIZE)
+    fp_ops = round(profile.frac_fp * _DECK_SIZE)
+    deck += [OpClass.FP_MULT] * (fp_ops // 2)
+    deck += [OpClass.FP_ALU] * (fp_ops - fp_ops // 2)
+    deck += [OpClass.INT_ALU] * (_DECK_SIZE - len(deck))
+    return deck
+
+
 class _StaticProgram:
-    """The CFG: main-region blocks plus call targets (functions)."""
+    """The CFG: main-region blocks plus call targets (functions).
+
+    The reference build, for the reference walk: the C walker builds
+    the same program from the same structure stream, draw for draw.
+    """
 
     def __init__(self, profile: WorkloadProfile, rng: DeterministicRng):
         self.profile = profile
@@ -269,31 +295,11 @@ class _StaticProgram:
                     rng.randint(0, len(self.function_entries) - 1)
                 ]
 
-    _DECK_SIZE = 512
-
-    def _build_deck(self, rng: DeterministicRng) -> List[OpClass]:
-        """A shuffled deck matching the mix exactly.
-
-        Dealing block bodies from a deck (instead of independent draws)
-        keeps the composition of the few *hot* loop blocks representative
-        of the intended mix, which independent draws would not.
-        """
-        profile = self.profile
-        deck: List[OpClass] = []
-        deck += [OpClass.LOAD] * round(profile.frac_load * self._DECK_SIZE)
-        deck += [OpClass.STORE] * round(profile.frac_store * self._DECK_SIZE)
-        deck += [OpClass.INT_MULT] * round(profile.frac_int_mult * self._DECK_SIZE)
-        fp_ops = round(profile.frac_fp * self._DECK_SIZE)
-        deck += [OpClass.FP_MULT] * (fp_ops // 2)
-        deck += [OpClass.FP_ALU] * (fp_ops - fp_ops // 2)
-        deck += [OpClass.INT_ALU] * (self._DECK_SIZE - len(deck))
-        return rng.shuffled(deck)
-
     def _draw_body(self, rng: DeterministicRng, size: int) -> List[OpClass]:
         body: List[OpClass] = []
         for _ in range(size):
             if self._deck_pos >= len(self._deck):
-                self._deck = self._build_deck(rng)
+                self._deck = rng.shuffled(_ordered_deck(self.profile))
                 self._deck_pos = 0
             body.append(self._deck[self._deck_pos])
             self._deck_pos += 1
@@ -440,8 +446,9 @@ def _walk_trace(
     The *executable reference* for the instruction stream: readable,
     one draw shape per helper, one yield per instruction. The C trace
     walker (``_trace_kernel.c``, driven by :func:`_drain_walk_c`)
-    replays it bit-exactly, and the digest-identity gate in
-    ``tests/test_columnar.py`` pins the two together draw for draw.
+    replays it, static-program build included, bit-exactly, and the
+    digest-identity gate in ``tests/test_columnar.py`` pins the two
+    together draw for draw.
     Where the walker cannot run, :func:`iter_trace` chunks this walk
     directly.
     """
@@ -558,11 +565,13 @@ def _trace_kernel_usable(profile: WorkloadProfile) -> bool:
     """Should this walk run on the compiled trace walker?
 
     Yes whenever the walker builds and the profile fits its fixed-width
-    assumptions: randbelow spans inside 32 bits and 4-byte ``array``
-    int/uint codes on this platform. Otherwise :func:`iter_trace` falls
-    back to the reference walk, which emits the same stream.
+    assumptions: randbelow spans inside 32 bits, a block count inside
+    int32 and 4-byte ``array`` uint codes on this platform. The body-op
+    total is drawn, not known up front, so the walker keeps its body
+    offsets in 64 bits. Otherwise :func:`iter_trace` falls back to the
+    reference walk, which emits the same stream.
     """
-    if array("i").itemsize != 4 or array("I").itemsize != 4:
+    if array("I").itemsize != 4:
         return False
     limit = 2**32 - 1
     spans = (
@@ -572,137 +581,10 @@ def _trace_kernel_usable(profile: WorkloadProfile) -> bool:
     )
     if any(span >= limit for span in spans):
         return False
-    if profile.num_blocks >= 2**31:
+    blocks = profile.num_blocks + profile.num_functions * profile.function_blocks
+    if blocks >= 2**31:
         return False
     return _trace_build.trace_kernel_available()
-
-
-class _ProgramTables(NamedTuple):
-    """A static program flattened into the C trace walker's tables.
-
-    Immutable once packed: ``repro_trace_create`` copies every table
-    and keeps the walk's mutable state (loop trip counters, the current
-    indirect targets) on its own side. The tables depend only on
-    (profile, seed), because the structure RNG is its own child stream,
-    so one packing serves every trace length and chunk size.
-    """
-
-    cfg_f: array
-    start_pc: array
-    term_pc: array
-    terminator: array
-    call_target: array
-    body_off: array
-    body_len: array
-    body_ops: array
-    br_is_loop: array
-    br_trip_mean: array
-    br_fixed: array
-    br_taken_prob: array
-    br_target: array
-    br_indirect: array
-    br_has_ind: array
-
-
-def _pack_program(program: _StaticProgram) -> _ProgramTables:
-    """Flatten a freshly built static program into the walker's tables."""
-    profile = program.profile
-    blocks = program.blocks
-    nblocks = len(blocks)
-
-    start_pc = array("q", [b.start_pc for b in blocks])
-    term_pc = array("q", [b.term_pc for b in blocks])
-    terminator = array("B", [b.terminator for b in blocks])
-    call_target = array(
-        "i",
-        [
-            program.call_targets[i] if i < len(program.call_targets) else 0
-            for i in range(nblocks)
-        ],
-    )
-
-    body_off_list: List[int] = []
-    body_len_list: List[int] = []
-    body_ops_list: List[int] = []
-    for block in blocks:
-        body_off_list.append(len(body_ops_list))
-        body_len_list.append(len(block.body))
-        body_ops_list += block.body
-    body_off = array("i", body_off_list)
-    body_len = array("i", body_len_list)
-    body_ops = array("B", body_ops_list)
-
-    is_loop: List[int] = []
-    trip_mean: List[float] = []
-    fixed: List[int] = []
-    taken_prob: List[float] = []
-    target0: List[int] = []
-    has_ind: List[int] = []
-    indirect: List[int] = []
-    for block in blocks:
-        branch = block.branch
-        if branch is None:
-            is_loop.append(0)
-            trip_mean.append(1.0)
-            fixed.append(0)
-            taken_prob.append(0.0)
-            target0.append(0)
-            has_ind.append(0)
-            indirect += [0] * _trace_build.INDIRECT_TARGETS
-            continue
-        is_loop.append(1 if branch.is_loop else 0)
-        trip_mean.append(branch.trip_mean)
-        fixed.append(branch.fixed_trips)
-        taken_prob.append(branch.taken_prob)
-        target0.append(branch.target_block)
-        if branch.indirect_targets is not None:
-            has_ind.append(1)
-            indirect += list(branch.indirect_targets)
-        else:
-            has_ind.append(0)
-            indirect += [0] * _trace_build.INDIRECT_TARGETS
-
-    return _ProgramTables(
-        cfg_f=array("d", [
-            profile.first_source_prob,
-            profile.second_source_prob,
-            profile.mean_dep_distance,
-            profile.load_chain_prob,
-            profile.stack_prob,
-            profile.stack_prob + profile.stream_prob,
-            profile.heap_hot_prob,
-        ]),
-        start_pc=start_pc,
-        term_pc=term_pc,
-        terminator=terminator,
-        call_target=call_target,
-        body_off=body_off,
-        body_len=body_len,
-        body_ops=body_ops,
-        br_is_loop=array("B", is_loop),
-        br_trip_mean=array("d", trip_mean),
-        br_fixed=array("q", fixed),
-        br_taken_prob=array("d", taken_prob),
-        br_target=array("i", target0),
-        br_indirect=array("i", indirect),
-        br_has_ind=array("B", has_ind),
-    )
-
-
-@functools.lru_cache(maxsize=16)
-def _program_tables(profile: WorkloadProfile, seed: int) -> _ProgramTables:
-    """The packed static program for (profile, seed), built at most once
-    while it stays among the 16 most recently used.
-
-    The quick suite's 81 simulations share 9 programs; the nine
-    benchmarks' tables total ~313 KB (11-78 KB each). Keyed on the whole
-    frozen profile, not its name, so two profiles sharing a name cannot
-    collide. ``lru_cache`` is thread-safe (``repro serve``
-    runs batches on several threads) and builds outside its lock; two
-    threads racing on one key build identical tables.
-    """
-    structure_rng = DeterministicRng(seed).child(profile.name, "structure")
-    return _pack_program(_StaticProgram(profile, structure_rng))
 
 
 def _drain_walk_c(
@@ -714,26 +596,41 @@ def _drain_walk_c(
 ) -> Iterator[TraceChunk]:
     """Drain the dynamic walk through the compiled trace walker.
 
-    Hands the packed static program to the walker, transplants the walk
-    and data generators' MT19937 states (``Random.getstate()`` — the C
-    side has no seeding logic to diverge), and pulls column-backed
-    chunks straight out of C buffers sized to the rows still to come.
-    Emits the stream of :func:`_walk_trace`, cut every ``chunk_size``
-    rows. The walker reads every PC and branch target from the blocks'
-    ``start_pc``/``term_pc``, so ``pc_offset`` relocates the stream by
-    relocating those two tables once.
+    Transplants the structure, walk and data generators' MT19937 states
+    (``Random.getstate()`` — the C side has no seeding logic to
+    diverge); the walker builds the static program of
+    :class:`_StaticProgram` from the first, ``pc_offset`` bytes higher,
+    and walks it with the other two. Chunks come column-backed straight
+    out of C buffers sized to the rows still to come: the stream of
+    :func:`_walk_trace`, cut every ``chunk_size`` rows.
     """
-    tables = _program_tables(profile, seed)
-    if pc_offset:
-        # A relocated copy: the cached tables serve every trace of
-        # (profile, seed).
-        tables = tables._replace(
-            start_pc=array("q", [pc + pc_offset for pc in tables.start_pc]),
-            term_pc=array("q", [pc + pc_offset for pc in tables.term_pc]),
-        )
-    walk_rng = DeterministicRng(seed).child(profile.name, "walk")
-    data_rng = DeterministicRng(seed).child(profile.name, "data")
     lib = _trace_build.trace_library()
+    # The raw generator states: 624 words + the cursor, per stream. The
+    # pointer casts do NOT keep their source buffers alive, so every
+    # array must outlive the create call.
+    root = DeterministicRng(seed)
+    mt_structure, mt_walk, mt_data = (
+        array("I", root.child(profile.name, stream)._random.getstate()[1])
+        for stream in ("structure", "walk", "data")
+    )
+    deck = array("B", _ordered_deck(profile))
+    cfg_f = array("d", [
+        profile.first_source_prob,
+        profile.second_source_prob,
+        profile.mean_dep_distance,
+        profile.load_chain_prob,
+        profile.stack_prob,
+        profile.stack_prob + profile.stream_prob,
+        profile.heap_hot_prob,
+        profile.mean_block_size - 1.0,
+        profile.call_fraction,
+        profile.loop_branch_fraction,
+        profile.fixed_trip_fraction,
+        max(1.0, profile.mean_loop_trips),
+        profile.indirect_branch_fraction,
+        profile.random_branch_fraction,
+        profile.biased_taken_prob,
+    ])
     cfg_i = array("q", [
         num_instructions,
         profile.num_blocks,
@@ -745,31 +642,19 @@ def _drain_walk_c(
         _STACK_BASE,
         _STREAM_BASE,
         _HEAP_BASE,
+        profile.num_functions,
+        profile.function_blocks,
+        _CODE_BASE,
     ])
-
-    # The raw generator states: 624 words + the cursor, per stream. The
-    # pointer casts do NOT keep their source buffers alive, so every
-    # array must outlive the create call (the tables live in ``tables``).
-    mt_walk = array("I", walk_rng._random.getstate()[1])
-    mt_data = array("I", data_rng._random.getstate()[1])
-
-    f64, i64, i32, u8, u32 = (
+    f64, i64, u8, u32 = (
         _trace_build.f64_ptr,
         _trace_build.i64_ptr,
-        _trace_build.i32_ptr,
         _trace_build.u8_ptr,
         _trace_build.u32_ptr,
     )
     handle = lib.repro_trace_create(
-        f64(tables.cfg_f), i64(cfg_i), u32(mt_walk), u32(mt_data),
-        len(tables.start_pc), i64(tables.start_pc), i64(tables.term_pc),
-        u8(tables.terminator), i32(tables.call_target),
-        i32(tables.body_off), i32(tables.body_len),
-        u8(tables.body_ops), len(tables.body_ops),
-        u8(tables.br_is_loop), f64(tables.br_trip_mean),
-        i64(tables.br_fixed), f64(tables.br_taken_prob),
-        i32(tables.br_target), i32(tables.br_indirect),
-        u8(tables.br_has_ind),
+        f64(cfg_f), i64(cfg_i), u32(mt_structure), u32(mt_walk), u32(mt_data),
+        u8(deck), pc_offset,
     )
     if not handle:
         raise MemoryError("trace kernel allocation failed")
@@ -819,8 +704,8 @@ def _walk_chunks(
 ) -> Iterator[TraceChunk]:
     """A plain profile's walk as contiguous ``chunk_size`` chunks.
 
-    The compiled walker drains it 1-2 orders of magnitude faster than
-    the reference and reuses the packed static program across traces;
+    The compiled walker builds the static program and drains the walk
+    1-2 orders of magnitude faster than the reference, without the GIL;
     where it cannot run, the reference walk is cut into object-backed
     chunks. Same stream either way. A generator, so the walker build
     and the static-program build happen on the first pull, which
@@ -899,8 +784,8 @@ def iter_relocated_trace(
     Every PC and every branch target moves; a target of 0 means "no
     target" and stays 0, and a real target is never 0. Phased
     composites give each member its own code region this way. The
-    compiled walker runs on a relocated copy of the packed static
-    program, one pass over its blocks rather than its instructions.
+    compiled walker lays out its static program from the moved code
+    base, so no instruction is moved one by one.
     """
     if num_instructions < 1:
         raise ValueError(

@@ -26,8 +26,16 @@ got worse by more than its bound or any workload lost correctness or
 failed more operations. A side with ``runs`` reads as their medians,
 since one run is too noisy to judge a bound by; the final lines serve
 only where a workload has no runs. ``compare BENCH_22.json
-BENCH_22.json`` reads one change; two ledgers read the trajectory
-between them. A plain ``{workload: line}`` file serves as either side.
+BENCH_22.json`` reads one change.
+
+Two different ledgers read the trajectory between them as a chain: the
+ratio judged is OLD's change/parent ratio times NEW's, because each
+ledger's pairs ran in one session while the two sessions ran on a
+machine whose speed drifts between them. The chain assumes NEW's parent
+is OLD's change, the same commit; the ``drift`` column prints NEW's
+parent over OLD's change, that commit's speed in the second session
+against the first, which the chain leaves out. A plain
+``{workload: line}`` file serves as either side, compared directly.
 """
 
 from __future__ import annotations
@@ -151,6 +159,14 @@ def _median_line(runs: List[dict]) -> dict:
     }
 
 
+def _is_ledger(data: object) -> bool:
+    return (
+        isinstance(data, dict)
+        and isinstance(data.get("parent"), dict)
+        and isinstance(data.get("change"), dict)
+    )
+
+
 def load_side(path: Path, side: str) -> Dict[str, dict]:
     """The ``{workload: perfbench line}`` map of ``side`` in a ledger, or
     the whole file when it is such a map already.
@@ -159,7 +175,7 @@ def load_side(path: Path, side: str) -> Dict[str, dict]:
     (:func:`_median_line`) in place of the side's final line.
     """
     data = json.loads(Path(path).read_text())
-    if not (isinstance(data.get(side), dict) and isinstance(data.get("parent"), dict)):
+    if not _is_ledger(data):
         return data
     lines = dict(data[side])
     for workload, sides in (data.get("runs") or {}).items():
@@ -168,29 +184,52 @@ def load_side(path: Path, side: str) -> Dict[str, dict]:
     return lines
 
 
+def _value(line: dict, name: str) -> Optional[float]:
+    return line["metrics"].get(name, {}).get("value")
+
+
 def compare(
-    old: Dict[str, dict], new: Dict[str, dict], end_to_end: List[dict]
+    old: Dict[str, dict],
+    new: Dict[str, dict],
+    end_to_end: List[dict],
+    via: Optional[Tuple[Dict[str, dict], Dict[str, dict]]] = None,
 ) -> Tuple[List[str], int]:
     """Rows comparing ``old`` and ``new`` per workload and metric, and
     the number of regressions among them.
 
     ``end_to_end`` is ``BENCHMARK.json``'s list of ``{name, better,
-    bound}``. A metric moved beyond its bound when its ratio new/old
-    differs from 1 by more than ``bound``; that is a regression when the
-    move is in the worse direction. A workload that lost correctness or
-    failed more operations is a regression too.
+    bound}``. A metric moved beyond its bound when its ratio differs
+    from 1 by more than ``bound``; that is a regression when the move is
+    in the worse direction. The ratio is new/old; with ``via``, the pair
+    (OLD's change, NEW's parent) of a chain of two ledgers, it is
+    (OLD's change/old) times (new/NEW's parent), and a ``drift`` column
+    shows NEW's parent/OLD's change. A workload that lost correctness
+    or failed more operations is a regression too.
     """
-    rows = [f"{'workload':<18}{'metric':<13}{'old':>10}{'new':>10}{'ratio':>8}  bound"]
+    drift_head = f"{'drift':>8}" if via else ""
+    rows = [
+        f"{'workload':<18}{'metric':<13}{'old':>10}{'new':>10}{'ratio':>8}"
+        f"{drift_head}  bound"
+    ]
     regressions = 0
-    for workload in sorted(set(old) & set(new)):
+    workloads = set(old) & set(new)
+    if via:
+        workloads &= set(via[0]) & set(via[1])
+    for workload in sorted(workloads):
         before, after = old[workload], new[workload]
         for metric in end_to_end:
             name, bound = metric["name"], metric["bound"]
-            was = before["metrics"].get(name, {}).get("value")
-            now = after["metrics"].get(name, {}).get("value")
+            was, now = _value(before, name), _value(after, name)
             if not was or now is None:
                 continue
-            ratio = now / was
+            ratio, drift = now / was, ""
+            if via:
+                old_change = _value(via[0][workload], name)
+                new_parent = _value(via[1][workload], name)
+                if not old_change or not new_parent:
+                    continue
+                ratio = old_change / was * (now / new_parent)
+                drift = f"{new_parent / old_change:>8.3f}"
             worse = ratio - 1.0 if metric["better"] == "lower" else 1.0 - ratio
             flag = ""
             if worse > bound:
@@ -199,8 +238,8 @@ def compare(
             elif -worse > bound:
                 flag = "  better beyond bound"
             rows.append(
-                f"{workload:<18}{name:<13}{was:>10.4g}{now:>10.4g}{ratio:>8.3f}  "
-                f"{bound:g}{flag}"
+                f"{workload:<18}{name:<13}{was:>10.4g}{now:>10.4g}{ratio:>8.3f}"
+                f"{drift}  {bound:g}{flag}"
             )
         if not after.get("correct", False) or after.get("failed", 0) > before.get("failed", 0):
             rows.append(
@@ -221,8 +260,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as error:
         print(f"benchjson: run from a checkout root: {error}", file=sys.stderr)
         return 2
+    old_path, new_path = Path(args[1]), Path(args[2])
+    via = None
+    if old_path.resolve() != new_path.resolve() and all(
+        _is_ledger(json.loads(path.read_text())) for path in (old_path, new_path)
+    ):
+        via = (load_side(old_path, "change"), load_side(new_path, "parent"))
     rows, regressions = compare(
-        load_side(Path(args[1]), "parent"), load_side(Path(args[2]), "change"), end_to_end
+        load_side(old_path, "parent"), load_side(new_path, "change"), end_to_end, via
     )
     print("\n".join(rows))
     return 1 if regressions else 0

@@ -34,7 +34,12 @@ def derive_seed(base_seed: int, *labels: object) -> int:
 
 
 class DeterministicRng:
-    """A seeded RNG with the handful of draw shapes the generators need."""
+    """A seeded RNG with the handful of draw shapes the generators need.
+
+    ``uniform``, ``randint``, ``chance``, ``geometric`` and ``shuffled``:
+    exactly the shapes the compiled trace walker mirrors in C, so a new
+    one here needs its C twin before the workloads may draw it.
+    """
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -57,14 +62,6 @@ class DeterministicRng:
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {probability}")
         return self._random.random() < probability
-
-    def choice(self, items: Sequence[T]) -> T:
-        """Uniform choice from a non-empty sequence."""
-        return self._random.choice(items)
-
-    def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
-        """Choice from ``items`` with the given relative weights."""
-        return self._random.choices(items, weights=weights, k=1)[0]
 
     def geometric(self, mean: float) -> int:
         """Geometric draw (>= 1) with the given mean.
@@ -92,7 +89,3 @@ class DeterministicRng:
         copy = list(items)
         self._random.shuffle(copy)
         return copy
-
-    def gauss(self, mu: float, sigma: float) -> float:
-        """Normal draw."""
-        return self._random.gauss(mu, sigma)

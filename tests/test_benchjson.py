@@ -205,6 +205,41 @@ class TestLedgerCompare:
         assert "WORSE beyond bound" in capsys.readouterr().out
         assert main(["compare", "BENCH_1.json"]) == 2
 
+    @staticmethod
+    def _ledger(path, parent, change):
+        sides = {"parent": {"w": _line(wall_s=parent)}, "change": {"w": _line(wall_s=change)}}
+        path.write_text(json.dumps(sides))
+
+    def test_two_ledgers_chain_their_own_ratios(self, tmp_path, monkeypatch, capsys):
+        """Each ledger's pairs ran in one session: the chain judges the
+        product of their ratios, not the drift of the commit between
+        them (1.0 -> 1.5 s here, which a direct reading calls +50%)."""
+        monkeypatch.chdir(tmp_path)
+        Path("BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+        self._ledger(tmp_path / "BENCH_1.json", 1.25, 1.0)
+        self._ledger(tmp_path / "BENCH_2.json", 1.5, 1.5)
+        assert main(["compare", "BENCH_1.json", "BENCH_2.json"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.split() == ["workload", "metric", "old", "new", "ratio", "drift", "bound"]
+        assert row.split() == ["w", "wall_s", "1.25", "1.5", "0.800", "1.500", "0.25"]
+        self._ledger(tmp_path / "BENCH_3.json", 1.5, 2.0)  # 2.0 / 1.25 directly
+        assert main(["compare", "BENCH_1.json", "BENCH_3.json"]) == 0
+        assert "   1.067   1.500  0.25\n" in capsys.readouterr().out  # 0.8 * 1.333
+        self._ledger(tmp_path / "BENCH_4.json", 1.0, 1.7)
+        assert main(["compare", "BENCH_1.json", "BENCH_4.json"]) == 1
+        assert "   1.360   1.000  0.25  WORSE beyond bound" in capsys.readouterr().out
+
+    def test_one_ledger_or_a_plain_map_compares_directly(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+        self._ledger(tmp_path / "BENCH_1.json", 1.0, 1.3)
+        assert main(["compare", "BENCH_1.json", "./BENCH_1.json"]) == 1
+        out = capsys.readouterr().out
+        assert "drift" not in out and " 1.300  0.25  WORSE" in out
+        Path("side.json").write_text(json.dumps({"w": _line(wall_s=1.2)}))
+        assert main(["compare", "BENCH_1.json", "side.json"]) == 0  # 1.2 / 1.0
+        assert "drift" not in capsys.readouterr().out
+
     def test_the_committed_ledgers_compare(self):
         """``python -m repro.util.benchjson compare`` reads every committed
         ``BENCH_*.json`` from the checkout root, each workload on both
@@ -228,3 +263,23 @@ class TestLedgerCompare:
             assert "WORSE" not in done.stdout
             for workload in json.loads(ledger.read_text())["change"]:
                 assert f"{workload} " in done.stdout, workload
+
+    def test_the_committed_ledgers_chain(self):
+        """Each committed ledger's parent is the previous one's change,
+        and the trajectory between consecutive ones stays within every
+        bound once their sessions' drift is left out."""
+        root = Path(repro.__file__).resolve().parents[2]
+        if not (root / "BENCHMARK.json").is_file():
+            pytest.skip("repro is not running from a checkout")
+        ledgers = sorted(root.glob("BENCH_*.json"), key=lambda path: int(path.stem[6:]))
+        for old, new in zip(ledgers, ledgers[1:]):
+            done = subprocess.run(
+                [sys.executable, "-m", "repro.util.benchjson", "compare", old, new],
+                cwd=root,
+                capture_output=True,
+                text=True,
+                env={"PYTHONPATH": str(root / "src")},
+                timeout=60,
+            )
+            assert done.returncode == 0, done.stdout + done.stderr
+            assert "drift" in done.stdout.splitlines()[0]

@@ -17,11 +17,14 @@ reference, open- and closed-loop, streaming on and off, across chunk
 sizes including the degenerate ones (1 and 7, via re-chunking) the
 streaming generators themselves refuse.
 
-The C walker packs each (profile, seed) static program once and reuses
-it across trace lengths and threads; the cache tests pin that reuse to
-the same digests. Where the walker cannot run (no compiler, or a
-profile outside its fixed widths), ``iter_trace`` chunks the reference
-walk itself; the fallback tests pin its chunking and its simulations.
+The C walker builds each trace's static program itself, from the
+structure generator's transplanted state, so the digest gate checks the
+build draw for draw as well as the walk; the build tests pin that no
+Python program is built on the fast path, and that threads and
+same-name profiles keep their digests. Where the walker cannot run (no
+compiler, or a profile outside its fixed widths), ``iter_trace`` chunks
+the reference walk itself; the fallback tests pin its chunking and its
+simulations.
 
 The unit half covers the dual-representation :class:`TraceChunk`
 itself: ``from_columns`` validation, lazy instruction materialization,
@@ -65,7 +68,7 @@ from repro.cpu.workloads import (
     get_benchmark,
     iter_trace,
 )
-from repro.scenarios import sample_scenarios
+from repro.scenarios import DEFAULT_SPACE, sample_scenarios
 from repro.scenarios.phased import PhasedProfile
 
 #: Closed-loop runtime with a nonzero wakeup latency so sleep decisions
@@ -125,11 +128,17 @@ class TestColumnarDigestGate:
         )
 
     def test_sampled_scenarios(self):
-        for scenario in sample_scenarios(4, seed=17):
+        """Five scenarios of every family, phased composites (members at
+        their PC offsets) included."""
+        scenarios = sample_scenarios(30, seed=17)
+        assert {s.family for s in scenarios} == set(DEFAULT_SPACE.families)
+        for scenario in scenarios:
             profile = scenario.profile
             columnar = _drain(iter_trace(profile, 8_000, seed=2))
             reference = _reference_trace(profile, 8_000, 2)
-            assert trace_digest(columnar) == trace_digest(reference)
+            assert trace_digest(columnar) == trace_digest(reference), (
+                scenario.scenario_id
+            )
 
     def test_phased_composite(self):
         """The columnar member-relocating interleave == the object
@@ -147,52 +156,50 @@ class TestColumnarDigestGate:
             assert trace_digest(columnar) == trace_digest(reference)
 
 
-# -- the compiled walker's static-program cache ---------------------------------
+# -- the compiled walker's static-program build ---------------------------------
 
 
 @pytest.mark.skipif(
     not trace_kernel_available(),
     reason=f"no trace kernel: {trace_kernel_unavailable_reason()}",
 )
-class TestStaticProgramCache:
-    """The C walker packs each (profile, seed) program once and reuses it,
-    without changing a single digest."""
-
-    @pytest.fixture(autouse=True)
-    def _empty_cache(self):
-        workloads._program_tables.cache_clear()
-        yield
-        workloads._program_tables.cache_clear()
+class TestWalkerBuildsItsProgram:
+    """The C walker builds each trace's static program itself, from the
+    structure stream alone, with the reference build's digests."""
 
     @staticmethod
-    def _cached():
-        return workloads._program_tables.cache_info().currsize
-
-    @staticmethod
-    def _probe(name="program-cache-probe", **changes):
+    def _probe(name="program-build-probe", **changes):
         return dataclasses.replace(get_benchmark("gcc"), name=name, **changes)
 
     @staticmethod
     def _reference(profile, length, seed):
         return trace_digest(list(_walk_trace(profile, length, seed)))
 
-    def test_one_program_serves_two_lengths(self, monkeypatch):
+    def test_fast_path_builds_no_python_program(self, monkeypatch):
+        profile = get_benchmark("parser")
+        reference = self._reference(profile, 6_000, 3)
+
+        def built(*args, **kwargs):
+            raise AssertionError("the fast path built a Python static program")
+
+        monkeypatch.setattr(workloads, "_StaticProgram", built)
+        chunks = list(iter_trace(profile, 6_000, seed=3, chunk_size=1_024))
+        assert all(chunk.is_columnar for chunk in chunks)
+        flat = [instr for chunk in chunks for instr in chunk.instructions]
+        assert trace_digest(flat) == reference
+
+    def test_short_trace_is_a_prefix_of_long(self):
+        """The program depends on (profile, seed) only, not the length."""
         profile = self._probe()
         short = _drain(iter_trace(profile, 3_000, seed=4))
-        assert self._cached() == 1
-
-        def rebuilt(program):
-            raise AssertionError("static program rebuilt on a cache hit")
-
-        monkeypatch.setattr(workloads, "_pack_program", rebuilt)
         long = _drain(iter_trace(profile, 7_000, seed=4))
-        assert trace_digest(short) == self._reference(profile, 3_000, 4)
+        assert trace_digest(short) == trace_digest(long[:3_000])
         assert trace_digest(long) == self._reference(profile, 7_000, 4)
 
     def test_threads_generating_one_trace_agree(self):
-        """Eight threads over two programs race to build and share them;
+        """Eight threads over two programs build theirs concurrently;
         every trace must still match."""
-        profiles = (self._probe(), self._probe("program-cache-rival"))
+        profiles = (self._probe(), self._probe("program-build-rival"))
         expected = {p: self._reference(p, 4_000, 2) for p in profiles}
         barrier = threading.Barrier(8, timeout=60)
         digests = []
@@ -219,7 +226,6 @@ class TestStaticProgramCache:
         assert not any(thread.is_alive() for thread in threads)
         assert len(digests) == 24
         assert all(digest == expected[profile] for profile, digest in digests)
-        assert self._cached() == 2
 
     def test_profiles_sharing_a_name_do_not_collide(self):
         first = self._probe()
@@ -227,7 +233,6 @@ class TestStaticProgramCache:
         for profile in (first, second):
             columnar = _drain(iter_trace(profile, 3_000, seed=1))
             assert trace_digest(columnar) == self._reference(profile, 3_000, 1)
-        assert self._cached() == 2
 
 
 # -- the reference-walk fallback -----------------------------------------------
@@ -307,24 +312,24 @@ class TestReferenceFallback:
         assert calls == ["gzip"]
         assert (first.start, first.end) == (0, 512)
 
-    def test_fallback_packs_no_program(self, monkeypatch):
-        """Only the compiled walker reads packed tables; the fallback
-        walks its own static program and leaves the cache alone."""
-        monkeypatch.setattr(_trace_build, "trace_kernel_available", lambda: False)
-        workloads._program_tables.cache_clear()
-        try:
-            for chunk in iter_trace(get_benchmark("gcc"), 3_000, seed=4):
-                assert not chunk.is_columnar
-            assert workloads._program_tables.cache_info().currsize == 0
-        finally:
-            workloads._program_tables.cache_clear()
-
     def test_profile_outside_walker_widths(self):
         profile = self._wide_heap()
         assert not workloads._trace_kernel_usable(profile)
         reference = trace_digest(list(_walk_trace(profile, 6_000, 2)))
         chunks = list(iter_trace(profile, 6_000, seed=2, chunk_size=1_024))
         self._check_chunks(chunks, 6_000, 1_024, reference)
+
+    def test_block_count_outside_walker_widths(self):
+        """The walker's block indices are int32: a program of 2^31 blocks
+        goes to the reference walk (only the predicate runs here)."""
+        gzip = get_benchmark("gzip")
+        inside = 2**31 - 1 - gzip.num_blocks
+        fits = dataclasses.replace(
+            gzip, name="wide-code", num_functions=1, function_blocks=inside
+        )
+        assert workloads._trace_kernel_usable(fits) == trace_kernel_available()
+        wide = dataclasses.replace(fits, function_blocks=inside + 1)
+        assert not workloads._trace_kernel_usable(wide)
 
     @pytest.mark.skipif(
         not batch_kernel_available(),

@@ -173,3 +173,32 @@ class TestFirstLoad:
             assert module._lib is None
         else:
             assert all(outcome is module._lib for outcome in outcomes)
+
+
+class TestBuildKey:
+    """A compiled object is keyed on its compile command as well as its
+    source, so another ``$CC`` or flag list builds afresh instead of
+    loading an object the old one built."""
+
+    def test_each_compile_command_gets_its_own_object(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+        compiled = []
+
+        def compile_stub(source, output):
+            compiled.append(os.environ["CC"])
+            output.parent.mkdir(parents=True, exist_ok=True)
+            output.write_bytes(b"")
+
+        monkeypatch.setattr(_kernel_build, "_compile", compile_stub)
+
+        def built(compiler):
+            monkeypatch.setenv("CC", compiler)
+            return _kernel_build.build_shared_library(_trace_build._SOURCE)
+
+        first, second, again = built("cc-one"), built("cc-two"), built("cc-one")
+        assert first != second
+        assert again == first
+        assert compiled == ["cc-one", "cc-two"]
+        monkeypatch.setattr(_kernel_build, "CFLAGS", _kernel_build.CFLAGS[:-1])
+        assert built("cc-one") not in (first, second)
+        assert compiled == ["cc-one", "cc-two", "cc-one"]

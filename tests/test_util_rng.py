@@ -56,11 +56,6 @@ class TestDeterministicRng:
         values = {rng.randint(1, 3) for _ in range(200)}
         assert values == {1, 2, 3}
 
-    def test_weighted_choice_respects_zero_weight(self):
-        rng = DeterministicRng(5)
-        picks = {rng.weighted_choice("ab", [1.0, 0.0]) for _ in range(50)}
-        assert picks == {"a"}
-
     def test_shuffled_is_permutation(self):
         rng = DeterministicRng(9)
         items = list(range(20))
